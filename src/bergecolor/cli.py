@@ -20,6 +20,8 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
+from typing import Iterable, Iterator
 
 from . import __version__
 from .dimacs import read_col, write_col
@@ -61,20 +63,50 @@ EXIT_NOT_BERGE = 4
 EXIT_INTERNAL = 5
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text: str | Iterable[str]) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+def _json_chunks(obj) -> Iterator[str]:
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline, in pieces,
+    for documents with string keys.  An explicit stack keeps deep
+    decomposition trees clear of the recursion limit, and streaming keeps
+    their text (over 300 MB for a 600-vertex path, nearly all indentation)
+    out of memory."""
+    stack: list = [("\n", None), (obj, 0)]
+    while stack:
+        item, level = stack.pop()
+        if level is None:
+            yield item  # literal text
+            continue
+        if isinstance(item, dict) and item:
+            entries = [(json.dumps(k) + ": ", v) for k, v in sorted(item.items())]
+            brackets = "{}"
+        elif isinstance(item, list) and item:
+            entries = [("", v) for v in item]
+            brackets = "[]"
+        else:
+            # ints skip json.dumps, as json's own encoder does: most of a tree
+            yield int.__repr__(item) if type(item) is int else json.dumps(item)
+            continue
+        yield brackets[0]
+        stack.append(("\n" + "  " * level + brackets[1], None))
+        pad = "\n" + "  " * (level + 1)
+        for i, (head, value) in reversed(list(enumerate(entries))):
+            stack.append((value, level + 1))
+            stack.append((("," if i else "") + pad + head, None))
+
+
 def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, _json_chunks(obj))
 
 
 def _load_coloring(path: str) -> PartialColoring:
@@ -106,7 +138,6 @@ def cmd_color(args) -> int:
             g,
             berge_cap=args.berge_cap,
             trust_berge=args.trust_berge,
-            jobs=args.jobs,
             trace=trace,
         )
     except NotSquareFree as e:
@@ -122,20 +153,13 @@ def cmd_color(args) -> int:
         _finish_report(args, report, t0)
         return _fail(str(e), EXIT_NOT_BERGE)
 
-    berge_checked = not args.trust_berge and g.n <= args.berge_cap
     report["checks"]["square_free"] = True
-    report["checks"]["berge"] = True if berge_checked else None
+    report["checks"]["berge"] = True if result.stats.berge_checked else None
     report["status"] = "success"
     report["omega"] = result.colors_used
     report["colors_used"] = result.colors_used
-    report["stats"] = {
-        "frames_tried": result.stats.frames_tried,
-        "frames_pruned": result.stats.frames_pruned,
-        "swaps_applied": result.stats.swaps_applied,
-        "leaf_count": result.stats.leaf_count,
-        "node_count": result.stats.node_count,
-        "max_depth": result.stats.max_depth,
-    }
+    report["stats"] = asdict(result.stats)
+    del report["stats"]["berge_checked"]  # reported under "checks"
     _finish_report(args, report, t0)
 
     lines = coloring_to_lines(result.coloring)
@@ -181,7 +205,7 @@ def cmd_verify(args) -> int:
     with open(args.partition) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # malformed JSON or undecodable bytes
             return _fail(f"bad partition file: {e}", EXIT_PARSE)
     part = GoodPartition.from_json(data)
     verdict = verify_good_partition(g, part)
@@ -257,6 +281,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bergecolor",
@@ -271,10 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--report", help="write a JSON run report here")
     c.add_argument("--trace", help="write decomposition/swap events as JSON lines")
     c.add_argument("--tree", help="write the decomposition tree (.dot or .json)")
-    c.add_argument("--jobs", type=int, default=1, help="color subproblems in threads")
+    c.add_argument(
+        "--jobs",
+        type=_int_at_least(1),
+        default=1,
+        help="accepted for compatibility and ignored: the solver runs sequentially",
+    )
     c.add_argument(
         "--berge-cap",
-        type=int,
+        type=_int_at_least(0),
         default=64,
         metavar="N",
         help="verify Berge-ness only up to this many vertices (default 64)",
@@ -310,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="report structure of a graph")
     an.add_argument("graph", help="DIMACS .col file")
     an.add_argument("--report", help="also write the JSON report here")
-    an.add_argument("--berge-cap", type=int, default=64, metavar="N")
+    an.add_argument("--berge-cap", type=_int_at_least(0), default=64, metavar="N")
     an.set_defaults(func=cmd_analyze)
     return ap
 

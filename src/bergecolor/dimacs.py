@@ -51,8 +51,14 @@ def parse_col(text: str) -> Graph:
 
 
 def read_col(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_col(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise DimacsError(line_no, f"non-ASCII byte {data[exc.start]:#04x}") from None
+    return parse_col(text)
 
 
 def format_col(g: Graph, comment: str | None = None) -> str:

@@ -5,10 +5,6 @@ class BergeColorError(Exception):
     """Base class for all package errors."""
 
 
-class HypothesisViolation(BergeColorError):
-    """A structural hypothesis the caller promised does not actually hold."""
-
-
 class MalformedPartition(BergeColorError):
     """The five sets do not partition the vertex set (overlap or missing vertices)."""
 

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import GenerationExhausted, SpecError
-from .graphs import Graph, contains_square, is_berge
+from .graphs import Graph, contains_square, is_berge, iter_bits
 
 
 class GeneratorWarning(UserWarning):
@@ -75,21 +75,14 @@ class HyperprismSpec:
 
 
 def gen_prism(spec: PrismSpec) -> Graph:
-    """Two triangles joined by three disjoint paths.
+    """Two triangles joined by three disjoint paths: the hyperprism with one
+    rung per strip.
 
     Labels: triangle corners 0,1,2 (side A) and 3,4,5 (side B); rung i runs
     from i to 3+i, its interior vertices numbered consecutively from 6,
     rung by rung.
     """
-    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    nxt = 6
-    for i, length in enumerate(spec.lengths):
-        chain = [i] + list(range(nxt, nxt + length - 1)) + [3 + i]
-        nxt += length - 1
-        edges.extend(zip(chain, chain[1:]))
-    g = Graph(spec.n, edges)
-    _validate(g, f"prism{spec.lengths}")
-    return g
+    return _strips_graph(tuple((x,) for x in spec.lengths), f"prism{spec.lengths}")
 
 
 def gen_hyperprism(spec: HyperprismSpec) -> Graph:
@@ -99,11 +92,15 @@ def gen_hyperprism(spec: HyperprismSpec) -> Graph:
 
     Labels: with R rungs total (strip-major order), starts are 0..R-1, ends
     R..2R-1, and interiors follow rung by rung.  With one rung per strip this
-    reproduces gen_prism's labeling exactly.
+    is gen_prism's labeling.
     """
+    return _strips_graph(spec.strips, f"hyperprism{spec.strips}")
+
+
+def _strips_graph(strips: tuple[tuple[int, ...], ...], what: str) -> Graph:
     rungs = [
         (strip_idx, length)
-        for strip_idx, strip in enumerate(spec.strips)
+        for strip_idx, strip in enumerate(strips)
         for length in strip
     ]
     nrungs = len(rungs)
@@ -118,8 +115,8 @@ def gen_hyperprism(spec: HyperprismSpec) -> Graph:
         chain = [i] + list(range(nxt, nxt + length - 1)) + [nrungs + i]
         nxt += length - 1
         edges.extend(zip(chain, chain[1:]))
-    g = Graph(spec.n, edges)
-    _validate(g, f"hyperprism{spec.strips}")
+    g = Graph(nxt, edges)
+    _validate(g, what)
     return g
 
 
@@ -184,19 +181,12 @@ def _grow_c4free_bipartite(
         if (masks[u] >> v) & 1:
             continue
         # a second common neighborhood link would close a 4-cycle
-        if any(masks[p] & masks[u] for p in _bits(masks[v])):
+        if any(masks[p] & masks[u] for p in iter_bits(masks[v])):
             continue
         masks[u] |= 1 << v
         masks[v] |= 1 << u
         edges.append((u, v))
     return Graph(n, edges)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _random_bipartite(rng: random.Random, n: int) -> Graph | None:

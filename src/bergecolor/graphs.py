@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import HypothesisViolation, NotBerge, NotSquareFree
+from .errors import NotBerge, NotSquareFree
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -71,9 +71,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self._masks[v].bit_count()
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -291,26 +288,6 @@ def is_berge(g: Graph, *, cap: int = 64, force: bool = False) -> BergeVerdict:
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     vs = list(vertices)
     return all(g.adjacent(u, v) for u, v in itertools.combinations(vs, 2))
-
-
-def drop_part_index(g: Graph, clique: Iterable[int], parts: list[frozenset[int]]) -> int:
-    """Smallest 1-based i such that clique plus all parts except parts[i-1]
-    is again a clique.
-
-    Callers promise: clique is a clique, the parts are nonempty, pairwise
-    complete to each other, disjoint from the clique, and each vertex of the
-    clique has a neighbor in all parts but at most one.  Under that promise
-    some i works; if none does the promise was broken and
-    HypothesisViolation is raised.
-    """
-    base = list(clique)
-    for i, part in enumerate(parts):
-        rest = base + [v for j, p in enumerate(parts) if j != i for v in sorted(p)]
-        if is_clique(g, rest):
-            return i + 1
-    raise HypothesisViolation(
-        "no part can be dropped to leave a clique; input sets break the promised structure"
-    )
 
 
 def require_square_free(g: Graph) -> None:

@@ -20,7 +20,7 @@ from the working cutset until the partition conditions hold or the frame dies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import InternalViolation, MalformedPartition, NotSquareFree
 from .graphs import (
@@ -43,9 +43,6 @@ class GoodPartition:
 
     def sets(self) -> tuple[frozenset[int], ...]:
         return (self.k1, self.k2, self.k3, self.l, self.r)
-
-    def cutset(self) -> frozenset[int]:
-        return self.k1 | self.k2 | self.k3
 
     def to_json(self) -> dict:
         return {
@@ -85,27 +82,6 @@ class Frame:
     c1: frozenset[int]
     c3: frozenset[int]
 
-    def to_json(self) -> dict:
-        return {
-            "Q1": list(self.q1),
-            "Q3": list(self.q3),
-            "x": self.x,
-            "y": self.y,
-            "C1": sorted(self.c1),
-            "C3": sorted(self.c3),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Frame":
-        return cls(
-            q1=tuple(obj["Q1"]),
-            q3=tuple(obj["Q3"]),
-            x=obj["x"],
-            y=obj["y"],
-            c1=frozenset(obj["C1"]),
-            c3=frozenset(obj["C3"]),
-        )
-
 
 @dataclass(frozen=True)
 class PartitionVerdict:
@@ -115,12 +91,6 @@ class PartitionVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class Separation(NamedTuple):
-    l: frozenset[int]
-    r: frozenset[int]
-    ry: frozenset[int]
 
 
 def _partition_masks(g: Graph, p: GoodPartition) -> tuple[int, int, int, int, int]:
@@ -272,28 +242,6 @@ def verify_good_partition(g: Graph, p: GoodPartition) -> PartitionVerdict:
             if zs:
                 return PartitionVerdict(True)
     return PartitionVerdict(False, "v", None)
-
-
-def connectivity_update(g: Graph, k1, k2, k3, x: int, y: int) -> Separation | None:
-    """Split G minus the cutset around x: L' is x's component, R' the rest,
-    R'y the component of y within R'.  None means x and y ended up together,
-    which kills the current refinement."""
-    cut = mask_of(k1) | mask_of(k2) | mask_of(k3)
-    if x == y:
-        raise ValueError("x and y must differ")
-    if (cut >> x) & 1 or (cut >> y) & 1:
-        raise ValueError("x and y must avoid the cutset")
-    rest = g.full_mask & ~cut
-    lmask = component_mask(g, x, rest)
-    if (lmask >> y) & 1:
-        return None
-    rmask = rest & ~lmask
-    rymask = component_mask(g, y, rmask)
-    return Separation(
-        frozenset(iter_bits(lmask)),
-        frozenset(iter_bits(rmask)),
-        frozenset(iter_bits(rymask)),
-    )
 
 
 def _separate(g: Graph, cut: int, x: int, y: int) -> tuple[int, int] | None:

@@ -43,9 +43,6 @@ class PartialColoring:
                     return False
         return True
 
-    def copy(self) -> "PartialColoring":
-        return PartialColoring(dict(self.colors))
-
 
 def coloring_to_lines(c: PartialColoring) -> str:
     """DIMACS-solution-style text, one `v <vertex> <color>` line, 1-based."""
@@ -67,7 +64,8 @@ def parse_coloring_lines(text: str) -> PartialColoring:
             raise ValueError(f"line {line_no}: non-integer field")
         if v < 1 or col < 1:
             raise ValueError(f"line {line_no}: vertex and color are 1-based")
-        colors[v - 1] = col
+        if colors.setdefault(v - 1, col) != col:
+            raise ValueError(f"line {line_no}: vertex {v} already has color {colors[v - 1]}")
     return PartialColoring(colors)
 
 
@@ -79,7 +77,14 @@ def coloring_to_json(c: PartialColoring) -> dict:
 
 
 def coloring_from_json(obj: dict) -> PartialColoring:
-    return PartialColoring({int(v): int(col) for v, col in obj["colors"]})
+    colors: dict[int, int] = {}
+    try:
+        for v, col in obj["colors"]:
+            if colors.setdefault(int(v), int(col)) != int(col):
+                raise ValueError(f"vertex {v} has two colors")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f'coloring JSON needs "colors" as [vertex, color] pairs: {exc}')
+    return PartialColoring(colors)
 
 
 def align_colorings(c1: PartialColoring, c2: PartialColoring, anchor) -> PartialColoring:

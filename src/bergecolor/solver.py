@@ -9,8 +9,7 @@ binary tree whose internal nodes carry their partition and a witness triad.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import Infeasible, InternalViolation
 from .graphs import Graph, _iter_triads, omega, require_berge, require_square_free
@@ -27,14 +26,6 @@ class SolveStats:
     node_count: int = 0
     max_depth: int = 0
     berge_checked: bool = False
-
-    def absorb(self, other: "SolveStats") -> None:
-        self.frames_tried += other.frames_tried
-        self.frames_pruned += other.frames_pruned
-        self.swaps_applied += other.swaps_applied
-        self.leaf_count += other.leaf_count
-        self.node_count += other.node_count
-        self.max_depth = max(self.max_depth, other.max_depth)
 
 
 @dataclass
@@ -55,10 +46,13 @@ class TreeNode:
         return self.children is None
 
     def iter_nodes(self):
-        yield self
-        if self.children is not None:
-            for ch in self.children:
-                yield from ch.iter_nodes()
+        """Pre-order, first child first; an explicit stack keeps deep trees
+        clear of the interpreter's recursion limit."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children or ()))
 
     def node_count(self) -> int:
         return sum(1 for _ in self.iter_nodes())
@@ -67,9 +61,12 @@ class TreeNode:
         return sum(1 for node in self.iter_nodes() if node.is_leaf())
 
     def depth(self) -> int:
-        if self.children is None:
-            return 1
-        return 1 + max(ch.depth() for ch in self.children)
+        deepest, stack = 0, [(self, 1)]
+        while stack:
+            node, d = stack.pop()
+            deepest = max(deepest, d)
+            stack.extend((ch, d + 1) for ch in node.children or ())
+        return deepest
 
 
 @dataclass
@@ -166,18 +163,21 @@ def _witness_triad(g: Graph, gp: GoodPartition) -> tuple[int, int, int]:
 
 
 def _solve(
-    g: Graph, orig: tuple[int, ...], depth: int, jobs: int
-) -> tuple[PartialColoring, int, TreeNode, SolveStats, list[dict]]:
-    stats = SolveStats(node_count=1, max_depth=depth)
+    g: Graph, orig: tuple[int, ...], depth: int, stats: SolveStats, events: list[dict]
+) -> tuple[PartialColoring, int, TreeNode]:
+    """Color g, whose vertex i is orig[i] in the root graph, building one tree
+    node; counters and swap events go into the run's `stats` and `events`."""
+    stats.node_count += 1
+    stats.max_depth = max(stats.max_depth, depth)
     fstats: dict[str, int] = {}
     gp = find_good_partition(g, fstats)
-    stats.frames_tried = fstats.get("frames_tried", 0)
-    stats.frames_pruned = fstats.get("frames_pruned", 0)
+    stats.frames_tried += fstats.get("frames_tried", 0)
+    stats.frames_pruned += fstats.get("frames_pruned", 0)
 
     if gp is None:
-        stats.leaf_count = 1
+        stats.leaf_count += 1
         k = omega(g)
-        return leaf_color(g, k), k, TreeNode(vertices=orig), stats, []
+        return leaf_color(g, k), k, TreeNode(vertices=orig)
 
     triad = _witness_triad(g, gp)
     all_vs = set(range(g.n))
@@ -188,53 +188,17 @@ def _solve(
     # map1/map2 give this node's labels; compose with orig for root labels
     orig1 = tuple(orig[j] for j in map1)
     orig2 = tuple(orig[j] for j in map2)
-
-    if jobs >= 2 and min(g1.n, g2.n) > 8:
-        slots: list = [None, None]
-        fails: list = [None, None]
-
-        def run(i: int, child: Graph, child_orig: tuple[int, ...]) -> None:
-            try:
-                slots[i] = _solve(child, child_orig, depth + 1, jobs // 2)
-            except BaseException as exc:  # re-raised on the main thread
-                fails[i] = exc
-
-        threads = [
-            threading.Thread(target=run, args=(0, g1, orig1)),
-            threading.Thread(target=run, args=(1, g2, orig2)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for exc in fails:
-            if exc is not None:
-                raise exc
-        (col1, k1, node1_, st1, ev1) = slots[0]
-        (col2, k2, node2_, st2, ev2) = slots[1]
-    else:
-        col1, k1, node1_, st1, ev1 = _solve(g1, orig1, depth + 1, jobs)
-        col2, k2, node2_, st2, ev2 = _solve(g2, orig2, depth + 1, jobs)
+    col1, k1, node1 = _solve(g1, orig1, depth + 1, stats, events)
+    col2, k2, node2 = _solve(g2, orig2, depth + 1, stats, events)
 
     # children were solved in their own labels (map1/map2 give this node's)
     c1 = PartialColoring({map1[i]: col for i, col in col1.colors.items()})
     c2 = PartialColoring({map2[i]: col for i, col in col2.colors.items()})
     k = max(k1, k2)
 
-    events: list[dict] = list(ev1) + list(ev2)
-    own_events = 0
-
-    def log(event: dict) -> None:
-        nonlocal own_events
-        event["node_n"] = len(orig)
-        events.append(event)
-        own_events += 1
-
-    merged = merge_colorings(g, gp, c1, c2, k, trace=log)
-
-    stats.absorb(st1)
-    stats.absorb(st2)
-    stats.swaps_applied += own_events
+    merged = merge_colorings(
+        g, gp, c1, c2, k, trace=lambda ev: events.append({**ev, "node_n": len(orig)})
+    )
 
     node = TreeNode(
         vertices=orig,
@@ -246,9 +210,9 @@ def _solve(
             r=frozenset(orig[i] for i in gp.r),
         ),
         triad=tuple(sorted(orig[v] for v in triad)),
-        children=(node1_, node2_),
+        children=(node1, node2),
     )
-    return merged, k, node, stats, events
+    return merged, k, node
 
 
 def color(
@@ -256,26 +220,24 @@ def color(
     *,
     berge_cap: int = 64,
     trust_berge: bool = False,
-    jobs: int = 1,
     trace: list | None = None,
 ) -> ColorResult:
     """Color g with exactly omega(g) colors.
 
     Rejects inputs with squares (NotSquareFree) and, when n is within
     berge_cap and the check is not trusted away, inputs with odd holes or
-    antiholes (NotBerge).  The returned tree and stats are byte-stable
-    across runs and independent of `jobs`.
+    antiholes (NotBerge).  The returned tree, stats and trace are byte-stable
+    across runs.
     """
     require_square_free(g)
-    berge_checked = False
+    stats = SolveStats()
     if not trust_berge and g.n <= berge_cap:
         require_berge(g, cap=berge_cap)
-        berge_checked = True
+        stats.berge_checked = True
 
-    coloring, k, tree, stats, events = _solve(
-        g, tuple(range(g.n)), 1, max(1, jobs)
-    )
-    stats.berge_checked = berge_checked
+    events: list[dict] = []
+    coloring, k, tree = _solve(g, tuple(range(g.n)), 1, stats, events)
+    stats.swaps_applied = len(events)  # every event is one applied swap
 
     w = omega(g)
     if k != w or coloring.colors_used() != w:
@@ -285,9 +247,9 @@ def color(
     verdict = verify_coloring(g, coloring)
     if not verdict:
         raise InternalViolation(f"final coloring invalid: {verdict.reason}")
-    if tree.node_count() > max(1, 3 * g.n**3):
+    if stats.node_count > max(1, 3 * g.n**3):
         raise InternalViolation("decomposition tree exceeds the cubic node bound")
-    if tree.depth() > max(1, g.n):
+    if stats.max_depth > max(1, g.n):
         raise InternalViolation("decomposition deeper than the vertex count")
     triads = [frozenset(n.triad) for n in tree.iter_nodes() if n.triad is not None]
     if len(triads) != len(set(triads)):
@@ -299,15 +261,17 @@ def color(
 
 
 def tree_to_json(tree: TreeNode) -> dict:
-    def node_json(node: TreeNode) -> dict:
-        out: dict = {"vertices": list(node.vertices)}
+    root: dict = {}
+    stack = [(tree, root)]
+    while stack:
+        node, out = stack.pop()
+        out["vertices"] = list(node.vertices)
         if node.children is not None:
             out["partition"] = node.partition.to_json()
             out["triad"] = list(node.triad)
-            out["children"] = [node_json(ch) for ch in node.children]
-        return out
-
-    return {"schema": "bergecolor-tree/1", "root": node_json(tree)}
+            out["children"] = [{} for _ in node.children]
+            stack.extend(reversed(list(zip(node.children, out["children"]))))
+    return {"schema": "bergecolor-tree/1", "root": root}
 
 
 def tree_to_dot(tree: TreeNode) -> str:

@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so exit codes, stdout, stderr,
 and written artifacts can be checked without spawning subprocesses."""
 
 import json
+import sys
 
 import pytest
 
@@ -13,12 +14,14 @@ from bergecolor import (
     gen_square_free_berge,
     parse_coloring_lines,
     read_col,
+    tree_to_json,
     verify_coloring,
     write_col,
 )
+from bergecolor import cli
 from bergecolor.cli import main
 
-from conftest import complete, cycle
+from conftest import complete, cycle, path_graph
 
 
 def col(tmp_path, g, name="g.col"):
@@ -142,6 +145,69 @@ def test_color_jobs_flag_same_output(tmp_path):
     assert open(a).read() == open(b).read()
 
 
+def test_color_berge_cap_below_n_reports_unchecked(tmp_path):
+    path = col(tmp_path, cycle(6))
+    rep_f = str(tmp_path / "r.json")
+    rc = main(["color", path, "-o", str(tmp_path / "o"), "--berge-cap", "5",
+               "--report", rep_f])
+    assert rc == 0
+    assert json.load(open(rep_f))["checks"] == {"square_free": True, "berge": None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["color", "g.col", "--berge-cap", "-1"],
+        ["color", "g.col", "--jobs", "0"],
+        ["analyze", "g.col", "--berge-cap", "-1"],
+    ],
+)
+def test_out_of_range_options_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_color_deep_tree_writes_json(tmp_path, monkeypatch):
+    # a path decomposes about one level per vertex, deeper than the
+    # interpreter's recursion limit allows a recursive walk or json.dumps
+    trees = []
+    monkeypatch.setattr(
+        cli, "tree_to_json", lambda t: trees.append(t) or tree_to_json(t)
+    )
+    path = col(tmp_path, path_graph(600))
+    rep_f = str(tmp_path / "r.json")
+    tree_f = tmp_path / "t.json"
+    try:
+        rc = main(["color", path, "-o", str(tmp_path / "o"), "--report", rep_f,
+                   "--tree", str(tree_f)])
+        assert rc == 0
+        with open(tree_f, "rb") as fh:
+            assert fh.read(32).startswith(b'{\n  "root": {\n    "children": [')
+            fh.seek(-4, 2)
+            assert fh.read() == b'"\n}\n'
+    finally:
+        tree_f.unlink(missing_ok=True)  # over 300 MB, nearly all indentation
+    stats = json.load(open(rep_f))["stats"]
+    (tree,) = trees
+    assert tree.depth() == stats["max_depth"] > sys.getrecursionlimit() // 2
+    assert tree.node_count() == stats["node_count"]
+
+
+@pytest.mark.parametrize("command", ["color", "verify", "analyze"])
+def test_non_ascii_graph_file_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.col"
+    path.write_bytes(b"p edge 2 1\ne 1 2\nc caf\xc3\xa9\n")
+    argv = [command, str(path)]
+    if command == "verify":
+        sol = tmp_path / "s.sol"
+        sol.write_text("v 1 1\nv 2 2\n")
+        argv += ["--coloring", str(sol)]
+    assert main(argv) == 2
+    assert "line 3: non-ASCII byte 0xc3" in capsys.readouterr().err
+
+
 def test_color_trust_berge_skips_check(tmp_path):
     path = col(tmp_path, cycle(6))
     rep_f = str(tmp_path / "r.json")
@@ -195,6 +261,39 @@ def test_verify_coloring_garbage_file(tmp_path, capsys):
     assert main(["verify", path, "--coloring", str(sol)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": "bergecolor-coloring/1"},  # no "colors"
+        {"colors": 5},
+        {"colors": [[0, 1, 2]]},
+    ],
+)
+def test_verify_coloring_malformed_json(tmp_path, capsys, doc):
+    path = col(tmp_path, cycle(6))
+    sol = tmp_path / "c6.json"
+    sol.write_text(json.dumps(doc))
+    assert main(["verify", path, "--coloring", str(sol)]) == 2
+    assert "bad coloring file" in capsys.readouterr().err
+
+
+def test_verify_coloring_conflicting_duplicate_line(tmp_path, capsys):
+    path = col(tmp_path, cycle(6))
+    sol = tmp_path / "c6.sol"
+    sol.write_text("v 1 1\nv 2 1\nv 2 2\nv 3 1\nv 4 2\nv 5 1\nv 6 2\n")
+    assert main(["verify", path, "--coloring", str(sol)]) == 2
+    assert "line 3: vertex 2 already has color 1" in capsys.readouterr().err
+
+
+def test_verify_coloring_conflicting_duplicate_json(tmp_path, capsys):
+    path = col(tmp_path, cycle(6))
+    sol = tmp_path / "c6.json"
+    sol.write_text(json.dumps({
+        "colors": [[0, 1], [1, 2], [1, 1], [2, 1], [3, 2], [4, 1], [5, 2]],
+    }))
+    assert main(["verify", path, "--coloring", str(sol)]) == 2
+
+
 def test_verify_partition_valid(tmp_path, capsys):
     path = col(tmp_path, cycle(6))
     part = tmp_path / "p.json"
@@ -230,6 +329,13 @@ def test_verify_partition_bad_json(tmp_path, capsys):
     path = col(tmp_path, cycle(6))
     part = tmp_path / "p.json"
     part.write_text("{oops")
+    assert main(["verify", path, "--partition", str(part)]) == 2
+
+
+def test_verify_partition_undecodable_bytes(tmp_path, capsys):
+    path = col(tmp_path, cycle(6))
+    part = tmp_path / "p.json"
+    part.write_bytes(b'{"K1": [1], "\xff": []}')
     assert main(["verify", path, "--partition", str(part)]) == 2
 
 

@@ -77,3 +77,11 @@ def test_file_round_trip(tmp_path):
     assert read_col(p) == g
     # atomic write leaves no temp file behind
     assert list(tmp_path.iterdir()) == [tmp_path / "c6.col"]
+
+
+def test_read_col_rejects_non_ascii_with_line_number(tmp_path):
+    p = tmp_path / "bad.col"
+    p.write_bytes(b"p edge 2 1\n\xffe 1 2\n")
+    with pytest.raises(DimacsError) as ei:
+        read_col(str(p))
+    assert ei.value.line_no == 2

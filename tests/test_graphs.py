@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from bergecolor import (
     Graph,
-    HypothesisViolation,
     NotBerge,
     NotSquareFree,
     components,
@@ -17,7 +16,7 @@ from bergecolor import (
     require_berge,
     require_square_free,
 )
-from bergecolor.graphs import bit_list, drop_part_index, iter_bits, mask_of
+from bergecolor.graphs import bit_list, iter_bits, mask_of
 
 from conftest import complete, complete_minus_star, cycle, path_graph
 from oracles import (
@@ -186,28 +185,6 @@ def test_is_clique():
     assert is_clique(g, [])
     assert is_clique(g, [2])
     assert not is_clique(cycle(4), [0, 1, 2])
-
-
-def test_drop_part_index_prefers_lowest():
-    # clique {0}, parts {1} and {2}; 0 adjacent to both, 1-2 non-adjacent:
-    # dropping either part leaves a clique, so the first is reported
-    g = Graph(3, [(0, 1), (0, 2)])
-    assert drop_part_index(g, [0], [frozenset({1}), frozenset({2})]) == 1
-
-
-def test_drop_part_index_picks_the_necessary_part():
-    # 1-2 edge missing, 1-3 and 2-3 present: only dropping {1} or {2} works
-    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
-    assert drop_part_index(g, [0], [frozenset({1}), frozenset({2}), frozenset({3})]) == 1
-    assert drop_part_index(g, [0], [frozenset({3}), frozenset({2}), frozenset({1})]) == 2
-
-
-def test_drop_part_index_raises_on_broken_promise():
-    g = Graph(4, [(0, 1), (0, 2), (0, 3)])  # three mutually non-adjacent parts
-    with pytest.raises(HypothesisViolation):
-        drop_part_index(
-            g, [0], [frozenset({1}), frozenset({2}), frozenset({3})]
-        )
 
 
 def test_require_square_free():

@@ -8,7 +8,6 @@ from bergecolor import (
     Graph,
     MalformedPartition,
     NotSquareFree,
-    connectivity_update,
     enumerate_frames,
     find_good_partition,
     nested_order,
@@ -116,30 +115,6 @@ def test_verify_matches_naive_checker(g, rnd):
     assert bool(verify_good_partition(g, p)) == naive_good_partition_check(
         g, *[set(s) for s in parts]
     )
-
-
-# --- connectivity_update -----------------------------------------------------
-
-
-def test_connectivity_update_c6():
-    c6 = cycle(6)
-    sep = connectivity_update(c6, [0], [], [3], x=1, y=4)
-    assert sep.l == {1, 2} and sep.r == {4, 5} and sep.ry == {4, 5}
-    assert connectivity_update(c6, [0], [], [3], x=1, y=2) is None
-
-
-def test_connectivity_update_ry_is_a_component():
-    g = Graph(6, [(0, 1), (2, 3), (4, 5)])
-    sep = connectivity_update(g, [0], [], [], x=1, y=2)
-    assert sep.l == {1} and sep.r == {2, 3, 4, 5} and sep.ry == {2, 3}
-
-
-def test_connectivity_update_rejects_bad_anchors():
-    c6 = cycle(6)
-    with pytest.raises(ValueError):
-        connectivity_update(c6, [0], [], [3], x=1, y=1)
-    with pytest.raises(ValueError):
-        connectivity_update(c6, [0], [], [3], x=0, y=4)
 
 
 # --- nested_order ------------------------------------------------------------
@@ -272,8 +247,3 @@ def test_partition_from_json_rejects_junk():
         GoodPartition.from_json(
             {"K1": [0], "K2": [], "K3": "x", "L": [1], "R": [2]}
         )
-
-
-def test_frame_json_round_trip():
-    fr = Frame(q1=(1, 2), q3=(6,), x=0, y=3, c1=frozenset({1}), c3=frozenset())
-    assert Frame.from_json(fr.to_json()) == fr

@@ -62,6 +62,15 @@ def test_parse_lines_errors():
         parse_coloring_lines("v 1 x\n")
 
 
+def test_parse_duplicate_vertices():
+    # a repeated line is harmless; a vertex given two colors is not
+    assert parse_coloring_lines("v 1 2\nv 1 2\n").colors == {0: 2}
+    with pytest.raises(ValueError, match="line 2"):
+        parse_coloring_lines("v 1 2\nv 1 3\n")
+    with pytest.raises(ValueError, match="two colors"):
+        coloring_from_json({"colors": [[0, 2], [0, 3]]})
+
+
 def test_json_round_trip():
     c = pc({0: 1, 5: 2})
     obj = coloring_to_json(c)

@@ -259,17 +259,6 @@ def test_trace_events_record_strict_progress():
         assert len(e["pair"]) == 2
 
 
-def test_jobs_do_not_change_the_answer():
-    g = gen_prism(PrismSpec((16, 18, 20)))
-    ev1, ev4 = [], []
-    r1 = color(g, jobs=1, trace=ev1)
-    r4 = color(g, jobs=4, trace=ev4)
-    assert r1.coloring.colors == r4.coloring.colors
-    assert tree_to_json(r1.tree) == tree_to_json(r4.tree)
-    assert ev1 == ev4
-    assert r1.stats == r4.stats
-
-
 # ------------------------------------------------------------- serialization
 
 
