@@ -267,6 +267,7 @@ def test_verify_coloring_garbage_file(tmp_path, capsys):
         {"schema": "bergecolor-coloring/1"},  # no "colors"
         {"colors": 5},
         {"colors": [[0, 1, 2]]},
+        {"colors": [[0, 1], [1, 2], [1, 1], [2, 1], [3, 2], [4, 1], [5, 2]]},
     ],
 )
 def test_verify_coloring_malformed_json(tmp_path, capsys, doc):
@@ -283,15 +284,6 @@ def test_verify_coloring_conflicting_duplicate_line(tmp_path, capsys):
     sol.write_text("v 1 1\nv 2 1\nv 2 2\nv 3 1\nv 4 2\nv 5 1\nv 6 2\n")
     assert main(["verify", path, "--coloring", str(sol)]) == 2
     assert "line 3: vertex 2 already has color 1" in capsys.readouterr().err
-
-
-def test_verify_coloring_conflicting_duplicate_json(tmp_path, capsys):
-    path = col(tmp_path, cycle(6))
-    sol = tmp_path / "c6.json"
-    sol.write_text(json.dumps({
-        "colors": [[0, 1], [1, 2], [1, 1], [2, 1], [3, 2], [4, 1], [5, 2]],
-    }))
-    assert main(["verify", path, "--coloring", str(sol)]) == 2
 
 
 def test_verify_partition_valid(tmp_path, capsys):
