@@ -22,7 +22,7 @@ g = gen_hyperprism(HyperprismSpec(((4, 4, 2), (2,), (4,))))
 result = color(g)
 
 doc = tree_to_json(result.tree)
-root = doc["root"]
+root = doc["nodes"][0]  # pre-order: the root comes first
 print(f"n = {g.n}, colored with {result.colors_used}", file=sys.stderr)
 print(
     f"tree: {result.tree.node_count()} nodes, "

@@ -21,7 +21,6 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict
-from typing import Iterable, Iterator
 
 from . import __version__
 from .dimacs import read_col, write_col
@@ -63,50 +62,20 @@ EXIT_NOT_BERGE = 4
 EXIT_INTERNAL = 5
 
 
-def _atomic_write(path: str, text: str | Iterable[str]) -> None:
+def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _json_chunks(obj) -> Iterator[str]:
-    """json.dumps(obj, indent=2, sort_keys=True) and a newline, in pieces,
-    for documents with string keys.  An explicit stack keeps deep
-    decomposition trees clear of the recursion limit, and streaming keeps
-    their text (over 300 MB for a 600-vertex path, nearly all indentation)
-    out of memory."""
-    stack: list = [("\n", None), (obj, 0)]
-    while stack:
-        item, level = stack.pop()
-        if level is None:
-            yield item  # literal text
-            continue
-        if isinstance(item, dict) and item:
-            entries = [(json.dumps(k) + ": ", v) for k, v in sorted(item.items())]
-            brackets = "{}"
-        elif isinstance(item, list) and item:
-            entries = [("", v) for v in item]
-            brackets = "[]"
-        else:
-            # ints skip json.dumps, as json's own encoder does: most of a tree
-            yield int.__repr__(item) if type(item) is int else json.dumps(item)
-            continue
-        yield brackets[0]
-        stack.append(("\n" + "  " * level + brackets[1], None))
-        pad = "\n" + "  " * (level + 1)
-        for i, (head, value) in reversed(list(enumerate(entries))):
-            stack.append((value, level + 1))
-            stack.append((("," if i else "") + pad + head, None))
-
-
-def _write_json(path: str, obj) -> None:
-    _atomic_write(path, _json_chunks(obj))
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _load_coloring(path: str) -> PartialColoring:
@@ -152,6 +121,15 @@ def cmd_color(args) -> int:
         report["witness"] = [e.witness[0], list(e.witness[1])] if e.witness else None
         _finish_report(args, report, t0)
         return _fail(str(e), EXIT_NOT_BERGE)
+    except (BergeColorError, RecursionError) as e:
+        if isinstance(e, RecursionError):  # _solve and the clique search recurse
+            e = BergeColorError(
+                "input too deep to solve: the decomposition or a clique search "
+                "exceeded the recursion limit"
+            )
+        report["error"] = str(e)
+        _finish_report(args, report, t0)
+        raise e from None  # main maps it to its exit code
 
     report["checks"]["square_free"] = True
     report["checks"]["berge"] = True if result.stats.berge_checked else None
@@ -175,7 +153,7 @@ def cmd_color(args) -> int:
         if args.tree.endswith(".dot"):
             _atomic_write(args.tree, tree_to_dot(result.tree))
         else:
-            _write_json(args.tree, tree_to_json(result.tree))
+            _atomic_write(args.tree, _json_text(tree_to_json(result.tree)))
     print(
         f"colored {g.n} vertices with {result.colors_used} colors",
         file=sys.stderr,
@@ -186,7 +164,7 @@ def cmd_color(args) -> int:
 def _finish_report(args, report: dict, t0: float) -> None:
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)
     if args.report:
-        _write_json(args.report, report)
+        _atomic_write(args.report, _json_text(report))
 
 
 def cmd_verify(args) -> int:
@@ -243,7 +221,7 @@ def cmd_gen(args) -> int:
     else:
         raise SpecError(f"unknown construction {args.construction!r}")
     write_col(g, args.output, comment=f"bergecolor gen {args.construction}")
-    _write_json(args.output + ".json", meta)
+    _atomic_write(args.output + ".json", _json_text(meta))
     print(f"wrote {args.output} ({g.n} vertices, {g.m} edges)", file=sys.stderr)
     return EXIT_OK
 
@@ -274,10 +252,10 @@ def cmd_analyze(args) -> int:
         report["good_partition"] = find_good_partition(g) is not None
     else:
         report["good_partition"] = None  # search needs a square-free graph
-    out = json.dumps(report, indent=2, sort_keys=True)
-    print(out)
+    out = _json_text(report)
+    sys.stdout.write(out)
     if args.report:
-        _atomic_write(args.report, out + "\n")
+        _atomic_write(args.report, out)
     return EXIT_OK
 
 

@@ -260,18 +260,25 @@ def color(
     return ColorResult(coloring=coloring, colors_used=k, tree=tree, stats=stats)
 
 
+def _preorder(tree: TreeNode) -> list[tuple[TreeNode, list[int]]]:
+    """Each node in iter_nodes() pre-order, with its children's positions."""
+    nodes = list(tree.iter_nodes())
+    pos = {id(node): i for i, node in enumerate(nodes)}
+    return [(node, [pos[id(ch)] for ch in node.children or ()]) for node in nodes]
+
+
 def tree_to_json(tree: TreeNode) -> dict:
-    root: dict = {}
-    stack = [(tree, root)]
-    while stack:
-        node, out = stack.pop()
-        out["vertices"] = list(node.vertices)
-        if node.children is not None:
+    """The tree as a flat list of nodes in pre-order, root first; an internal
+    node names its two children by their positions in that list."""
+    nodes = []
+    for node, kids in _preorder(tree):
+        out: dict = {"vertices": list(node.vertices)}
+        if kids:
             out["partition"] = node.partition.to_json()
             out["triad"] = list(node.triad)
-            out["children"] = [{} for _ in node.children]
-            stack.extend(reversed(list(zip(node.children, out["children"]))))
-    return {"schema": "bergecolor-tree/1", "root": root}
+            out["children"] = kids
+        nodes.append(out)
+    return {"schema": "bergecolor-tree/2", "nodes": nodes}
 
 
 def tree_to_dot(tree: TreeNode) -> str:
@@ -279,26 +286,16 @@ def tree_to_dot(tree: TreeNode) -> str:
         "digraph decomposition {",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    counter = [0]
-
-    def walk(node: TreeNode) -> int:
-        my_id = counter[0]
-        counter[0] += 1
-        if node.is_leaf():
-            label = f"leaf |V|={len(node.vertices)}"
-        else:
+    for i, (node, kids) in enumerate(_preorder(tree)):
+        if kids:
             p = node.partition
             label = (
                 f"|K1|={len(p.k1)} |K2|={len(p.k2)} |K3|={len(p.k3)} "
                 f"|L|={len(p.l)} |R|={len(p.r)}\\ntriad={node.triad}"
             )
-        lines.append(f'  n{my_id} [label="{label}"];')
-        if node.children is not None:
-            for ch in node.children:
-                ch_id = walk(ch)
-                lines.append(f"  n{my_id} -> n{ch_id};")
-        return my_id
-
-    walk(tree)
+        else:
+            label = f"leaf |V|={len(node.vertices)}"
+        lines.append(f'  n{i} [label="{label}"];')
+        lines.extend(f"  n{i} -> n{k};" for k in kids)
     lines.append("}")
     return "\n".join(lines) + "\n"

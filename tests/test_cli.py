@@ -14,6 +14,7 @@ from bergecolor import (
     gen_square_free_berge,
     parse_coloring_lines,
     read_col,
+    tree_to_dot,
     tree_to_json,
     verify_coloring,
     write_col,
@@ -78,8 +79,9 @@ def test_color_writes_artifacts(tmp_path, capsys):
     assert open(tr_f).read() == ""  # no swaps on C6
 
     tree = json.load(open(tree_f))
-    assert tree["schema"] == "bergecolor-tree/1"
-    assert tree["root"]["vertices"] == [0, 1, 2, 3, 4, 5]
+    assert tree["schema"] == "bergecolor-tree/2"
+    assert tree["nodes"][0]["vertices"] == [0, 1, 2, 3, 4, 5]
+    assert len(tree["nodes"]) == rep["stats"]["node_count"]
 
 
 def test_color_trace_lines(tmp_path):
@@ -171,7 +173,7 @@ def test_out_of_range_options_rejected_at_parse_time(argv, capsys):
 
 def test_color_deep_tree_writes_json(tmp_path, monkeypatch):
     # a path decomposes about one level per vertex, deeper than the
-    # interpreter's recursion limit allows a recursive walk or json.dumps
+    # interpreter's recursion limit allows a recursive walk of the tree
     trees = []
     monkeypatch.setattr(
         cli, "tree_to_json", lambda t: trees.append(t) or tree_to_json(t)
@@ -179,20 +181,52 @@ def test_color_deep_tree_writes_json(tmp_path, monkeypatch):
     path = col(tmp_path, path_graph(600))
     rep_f = str(tmp_path / "r.json")
     tree_f = tmp_path / "t.json"
-    try:
-        rc = main(["color", path, "-o", str(tmp_path / "o"), "--report", rep_f,
-                   "--tree", str(tree_f)])
-        assert rc == 0
-        with open(tree_f, "rb") as fh:
-            assert fh.read(32).startswith(b'{\n  "root": {\n    "children": [')
-            fh.seek(-4, 2)
-            assert fh.read() == b'"\n}\n'
-    finally:
-        tree_f.unlink(missing_ok=True)  # over 300 MB, nearly all indentation
+    rc = main(["color", path, "-o", str(tmp_path / "o"), "--report", rep_f,
+               "--tree", str(tree_f)])
+    assert rc == 0
+    assert tree_f.stat().st_size < 10_000_000
+    with open(tree_f) as fh:
+        doc = json.load(fh)  # at the default recursion limit
     stats = json.load(open(rep_f))["stats"]
     (tree,) = trees
+    assert tree_f.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert doc == tree_to_json(tree)
+    assert doc["nodes"][0]["vertices"] == list(range(600))
+    assert len(doc["nodes"]) == stats["node_count"] == tree.node_count()
     assert tree.depth() == stats["max_depth"] > sys.getrecursionlimit() // 2
-    assert tree.node_count() == stats["node_count"]
+    assert tree_to_dot(tree).count("->") == stats["node_count"] - 1
+
+
+def test_color_error_writes_report(tmp_path, capsys):
+    # C5 is not Berge; with the check skipped the leaf search finds no
+    # 2-coloring and raises Infeasible from inside color()
+    path = col(tmp_path, cycle(5))
+    rep_f = str(tmp_path / "r.json")
+    assert main(["color", path, "--trust-berge", "--report", rep_f]) == 1
+    err = capsys.readouterr().err
+    assert "no proper coloring with 2 colors" in err
+    rep = json.load(open(rep_f))
+    assert rep["status"] == "error"
+    assert rep["error"] in err
+    assert isinstance(rep["wall_time_s"], float)
+
+
+def test_color_recursion_error_is_a_tool_error(tmp_path, capsys, monkeypatch):
+    # a path of 1000 vertices overflows the stack in _solve after seconds
+    # of solving; a stand-in raises at once
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "color", too_deep)
+    path = col(tmp_path, path_graph(5))
+    rep_f = str(tmp_path / "r.json")
+    assert main(["color", path, "--report", rep_f]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input too deep to solve")
+    assert "Traceback" not in err
+    rep = json.load(open(rep_f))
+    assert rep["status"] == "error"
+    assert rep["error"] in err
 
 
 @pytest.mark.parametrize("command", ["color", "verify", "analyze"])

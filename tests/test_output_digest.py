@@ -21,7 +21,9 @@ STAT_FIELDS = (
     "berge_checked",
 )
 
-EXPECTED = "b9d5e268ee99407b5aacd4390de4246f869ab16b5aa12fcab1eabfc983d989e5"
+# Last changed when tree_to_json became a flat pre-order node list
+# (schema bergecolor-tree/2); colorings, traces and stats were unchanged.
+EXPECTED = "cfae64dc930be802d2d33a3bda9753fa25150d5a9366c13d4cebac3a6b288362"
 
 
 def corpus_digest(corpus) -> str:

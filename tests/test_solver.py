@@ -265,20 +265,28 @@ def test_trace_events_record_strict_progress():
 def test_tree_to_json_shape():
     r = color(cycle(6))
     doc = tree_to_json(r.tree)
-    assert doc["schema"] == "bergecolor-tree/1"
-    root = doc["root"]
+    assert doc["schema"] == "bergecolor-tree/2"
+    nodes = doc["nodes"]
+    assert len(nodes) == r.tree.node_count()
+    root = nodes[0]
     assert root["vertices"] == [0, 1, 2, 3, 4, 5]
     assert len(root["children"]) == 2
     assert root["triad"] == [0, 2, 4]
     assert root["partition"] == {
         "K1": [1], "K2": [], "K3": [3, 4], "L": [0, 5], "R": [2],
     }
+    # pre-order, first child first: the first child follows its parent, and
+    # the second follows the first child's whole subtree
+    assert [n["vertices"] for n in nodes] == [
+        list(t.vertices) for t in r.tree.iter_nodes()
+    ]
+    assert root["children"] == [1, 1 + r.tree.children[0].node_count()]
     json.dumps(doc)  # must be serializable as-is
 
 
 def test_tree_to_json_leaf():
     doc = tree_to_json(color(complete(4)).tree)
-    assert doc["root"] == {"vertices": [0, 1, 2, 3]}
+    assert doc["nodes"] == [{"vertices": [0, 1, 2, 3]}]
 
 
 def test_tree_to_dot():
