@@ -9,7 +9,7 @@ updates EXPECTED in the same commit.
 import hashlib
 import json
 
-from bergecolor import color, tree_to_json
+from bergecolor import color, gen_square_free_berge, tree_to_json
 
 STAT_FIELDS = (
     "frames_tried",
@@ -44,3 +44,32 @@ def corpus_digest(corpus) -> str:
 
 def test_output_digest_on_acceptance_corpus(corpus):
     assert corpus_digest(corpus) == EXPECTED
+
+
+# omega-2 draws on which frame search prunes millions of frames per solve:
+# (n, seed) -> (node_count, frames_tried, frames_pruned).
+PRUNE_HEAVY = {
+    (40, 3): (59, 195, 746843),
+    (80, 1): (137, 232, 3186680),
+    (100, 1): (165, 254, 904628),
+}
+PRUNE_HEAVY_EXPECTED = (
+    "a33cce01c1262c134f3979cad51cd2717f5d8b00e8e38d21d322318f6c2593ee"
+)
+
+
+def test_output_digest_where_frames_are_pruned():
+    h = hashlib.sha256()
+    for (n, seed), counts in PRUNE_HEAVY.items():
+        events: list = []
+        r = color(gen_square_free_berge(n, seed), trace=events)
+        stats = r.stats
+        assert (stats.node_count, stats.frames_tried, stats.frames_pruned) == counts
+        record = [
+            [n, seed],
+            sorted(r.coloring.colors.items()),
+            tree_to_json(r.tree),
+            events,
+        ]
+        h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == PRUNE_HEAVY_EXPECTED
