@@ -61,6 +61,12 @@ EXIT_NOT_SQUARE_FREE = 3
 EXIT_NOT_BERGE = 4
 EXIT_INTERNAL = 5
 
+# _solve and the clique search recurse once per level or clique vertex
+TOO_DEEP = (
+    "input too deep to solve: the decomposition or a clique search "
+    "exceeded the recursion limit"
+)
+
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
@@ -122,11 +128,10 @@ def cmd_color(args) -> int:
         _finish_report(args, report, t0)
         return _fail(str(e), EXIT_NOT_BERGE)
     except (BergeColorError, RecursionError) as e:
-        if isinstance(e, RecursionError):  # _solve and the clique search recurse
-            e = BergeColorError(
-                "input too deep to solve: the decomposition or a clique search "
-                "exceeded the recursion limit"
-            )
+        if isinstance(e, RecursionError):
+            e = BergeColorError(TOO_DEEP)
+        # color() checks for squares first, so every other error comes later
+        report["checks"]["square_free"] = True
         report["error"] = str(e)
         _finish_report(args, report, t0)
         raise e from None  # main maps it to its exit code
@@ -349,6 +354,8 @@ def main(argv=None) -> int:
         return _fail(str(e), EXIT_INVALID)
     except OSError as e:
         return _fail(str(e), EXIT_INVALID)
+    except RecursionError:
+        return _fail(TOO_DEEP, EXIT_INVALID)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from the working cutset until the partition conditions hold or the frame dies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InternalViolation, MalformedPartition, NotSquareFree
 from .graphs import (
@@ -392,16 +392,73 @@ def _anchored_pairs(g: Graph) -> Iterator[tuple[int, int]]:
                 yield (x, y)
 
 
-def _frame_bases(g: Graph) -> Iterator[tuple[int, int, list[tuple[int, ...]]]]:
-    cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
+class _FrameBase(NamedTuple):
+    """The maximal cliques of G minus {x, y}, shared by (x, y) and (y, x),
+    with what the frame search counts them by: each clique's bitmask and
+    weight |Q| + 1, the sum of the weights, and for every vertex v the
+    bitmask of the indices of the cliques containing v (`members`) and the
+    sum of their weights (`loads`)."""
+
+    cliques: list[tuple[int, ...]]
+    masks: list[int]
+    weights: list[int]
+    weight_sum: int
+    members: list[int]
+    loads: list[int]
+
+
+def _frame_bases(g: Graph) -> Iterator[tuple[int, int, _FrameBase]]:
+    # Both orders of an anchor pair are visited, (x, y) first, so the entry
+    # is dropped once (y, x) has taken it.
+    cache: dict[frozenset[int], _FrameBase] = {}
     full = g.full_mask
     for x, y in _anchored_pairs(g):
         key = frozenset((x, y))
-        cliques = cache.get(key)
-        if cliques is None:
+        base = cache.pop(key, None)
+        if base is None:
             cliques = maximal_cliques_in(g, full & ~(1 << x) & ~(1 << y))
-            cache[key] = cliques
-        yield x, y, cliques
+            masks = [mask_of(c) for c in cliques]
+            weights = [len(c) + 1 for c in cliques]
+            members = [0] * g.n
+            loads = [0] * g.n
+            for i, (c, w) in enumerate(zip(cliques, weights)):
+                for v in c:
+                    members[v] |= 1 << i
+                    loads[v] += w
+            base = _FrameBase(cliques, masks, weights, sum(weights), members, loads)
+            cache[key] = base
+        yield x, y, base
+
+
+def _disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
+    """Internally disjoint x-y paths, found greedily: a shortest path, then a
+    shortest path avoiding the interiors found so far, until y is cut off.
+    Each path is given by its interior, from the x end; x and y must be
+    distinct and non-adjacent, so no interior is empty.  Ties go to the
+    lowest vertex id."""
+    paths: list[tuple[int, ...]] = []
+    allowed = g.full_mask
+    while True:
+        layers = [1 << x]
+        seen = 1 << x
+        while not (seen >> y) & 1:
+            nxt = 0
+            for v in iter_bits(layers[-1]):
+                nxt |= g.mask(v)
+            nxt &= allowed & ~seen
+            if not nxt:
+                return paths
+            seen |= nxt
+            layers.append(nxt)
+        interior = []
+        v = y
+        for layer in reversed(layers[1:-1]):
+            back = layer & g.mask(v)
+            v = (back & -back).bit_length() - 1
+            interior.append(v)
+        interior.reverse()
+        paths.append(tuple(interior))
+        allowed &= ~mask_of(interior)
 
 
 def _frame_choices(
@@ -419,11 +476,28 @@ def _frame_choices(
 def enumerate_frames(g: Graph) -> Iterator[Frame]:
     """All frames in canonical order: anchors (x, y) ascending, then both
     cliques in lexicographic order, then anchor choices (none first)."""
-    for x, y, cliques in _frame_bases(g):
-        for q1 in cliques:
-            for q3 in cliques:
+    for x, y, base in _frame_bases(g):
+        for q1 in base.cliques:
+            for q3 in base.cliques:
                 for c1, c3 in _frame_choices(q1, q3):
                     yield Frame(q1=q1, q3=q3, x=x, y=y, c1=c1, c3=c3)
+
+
+def _row_weight(base: _FrameBase, i: int) -> int:
+    """Frames in the row of clique i: the sum over every clique Q3 of
+    (w1 - t) * (w3 - t), where Q1 is clique i, w1 and w3 are the weights and
+    t = |Q1 ∩ Q3|.  Expanded, that is w1 * (sum of weights) minus the sum of
+    t * (w1 + w3) plus the sum of t², and each of those sums over Q3 is a sum
+    over the vertices of Q1 of their `members` and `loads`: closed form,
+    with no loop over the cliques."""
+    q1, w1, members = base.cliques[i], base.weights[i], base.members
+    total = w1 * base.weight_sum
+    for u in q1:
+        mu = members[u]
+        total -= w1 * mu.bit_count() + base.loads[u]
+        for v in q1:
+            total += (mu & members[v]).bit_count()
+    return total
 
 
 def find_good_partition(
@@ -432,29 +506,54 @@ def find_good_partition(
     """First good partition reachable by refining frames in canonical order.
 
     Complete: if the graph has any good partition, some frame refines to one.
-    One sound shortcut keeps the scan fast: when the union of the two cliques
-    already fails to separate x from y, no refinement of any anchor choice can
-    succeed (refined cutsets only shrink), so those frames are skipped; the
-    result is the same partition the unpruned scan would return.  `stats`,
-    if given, accumulates counters under keys "frames_tried" and
-    "frames_pruned".
+    The scan skips a clique pair (Q1, Q3) when the union Q1 ∪ Q3 fails to
+    separate x from y: refinement only shrinks the cutset, so no anchor
+    choice of that pair can succeed.  Two prunes find most such unions
+    without a BFS, and the result is the partition the unpruned scan returns:
+
+    * Path prune.  A set that separates x from y meets the interior of every
+      x-y path, so it meets each of the internally disjoint x-y paths found
+      by `_disjoint_paths`.  Each clique gets a bitmask of the paths its
+      vertices hit; a pair whose two masks together miss a path leaves that
+      path in G - (Q1 ∪ Q3) and is skipped unseen.  Only pairs that hit
+      every path run the separation BFS, once per distinct union.
+    * Row skip.  When no clique's mask covers the paths Q1 misses, every
+      pair in Q1's row fails the path prune, so the row is skipped whole and
+      its frames are counted in closed form (`_row_weight`).
+
+    `stats`, if given, accumulates counters under keys "frames_tried" and
+    "frames_pruned"; the pruned count includes every skipped frame, exactly
+    as if each pair had been tested.
     """
     tried = 0
     pruned = 0
     found = None
-    for x, y, cliques in _frame_bases(g):
-        masks = [mask_of(c) for c in cliques]
+    for x, y, base in _frame_bases(g):
+        cliques, masks = base.cliques, base.masks
+        interiors = [mask_of(p) for p in _disjoint_paths(g, x, y)]
+        every = (1 << len(interiors)) - 1
+        hits = [
+            sum(1 << j for j, pm in enumerate(interiors) if qm & pm) for qm in masks
+        ]
+        kinds = set(hits)
+        # rows of Q1 with such a mask hold a pair that hits every path
+        open_kinds = {a for a in kinds if any(a | b == every for b in kinds)}
         union_ok: dict[int, bool] = {}
-        for q1, q1m in zip(cliques, masks):
-            for q3, q3m in zip(cliques, masks):
-                um = q1m | q3m
-                ok = union_ok.get(um)
-                if ok is None:
-                    ok = _separate(g, um, x, y) is not None
-                    union_ok[um] = ok
+        for i, (q1, q1m, h1) in enumerate(zip(cliques, masks, hits)):
+            if h1 not in open_kinds:
+                pruned += _row_weight(base, i)
+                continue
+            for q3, q3m, h3 in zip(cliques, masks, hits):
+                ok = False
+                if h1 | h3 == every:
+                    um = q1m | q3m
+                    ok = union_ok.get(um)
+                    if ok is None:
+                        ok = _separate(g, um, x, y) is not None
+                        union_ok[um] = ok
                 if not ok:
-                    n1 = len(set(q1) - set(q3))
-                    n3 = len(set(q3) - set(q1))
+                    n1 = (q1m & ~q3m).bit_count()
+                    n3 = (q3m & ~q1m).bit_count()
                     pruned += (n1 + 1) * (n3 + 1)
                     continue
                 for c1, c3 in _frame_choices(q1, q3):

@@ -209,6 +209,7 @@ def test_color_error_writes_report(tmp_path, capsys):
     assert rep["status"] == "error"
     assert rep["error"] in err
     assert isinstance(rep["wall_time_s"], float)
+    assert rep["checks"]["square_free"] is True
 
 
 def test_color_recursion_error_is_a_tool_error(tmp_path, capsys, monkeypatch):
@@ -461,6 +462,21 @@ def test_analyze_beyond_berge_cap(tmp_path, capsys):
     path = col(tmp_path, cycle(6))
     assert main(["analyze", path, "--berge-cap", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["berge"] is None
+
+
+def test_analyze_recursion_error_is_a_tool_error(tmp_path, capsys, monkeypatch):
+    # the clique search recurses once per clique vertex, so K1100 overflows
+    # the stack; a stand-in raises at once
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "maximal_cliques", too_deep)
+    path = col(tmp_path, cycle(6))
+    assert main(["analyze", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {cli.TOO_DEEP}\n"
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- general

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,13 +12,21 @@ from bergecolor import (
     NotSquareFree,
     enumerate_frames,
     find_good_partition,
+    gen_square_free_berge,
     nested_order,
     refine_frame,
     verify_good_partition,
 )
+from bergecolor.graphs import maximal_cliques_in
+from bergecolor.partition import (
+    _anchored_pairs,
+    _disjoint_paths,
+    _frame_bases,
+    _row_weight,
+)
 
 from conftest import complete, complete_minus_star, cycle
-from oracles import naive_good_partition_check
+from oracles import naive_components, naive_good_partition_check
 
 
 def gp(k1=(), k2=(), k3=(), l=(), r=()):
@@ -229,6 +239,64 @@ def test_find_good_partition_none_on_cliques():
     assert find_good_partition(complete(4)) is None
     assert find_good_partition(complete(1)) is None
     assert find_good_partition(complete_minus_star(8, 5)) is None
+
+
+def _prune_cases(corpus_graphs):
+    """(graph, anchor pairs): every small corpus graph with its first three
+    anchor pairs, and omega-2 draws up to n = 40 with eight pairs spread over
+    all of theirs."""
+    for name, g in corpus_graphs:
+        if g.n <= 12:
+            yield g, list(islice(_anchored_pairs(g), 3))
+    for n, seed in ((20, 2), (30, 4), (40, 3), (40, 5)):
+        g = gen_square_free_berge(n, seed)
+        pairs = list(_anchored_pairs(g))
+        yield g, pairs[:: len(pairs) // 8 + 1]
+
+
+def test_path_prune_is_sound(corpus_graphs):
+    checked = skipped = 0
+    for g, pairs in _prune_cases(corpus_graphs):
+        for x, y in pairs:
+            paths = _disjoint_paths(g, x, y)
+            used: set[int] = set()
+            for interior in paths:
+                walk = (x, *interior, y)
+                assert interior and len(set(walk)) == len(walk)
+                assert all(g.adjacent(a, b) for a, b in zip(walk, walk[1:]))
+                assert used.isdisjoint(interior)
+                used |= set(interior)
+            # the greedy search stops only once the paths cut y off from x
+            rest = set(range(g.n)) - used
+            assert not any({x, y} <= c for c in naive_components(g, rest))
+
+            cliques = maximal_cliques_in(g, g.full_mask & ~(1 << x) & ~(1 << y))
+            for q1 in cliques:
+                for q3 in cliques:
+                    union = set(q1) | set(q3)
+                    checked += 1
+                    if all(union & set(p) for p in paths):
+                        continue  # the search runs the separation BFS
+                    skipped += 1
+                    rest = set(range(g.n)) - union
+                    assert any({x, y} <= c for c in naive_components(g, rest))
+    assert skipped > 10000 and checked > skipped
+
+
+def test_row_weight_is_the_row_sum(corpus_graphs):
+    graphs = [g for name, g in corpus_graphs if name.startswith(("prism", "hyper"))]
+    graphs += [gen_square_free_berge(n, s) for n, s in ((30, 6), (40, 0), (40, 3))]
+    rows = 0
+    for g in graphs[::4]:
+        for x, y, base in islice(_frame_bases(g), 2):
+            for q1 in base.cliques:
+                direct = sum(
+                    (len(set(q1) - set(q3)) + 1) * (len(set(q3) - set(q1)) + 1)
+                    for q3 in base.cliques
+                )
+                assert _row_weight(base, base.cliques.index(q1)) == direct
+                rows += 1
+    assert rows > 200
 
 
 # --- serialization -----------------------------------------------------------
