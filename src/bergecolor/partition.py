@@ -461,6 +461,15 @@ def _disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
         allowed &= ~mask_of(interior)
 
 
+def _path_hits(g: Graph, x: int, y: int, masks: list[int]) -> tuple[list[int], int]:
+    """For each vertex set in `masks`, the bitmask of the paths of
+    `_disjoint_paths(g, x, y)` whose interior it meets; and the bitmask of
+    all those paths."""
+    interiors = [mask_of(p) for p in _disjoint_paths(g, x, y)]
+    hits = [sum(1 << j for j, pm in enumerate(interiors) if m & pm) for m in masks]
+    return hits, (1 << len(interiors)) - 1
+
+
 def _frame_choices(
     q1: tuple[int, ...], q3: tuple[int, ...]
 ) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
@@ -530,11 +539,7 @@ def find_good_partition(
     found = None
     for x, y, base in _frame_bases(g):
         cliques, masks = base.cliques, base.masks
-        interiors = [mask_of(p) for p in _disjoint_paths(g, x, y)]
-        every = (1 << len(interiors)) - 1
-        hits = [
-            sum(1 << j for j, pm in enumerate(interiors) if qm & pm) for qm in masks
-        ]
+        hits, every = _path_hits(g, x, y, masks)
         kinds = set(hits)
         # rows of Q1 with such a mask hold a pair that hits every path
         open_kinds = {a for a in kinds if any(a | b == every for b in kinds)}

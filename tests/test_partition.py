@@ -17,11 +17,12 @@ from bergecolor import (
     refine_frame,
     verify_good_partition,
 )
-from bergecolor.graphs import maximal_cliques_in
+from bergecolor.graphs import mask_of, maximal_cliques_in
 from bergecolor.partition import (
     _anchored_pairs,
     _disjoint_paths,
     _frame_bases,
+    _path_hits,
     _row_weight,
 )
 
@@ -245,7 +246,7 @@ def _prune_cases(corpus_graphs):
     """(graph, anchor pairs): every small corpus graph with its first three
     anchor pairs, and omega-2 draws up to n = 40 with eight pairs spread over
     all of theirs."""
-    for name, g in corpus_graphs:
+    for _, g in corpus_graphs:
         if g.n <= 12:
             yield g, list(islice(_anchored_pairs(g), 3))
     for n, seed in ((20, 2), (30, 4), (40, 3), (40, 5)):
@@ -271,11 +272,15 @@ def test_path_prune_is_sound(corpus_graphs):
             assert not any({x, y} <= c for c in naive_components(g, rest))
 
             cliques = maximal_cliques_in(g, g.full_mask & ~(1 << x) & ~(1 << y))
-            for q1 in cliques:
-                for q3 in cliques:
+            hits, every = _path_hits(g, x, y, [mask_of(q) for q in cliques])
+            assert every == (1 << len(paths)) - 1
+            for q1, h1 in zip(cliques, hits):
+                for q3, h3 in zip(cliques, hits):
                     union = set(q1) | set(q3)
                     checked += 1
-                    if all(union & set(p) for p in paths):
+                    # the mask test says whether the union meets every path
+                    assert (h1 | h3 == every) == all(union & set(p) for p in paths)
+                    if h1 | h3 == every:
                         continue  # the search runs the separation BFS
                     skipped += 1
                     rest = set(range(g.n)) - union
@@ -289,12 +294,12 @@ def test_row_weight_is_the_row_sum(corpus_graphs):
     rows = 0
     for g in graphs[::4]:
         for x, y, base in islice(_frame_bases(g), 2):
-            for q1 in base.cliques:
+            for i, q1 in enumerate(base.cliques):
                 direct = sum(
                     (len(set(q1) - set(q3)) + 1) * (len(set(q3) - set(q1)) + 1)
                     for q3 in base.cliques
                 )
-                assert _row_weight(base, base.cliques.index(q1)) == direct
+                assert _row_weight(base, i) == direct
                 rows += 1
     assert rows > 200
 
