@@ -61,7 +61,8 @@ EXIT_NOT_SQUARE_FREE = 3
 EXIT_NOT_BERGE = 4
 EXIT_INTERNAL = 5
 
-# _solve and the clique search recurse once per level or clique vertex
+# _solve recurses once per tree level; leaf coloring and the odd-hole
+# search recurse once per vertex they place
 TOO_DEEP = (
     "input too deep to solve: the decomposition or a clique search "
     "exceeded the recursion limit"

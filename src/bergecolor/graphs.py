@@ -87,15 +87,8 @@ class Graph:
         subgraph's vertex i.  keep is sorted ascending, so relabeling is
         order-preserving and deterministic.
         """
-        keep = tuple(sorted(set(vertices)))
-        index = {v: i for i, v in enumerate(keep)}
-        edges = []
-        km = mask_of(keep)
-        for i, v in enumerate(keep):
-            for w in iter_bits(self._masks[v] & km):
-                if w > v:
-                    edges.append((i, index[w]))
-        return Graph(len(keep), edges), keep
+        sub, keep, _ = induced(self, mask_of(vertices))
+        return sub, keep
 
     def complement(self) -> "Graph":
         edges = [
@@ -118,6 +111,48 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
+
+
+def bit_runs(keep: int) -> list[tuple[int, int]]:
+    """The runs of consecutive set bits of `keep`, lowest first, each as
+    (run mask, shift), where shift counts the unset bits below the run.
+    Shifting each run down by its shift sends keep's i-th lowest bit to
+    bit i: the order-preserving relabelling onto 0..|keep|-1."""
+    runs = []
+    shift = 0
+    end = 0  # one past the previous run
+    rest = keep
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)  # the carry clears exactly the lowest run
+        shift += low.bit_length() - 1 - end
+        end = run.bit_length()
+        runs.append((run, shift))
+        rest ^= run
+    return runs
+
+
+def relabel(masks: list[int], runs: list[tuple[int, int]]) -> list[int]:
+    """Each mask cut down to the kept vertices and moved to their new
+    labels, one shift per run of `bit_runs`."""
+    out = [0] * len(masks)
+    for run, shift in runs:
+        out = [o | (m & run) >> shift for o, m in zip(out, masks)]
+    return out
+
+
+def induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[tuple[int, int]]]:
+    """The subgraph induced on the vertex mask `keep`, whose vertex i is
+    keep's i-th lowest vertex; that order as a tuple; and the runs that move
+    any mask of g's vertices to the subgraph's labels (see `relabel`)."""
+    order = tuple(iter_bits(keep))
+    runs = bit_runs(keep)
+    masks = relabel([g.mask(v) for v in order], runs)
+    sub = object.__new__(Graph)
+    sub.n = len(order)
+    sub._masks = tuple(masks)
+    sub._m = sum(map(int.bit_count, masks)) // 2
+    return sub, order, runs
 
 
 def component_mask(g: Graph, start: int, allowed: int) -> int:
@@ -192,11 +227,14 @@ def maximal_cliques_in(g: Graph, allowed: int) -> list[tuple[int, ...]]:
     if allowed == 0:
         return []
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
+    # Bron-Kerbosch with pivoting; an explicit stack of (R, P, X) keeps large
+    # cliques clear of the recursion limit, and the sort fixes the order.
+    stack = [(0, allowed, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            return
+            continue
         # pivot: most candidate-neighbors, ties to lowest id
         best, best_cnt = -1, -1
         for u in iter_bits(p | x):
@@ -205,12 +243,46 @@ def maximal_cliques_in(g: Graph, allowed: int) -> list[tuple[int, ...]]:
                 best, best_cnt = u, cnt
         for v in bit_list(p & ~g.mask(best)):
             nv = g.mask(v) & allowed
-            expand(r | (1 << v), p & nv, x & nv)
+            stack.append((r | (1 << v), p & nv, x & nv))
             p &= ~(1 << v)
             x |= 1 << v
-
-    expand(0, allowed, 0)
     return sorted(tuple(iter_bits(m)) for m in out)
+
+
+def cliques_within(g: Graph, cliques: list[int], keep: int) -> list[int]:
+    """Maximal cliques of the subgraph induced on `keep`, as masks in the
+    order of `maximal_cliques_in`, derived from `cliques`, the maximal
+    cliques of g as masks in that order.
+
+    Every maximal clique of G[keep] is Q ∩ keep for some maximal clique Q of
+    G.  A Q inside keep stays maximal; a trimmed Q ∩ keep is maximal when no
+    kept vertex is complete to it.  Maximal cliques form an antichain, so
+    their lexicographic order is "the lowest vertex of the symmetric
+    difference comes first", and each trimmed clique is placed by binary
+    search on that rule.
+    """
+    out = [q for q in cliques if q & keep == q]
+    trimmed = {q & keep for q in cliques if q & keep != q}
+    trimmed.discard(0)
+    masks = g._masks
+    for t in trimmed:
+        common = keep
+        for v in iter_bits(t):
+            common &= masks[v]
+            if not common:
+                break
+        if common:
+            continue
+        lo, hi = 0, len(out)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            diff = out[mid] ^ t
+            if out[mid] & diff & -diff:
+                lo = mid + 1
+            else:
+                hi = mid
+        out.insert(lo, t)
+    return out
 
 
 def omega(g: Graph) -> int:

@@ -26,6 +26,7 @@ from .errors import InternalViolation, MalformedPartition, NotSquareFree
 from .graphs import (
     Graph,
     bit_list,
+    cliques_within,
     component_mask,
     iter_bits,
     mask_of,
@@ -393,13 +394,12 @@ def _anchored_pairs(g: Graph) -> Iterator[tuple[int, int]]:
 
 
 class _FrameBase(NamedTuple):
-    """The maximal cliques of G minus {x, y}, shared by (x, y) and (y, x),
-    with what the frame search counts them by: each clique's bitmask and
-    weight |Q| + 1, the sum of the weights, and for every vertex v the
-    bitmask of the indices of the cliques containing v (`members`) and the
-    sum of their weights (`loads`)."""
+    """The maximal cliques of G minus {x, y} as bitmasks, in lexicographic
+    order, shared by (x, y) and (y, x), with what the frame search counts
+    them by: each clique's weight |Q| + 1, the sum of the weights, and for
+    every vertex v the bitmask of the indices of the cliques containing v
+    (`members`) and the sum of their weights (`loads`)."""
 
-    cliques: list[tuple[int, ...]]
     masks: list[int]
     weights: list[int]
     weight_sum: int
@@ -407,7 +407,13 @@ class _FrameBase(NamedTuple):
     loads: list[int]
 
 
-def _frame_bases(g: Graph) -> Iterator[tuple[int, int, _FrameBase]]:
+def _frame_bases(
+    g: Graph, cliques: list[int] | None = None
+) -> Iterator[tuple[int, int, _FrameBase]]:
+    """Each anchor pair with its frame base.  `cliques` are the maximal
+    cliques of g as masks, in lexicographic order; when not given they are
+    enumerated here, once the first anchor pair is found.  The cliques of
+    G minus {x, y} are derived from them."""
     # Both orders of an anchor pair are visited, (x, y) first, so the entry
     # is dropped once (y, x) has taken it.
     cache: dict[frozenset[int], _FrameBase] = {}
@@ -416,16 +422,17 @@ def _frame_bases(g: Graph) -> Iterator[tuple[int, int, _FrameBase]]:
         key = frozenset((x, y))
         base = cache.pop(key, None)
         if base is None:
-            cliques = maximal_cliques_in(g, full & ~(1 << x) & ~(1 << y))
-            masks = [mask_of(c) for c in cliques]
-            weights = [len(c) + 1 for c in cliques]
+            if cliques is None:
+                cliques = [mask_of(c) for c in maximal_cliques_in(g, full)]
+            masks = cliques_within(g, cliques, full & ~(1 << x) & ~(1 << y))
+            weights = [q.bit_count() + 1 for q in masks]
             members = [0] * g.n
             loads = [0] * g.n
-            for i, (c, w) in enumerate(zip(cliques, weights)):
-                for v in c:
+            for i, (q, w) in enumerate(zip(masks, weights)):
+                for v in iter_bits(q):
                     members[v] |= 1 << i
                     loads[v] += w
-            base = _FrameBase(cliques, masks, weights, sum(weights), members, loads)
+            base = _FrameBase(masks, weights, sum(weights), members, loads)
             cache[key] = base
         yield x, y, base
 
@@ -471,10 +478,10 @@ def _path_hits(g: Graph, x: int, y: int, masks: list[int]) -> tuple[list[int], i
 
 
 def _frame_choices(
-    q1: tuple[int, ...], q3: tuple[int, ...]
+    q1m: int, q3m: int
 ) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
-    side1 = sorted(set(q1) - set(q3))
-    side3 = sorted(set(q3) - set(q1))
+    side1 = bit_list(q1m & ~q3m)
+    side3 = bit_list(q3m & ~q1m)
     c1s = [frozenset()] + [frozenset((v,)) for v in side1]
     c3s = [frozenset()] + [frozenset((v,)) for v in side3]
     for c1 in c1s:
@@ -486,9 +493,10 @@ def enumerate_frames(g: Graph) -> Iterator[Frame]:
     """All frames in canonical order: anchors (x, y) ascending, then both
     cliques in lexicographic order, then anchor choices (none first)."""
     for x, y, base in _frame_bases(g):
-        for q1 in base.cliques:
-            for q3 in base.cliques:
-                for c1, c3 in _frame_choices(q1, q3):
+        cliques = [tuple(iter_bits(q)) for q in base.masks]
+        for q1, q1m in zip(cliques, base.masks):
+            for q3, q3m in zip(cliques, base.masks):
+                for c1, c3 in _frame_choices(q1m, q3m):
                     yield Frame(q1=q1, q3=q3, x=x, y=y, c1=c1, c3=c3)
 
 
@@ -499,7 +507,7 @@ def _row_weight(base: _FrameBase, i: int) -> int:
     t * (w1 + w3) plus the sum of t², and each of those sums over Q3 is a sum
     over the vertices of Q1 of their `members` and `loads`: closed form,
     with no loop over the cliques."""
-    q1, w1, members = base.cliques[i], base.weights[i], base.members
+    q1, w1, members = bit_list(base.masks[i]), base.weights[i], base.members
     total = w1 * base.weight_sum
     for u in q1:
         mu = members[u]
@@ -510,7 +518,7 @@ def _row_weight(base: _FrameBase, i: int) -> int:
 
 
 def find_good_partition(
-    g: Graph, stats: dict | None = None
+    g: Graph, stats: dict | None = None, *, cliques: list[int] | None = None
 ) -> GoodPartition | None:
     """First good partition reachable by refining frames in canonical order.
 
@@ -532,23 +540,25 @@ def find_good_partition(
 
     `stats`, if given, accumulates counters under keys "frames_tried" and
     "frames_pruned"; the pruned count includes every skipped frame, exactly
-    as if each pair had been tested.
+    as if each pair had been tested.  `cliques`, if given, are the maximal
+    cliques of g as masks in lexicographic order (the solver carries them
+    down the decomposition); otherwise they are enumerated from g.
     """
     tried = 0
     pruned = 0
     found = None
-    for x, y, base in _frame_bases(g):
-        cliques, masks = base.cliques, base.masks
+    for x, y, base in _frame_bases(g, cliques):
+        masks = base.masks
         hits, every = _path_hits(g, x, y, masks)
         kinds = set(hits)
         # rows of Q1 with such a mask hold a pair that hits every path
         open_kinds = {a for a in kinds if any(a | b == every for b in kinds)}
         union_ok: dict[int, bool] = {}
-        for i, (q1, q1m, h1) in enumerate(zip(cliques, masks, hits)):
+        for i, (q1m, h1) in enumerate(zip(masks, hits)):
             if h1 not in open_kinds:
                 pruned += _row_weight(base, i)
                 continue
-            for q3, q3m, h3 in zip(cliques, masks, hits):
+            for q3m, h3 in zip(masks, hits):
                 ok = False
                 if h1 | h3 == every:
                     um = q1m | q3m
@@ -561,7 +571,8 @@ def find_good_partition(
                     n3 = (q3m & ~q1m).bit_count()
                     pruned += (n1 + 1) * (n3 + 1)
                     continue
-                for c1, c3 in _frame_choices(q1, q3):
+                q1, q3 = tuple(iter_bits(q1m)), tuple(iter_bits(q3m))
+                for c1, c3 in _frame_choices(q1m, q3m):
                     tried += 1
                     gp = refine_frame(g, Frame(q1=q1, q3=q3, x=x, y=y, c1=c1, c3=c3))
                     if gp is not None:

@@ -36,11 +36,14 @@ class PartialColoring:
         return len(set(self.colors.values()))
 
     def is_proper_on(self, g: Graph) -> bool:
-        dom = mask_of(self.colors)
+        """No two adjacent colored vertices share a color: each vertex is
+        tested against the bitmask of its own color class."""
+        classes: dict[int, int] = {}
         for v, cv in self.colors.items():
-            for w in iter_bits(g.mask(v) & dom):
-                if w > v and self.colors[w] == cv:
-                    return False
+            classes[cv] = classes.get(cv, 0) | 1 << v
+        for v, cv in self.colors.items():
+            if g.mask(v) & classes[cv]:
+                return False
         return True
 
 

@@ -5,6 +5,8 @@ the leaf pieces by branch-and-bound with a clique-number target (which exact
 coloring must hit, since the inputs are perfect), and merges sibling
 colorings bottom-up with Kempe swaps.  The decomposition is recorded as a
 binary tree whose internal nodes carry their partition and a witness triad.
+The maximal cliques are enumerated once, at the root; every other node's
+list is derived from its parent's and carried down with the node.
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Infeasible, InternalViolation
-from .graphs import Graph, _iter_triads, omega, require_berge, require_square_free
+from .graphs import (
+    Graph,
+    _iter_triads,
+    cliques_within,
+    induced,
+    mask_of,
+    maximal_cliques,
+    omega,
+    relabel,
+    require_berge,
+    require_square_free,
+)
 from .partition import GoodPartition, find_good_partition
 from .recolor import PartialColoring, merge_colorings
 
@@ -162,34 +175,48 @@ def _witness_triad(g: Graph, gp: GoodPartition) -> tuple[int, int, int]:
     raise InternalViolation("verified partition lost its witness triad")
 
 
+def _child(
+    g: Graph, cliques: list[int], keep: int
+) -> tuple[Graph, tuple[int, ...], list[int]]:
+    """The subgraph induced on `keep`, its vertices' labels in g, and its
+    maximal cliques as masks in its own labels, derived from g's."""
+    sub, order, runs = induced(g, keep)
+    return sub, order, relabel(cliques_within(g, cliques, keep), runs)
+
+
 def _solve(
-    g: Graph, orig: tuple[int, ...], depth: int, stats: SolveStats, events: list[dict]
+    g: Graph,
+    orig: tuple[int, ...],
+    cliques: list[int],
+    depth: int,
+    stats: SolveStats,
+    events: list[dict],
 ) -> tuple[PartialColoring, int, TreeNode]:
-    """Color g, whose vertex i is orig[i] in the root graph, building one tree
+    """Color g, whose vertex i is orig[i] in the root graph and whose maximal
+    cliques are `cliques` (masks, lexicographic order), building one tree
     node; counters and swap events go into the run's `stats` and `events`."""
     stats.node_count += 1
     stats.max_depth = max(stats.max_depth, depth)
     fstats: dict[str, int] = {}
-    gp = find_good_partition(g, fstats)
+    gp = find_good_partition(g, fstats, cliques=cliques)
     stats.frames_tried += fstats.get("frames_tried", 0)
     stats.frames_pruned += fstats.get("frames_pruned", 0)
 
     if gp is None:
         stats.leaf_count += 1
-        k = omega(g)
+        k = max((q.bit_count() for q in cliques), default=0)
         return leaf_color(g, k), k, TreeNode(vertices=orig)
 
     triad = _witness_triad(g, gp)
-    all_vs = set(range(g.n))
-    keep1 = sorted(all_vs - gp.r)  # the side holding L
-    keep2 = sorted(all_vs - gp.l)
-    g1, map1 = g.subgraph(keep1)
-    g2, map2 = g.subgraph(keep2)
+    full = g.full_mask
+    # the first child holds L, the second R
+    g1, map1, cliques1 = _child(g, cliques, full & ~mask_of(gp.r))
+    g2, map2, cliques2 = _child(g, cliques, full & ~mask_of(gp.l))
     # map1/map2 give this node's labels; compose with orig for root labels
     orig1 = tuple(orig[j] for j in map1)
     orig2 = tuple(orig[j] for j in map2)
-    col1, k1, node1 = _solve(g1, orig1, depth + 1, stats, events)
-    col2, k2, node2 = _solve(g2, orig2, depth + 1, stats, events)
+    col1, k1, node1 = _solve(g1, orig1, cliques1, depth + 1, stats, events)
+    col2, k2, node2 = _solve(g2, orig2, cliques2, depth + 1, stats, events)
 
     # children were solved in their own labels (map1/map2 give this node's)
     c1 = PartialColoring({map1[i]: col for i, col in col1.colors.items()})
@@ -236,7 +263,8 @@ def color(
         stats.berge_checked = True
 
     events: list[dict] = []
-    coloring, k, tree = _solve(g, tuple(range(g.n)), 1, stats, events)
+    cliques = [mask_of(c) for c in maximal_cliques(g)]
+    coloring, k, tree = _solve(g, tuple(range(g.n)), cliques, 1, stats, events)
     stats.swaps_applied = len(events)  # every event is one applied swap
 
     w = omega(g)

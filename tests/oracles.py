@@ -16,6 +16,15 @@ def naive_is_clique(g: Graph, vs) -> bool:
     return all(g.adjacent(a, b) for a, b in combinations(sorted(vs), 2))
 
 
+def naive_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph built from an edge list, relabelled in ascending
+    order; returns (subgraph, keep) as Graph.subgraph does."""
+    keep = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[v], index[w]) for v, w in combinations(keep, 2) if g.adjacent(v, w)]
+    return Graph(len(keep), edges), keep
+
+
 def naive_maximal_cliques(g: Graph) -> set[frozenset[int]]:
     """All maximal cliques by filtering every vertex subset; n <= ~14."""
     vs = list(range(g.n))

@@ -464,9 +464,18 @@ def test_analyze_beyond_berge_cap(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["berge"] is None
 
 
+def test_analyze_large_clique(tmp_path, capsys):
+    # deeper than the recursion limit if the clique search recursed per vertex
+    path = col(tmp_path, complete(1100))
+    assert main(["analyze", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["omega"], rep["maximal_cliques"], rep["triads"]) == (1100, 1, 0)
+    assert rep["good_partition"] is False
+
+
 def test_analyze_recursion_error_is_a_tool_error(tmp_path, capsys, monkeypatch):
-    # the clique search recurses once per clique vertex, so K1100 overflows
-    # the stack; a stand-in raises at once
+    # a stand-in clique search raises at once, as one too deep for the
+    # interpreter's recursion limit would
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,15 @@ from bergecolor import (
     require_berge,
     require_square_free,
 )
-from bergecolor.graphs import bit_list, iter_bits, mask_of
+from bergecolor.graphs import (
+    bit_list,
+    bit_runs,
+    cliques_within,
+    iter_bits,
+    mask_of,
+    maximal_cliques_in,
+    relabel,
+)
 
 from conftest import complete, complete_minus_star, cycle, path_graph
 from oracles import (
@@ -25,6 +36,7 @@ from oracles import (
     naive_maximal_cliques,
     naive_omega,
     naive_squares,
+    naive_subgraph,
     naive_triads,
 )
 
@@ -67,6 +79,55 @@ def test_subgraph_relabels_in_order():
     assert keep == (1, 2, 3, 5)
     # edges of C6 inside {1,2,3,5}: 1-2, 2-3
     assert h.edges() == [(0, 1), (1, 2)]
+
+
+def _random_graph(rng: random.Random, n: int) -> Graph:
+    p = rng.random()
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_subgraph_matches_an_edge_list_rebuild():
+    rng = random.Random(11)
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(0, 40))
+        vertices = [v for v in range(g.n) if rng.random() < rng.random()]
+        rng.shuffle(vertices)
+        h, keep = g.subgraph(vertices + vertices[:3])
+        want, want_keep = naive_subgraph(g, vertices)
+        assert keep == want_keep
+        assert [h.mask(v) for v in range(h.n)] == [want.mask(v) for v in range(want.n)]
+        assert (h.n, h.m) == (want.n, want.m)
+
+
+def test_relabel_moves_masks_in_order():
+    rng = random.Random(12)
+    for _ in range(300):
+        keep = rng.getrandbits(rng.randint(0, 70))
+        runs = bit_runs(keep)
+        assert sum(run for run, _ in runs) == keep
+        index = {v: i for i, v in enumerate(iter_bits(keep))}
+        masks = [rng.getrandbits(80) for _ in range(5)]
+        want = [mask_of(index[v] for v in iter_bits(m & keep)) for m in masks]
+        assert relabel(masks, runs) == want
+
+
+def test_cliques_within_matches_a_fresh_search(corpus_graphs):
+    # corpus graphs and random graphs (mostly not Berge), each with random
+    # vertex subsets, the two-vertex deletions of frame search among them
+    rng = random.Random(13)
+    graphs = [g for _, g in corpus_graphs]
+    graphs += [_random_graph(rng, rng.randint(0, 30)) for _ in range(200)]
+    for g in graphs:
+        cliques = [mask_of(c) for c in maximal_cliques(g)]
+        keeps = [0, g.full_mask]
+        keeps += [rng.getrandbits(g.n) & rng.getrandbits(g.n) for _ in range(2)]
+        keeps += [rng.getrandbits(g.n) | rng.getrandbits(g.n) for _ in range(2)]
+        if g.n >= 2:
+            x, y = rng.sample(range(g.n), 2)
+            keeps.append(g.full_mask & ~(1 << x) & ~(1 << y))
+        for keep in keeps:
+            want = [mask_of(c) for c in maximal_cliques_in(g, keep)]
+            assert cliques_within(g, cliques, keep) == want
 
 
 def test_complement_is_involution():
@@ -130,6 +191,11 @@ def test_maximal_cliques_examples():
     assert maximal_cliques(Graph(3)) == [(0,), (1,), (2,)]
     assert maximal_cliques(Graph(0)) == []
     assert maximal_cliques(cycle(5)) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+
+
+def test_maximal_cliques_of_a_large_clique_need_no_deep_stack():
+    assert sys.getrecursionlimit() < 1100
+    assert maximal_cliques(complete(1100)) == [tuple(range(1100))]
 
 
 @given(graphs())

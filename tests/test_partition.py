@@ -17,7 +17,7 @@ from bergecolor import (
     refine_frame,
     verify_good_partition,
 )
-from bergecolor.graphs import mask_of, maximal_cliques_in
+from bergecolor.graphs import iter_bits, mask_of, maximal_cliques_in
 from bergecolor.partition import (
     _anchored_pairs,
     _disjoint_paths,
@@ -294,10 +294,11 @@ def test_row_weight_is_the_row_sum(corpus_graphs):
     rows = 0
     for g in graphs[::4]:
         for x, y, base in islice(_frame_bases(g), 2):
-            for i, q1 in enumerate(base.cliques):
+            cliques = [tuple(iter_bits(q)) for q in base.masks]
+            for i, q1 in enumerate(cliques):
                 direct = sum(
                     (len(set(q1) - set(q3)) + 1) * (len(set(q3) - set(q1)) + 1)
-                    for q3 in base.cliques
+                    for q3 in cliques
                 )
                 assert _row_weight(base, i) == direct
                 rows += 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,29 @@ def test_partial_coloring_helpers():
     assert c.domain() == {0, 1, 2, 3}
     bad = pc({0: 1, 1: 1, 2: 2, 3: 2})
     assert not bad.is_proper_on(g)
+
+
+def test_is_proper_on_matches_an_edge_scan():
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(600):
+        n = rng.randint(0, 16)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        domain = [v for v in range(n) if rng.random() < 0.8]
+        rng.shuffle(domain)
+        colors: dict[int, int] = {}
+        for v in domain:  # greedy, so proper until a vertex is recolored below
+            used = {colors[u] for u in g.neighbors(v) if u in colors}
+            colors[v] = min(set(range(1, n + 2)) - used)
+        if domain and rng.random() < 0.5:
+            colors[rng.choice(domain)] = rng.randint(1, 4)
+        naive = all(
+            colors[u] != colors[v] for u, v in g.edges() if u in colors and v in colors
+        )
+        assert pc(colors).is_proper_on(g) == naive
+        verdicts.append(naive)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 # --- alignment ---------------------------------------------------------------

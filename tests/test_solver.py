@@ -24,8 +24,10 @@ from bergecolor import (
     tree_to_json,
     verify_coloring,
 )
+from bergecolor import solver
+from bergecolor.graphs import mask_of, maximal_cliques
 
-from conftest import complete, complete_minus_star, cycle
+from conftest import complete, complete_minus_star, cycle, path_graph
 from oracles import naive_chromatic_number
 
 
@@ -257,6 +259,28 @@ def test_trace_events_record_strict_progress():
         assert e["class"] in ("free", "general")
         assert e["bad_after"] < e["bad_before"]
         assert len(e["pair"]) == 2
+
+
+def test_carried_cliques_are_each_nodes_maximal_cliques(corpus_graphs, monkeypatch):
+    # every node's clique list is derived from its parent's; it must equal a
+    # fresh search on that node's graph, as masks and in the same order
+    search = solver.find_good_partition
+    nodes = 0
+
+    def checked(g, stats=None, *, cliques=None):
+        nonlocal nodes
+        assert cliques == [mask_of(c) for c in maximal_cliques(g)]
+        nodes += 1
+        return search(g, stats, cliques=cliques)
+
+    monkeypatch.setattr(solver, "find_good_partition", checked)
+    graphs = [g for _, g in corpus_graphs if g.n <= 30]
+    graphs += [gen_square_free_berge(120, 0), path_graph(60)]
+    assert omega(graphs[-2]) >= 3
+    total = 0
+    for g in graphs:
+        total += color(g).stats.node_count
+    assert nodes == total > 2000
 
 
 # ------------------------------------------------------------- serialization
