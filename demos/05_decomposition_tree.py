@@ -2,10 +2,14 @@
 Exporting the decomposition tree
 ================================
 
-color() records how it took the graph apart: a binary tree whose internal
-nodes carry the good partition used for the split and a witness triad, and
-whose leaves were colored directly.  The tree serializes to JSON for
-programmatic use and to DOT for rendering with graphviz:
+color() records how it took the graph apart: a binary tree with one node
+per piece.  Each node first peels the piece's simplicial vertices (whose
+neighbourhood is a clique; they are colored last, greedily) and works on
+the core that is left.  Internal nodes carry the good partition that split
+the core and a witness triad; leaves colored their core directly.  The tree
+serializes to JSON for programmatic use (schema bergecolor-tree/3, with a
+node's peeled vertices under "peeled") and to DOT for rendering with
+graphviz:
 
     python3 demos/05_decomposition_tree.py > tree.dot
     dot -Tpng tree.dot -o tree.png
@@ -29,6 +33,8 @@ print(
     f"{result.tree.leaf_count()} leaves, depth {result.tree.depth()}",
     file=sys.stderr,
 )
+peeled = sum(len(node.peeled) for node in result.tree.iter_nodes())
+print(f"simplicial vertices peeled, summed over the nodes: {peeled}", file=sys.stderr)
 print("root split:", json.dumps(root["partition"]), file=sys.stderr)
 print("root triad:", root["triad"], file=sys.stderr)
 

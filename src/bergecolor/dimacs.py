@@ -3,51 +3,91 @@
 from __future__ import annotations
 
 import os
+from typing import Iterable
 
 from .errors import DimacsError
 from .graphs import Graph
 
 
 def parse_col(text: str) -> Graph:
+    lines = text.splitlines()
     n = None
-    edges: set[tuple[int, int]] = set()
     declared_m = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    # Well-formed edge lines, `e <u> <v>` after the problem line, are kept
+    # as their line numbers and endpoint fields and converted and checked in
+    # bulk by _edges.  Before any other error is raised, the edge lines
+    # above it are checked, so the first bad line is the one reported.
+    edge_lines: list[int] = []
+    tails: list[str] = []
+    heads: list[str] = []
+
+    def fail(line_no: int, msg: str) -> DimacsError:
+        _edges(lines, edge_lines, tails, heads, n)
+        return DimacsError(line_no, msg)
+
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("c"):
             continue
-        fields = line.split()
+        if fields[0] == "e" and len(fields) == 3 and n is not None:
+            edge_lines.append(line_no)
+            tails.append(fields[1])
+            heads.append(fields[2])
+            continue
+        line = raw.strip()
         if fields[0] == "p":
             if n is not None:
-                raise DimacsError(line_no, "duplicate problem line")
+                raise fail(line_no, "duplicate problem line")
             if len(fields) != 4 or fields[1] != "edge":
-                raise DimacsError(line_no, f"malformed problem line: {line!r}")
+                raise fail(line_no, f"malformed problem line: {line!r}")
             try:
                 n, declared_m = int(fields[2]), int(fields[3])
             except ValueError:
-                raise DimacsError(line_no, f"non-integer sizes: {line!r}")
+                raise fail(line_no, f"non-integer sizes: {line!r}")
             if n < 0 or declared_m < 0:
-                raise DimacsError(line_no, "negative size")
+                raise fail(line_no, "negative size")
         elif fields[0] == "e":
             if n is None:
-                raise DimacsError(line_no, "edge before problem line")
-            if len(fields) != 3:
-                raise DimacsError(line_no, f"malformed edge line: {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise DimacsError(line_no, f"non-integer endpoint: {line!r}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DimacsError(line_no, f"endpoint out of range 1..{n}: {line!r}")
-            if u == v:
-                raise DimacsError(line_no, f"self-loop at {u}")
-            a, b = min(u, v) - 1, max(u, v) - 1
-            edges.add((a, b))
+                raise fail(line_no, "edge before problem line")
+            raise fail(line_no, f"malformed edge line: {line!r}")
         else:
-            raise DimacsError(line_no, f"unknown line type {fields[0]!r}")
+            raise fail(line_no, f"unknown line type {fields[0]!r}")
     if n is None:
         raise DimacsError(1, "missing problem line")
-    return Graph(n, sorted(edges))
+    return Graph(n, _edges(lines, edge_lines, tails, heads, n))
+
+
+def _edges(
+    lines: list[str],
+    edge_lines: list[int],
+    tails: list[str],
+    heads: list[str],
+    n: int | None,
+) -> Iterable[tuple[int, int]]:
+    """The 0-based endpoint pairs of the given edge lines, all converted and
+    range-checked at once.  Only when that fails are the lines checked one
+    by one, to raise the error of the first bad line."""
+    try:
+        us, vs = list(map(int, tails)), list(map(int, heads))
+        ok = not us or (
+            1 <= min(us) and max(us) <= n and 1 <= min(vs) and max(vs) <= n
+            and not any(map(int.__eq__, us, vs))
+        )
+    except ValueError:
+        ok = False
+    if ok:
+        return zip([u - 1 for u in us], [v - 1 for v in vs])
+    for line_no, u, v in zip(edge_lines, tails, heads):
+        line = lines[line_no - 1].strip()
+        try:
+            u, v = int(u), int(v)
+        except ValueError:
+            raise DimacsError(line_no, f"non-integer endpoint: {line!r}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise DimacsError(line_no, f"endpoint out of range 1..{n}: {line!r}")
+        if u == v:
+            raise DimacsError(line_no, f"self-loop at {u}")
+    raise AssertionError("a bulk check failed but no line is bad")
 
 
 def read_col(path: str) -> Graph:

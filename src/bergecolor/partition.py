@@ -20,7 +20,8 @@ from the working cutset until the partition conditions hold or the frame dies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from functools import cached_property
+from typing import Iterator
 
 from .errors import InternalViolation, MalformedPartition, NotSquareFree
 from .graphs import (
@@ -393,18 +394,28 @@ def _anchored_pairs(g: Graph) -> Iterator[tuple[int, int]]:
                 yield (x, y)
 
 
-class _FrameBase(NamedTuple):
+@dataclass
+class _FrameBase:
     """The maximal cliques of G minus {x, y} as bitmasks, in lexicographic
-    order, shared by (x, y) and (y, x), with what the frame search counts
-    them by: each clique's weight |Q| + 1, the sum of the weights, and for
-    every vertex v the bitmask of the indices of the cliques containing v
-    (`members`) and the sum of their weights (`loads`)."""
+    order, shared by (x, y) and (y, x); `n` is the vertex count of G."""
 
     masks: list[int]
-    weights: list[int]
-    weight_sum: int
-    members: list[int]
-    loads: list[int]
+    n: int
+
+    @cached_property
+    def tables(self) -> tuple[list[int], int, list[int], list[int]]:
+        """What the frame search counts skipped rows by, built on the first
+        skip: each clique's weight |Q| + 1, the sum of the weights, and for
+        every vertex v the bitmask of the indices of the cliques containing
+        v (`members`) and the sum of their weights (`loads`)."""
+        weights = [q.bit_count() + 1 for q in self.masks]
+        members = [0] * self.n
+        loads = [0] * self.n
+        for i, (q, w) in enumerate(zip(self.masks, weights)):
+            for v in iter_bits(q):
+                members[v] |= 1 << i
+                loads[v] += w
+        return weights, sum(weights), members, loads
 
 
 def _frame_bases(
@@ -425,14 +436,7 @@ def _frame_bases(
             if cliques is None:
                 cliques = [mask_of(c) for c in maximal_cliques_in(g, full)]
             masks = cliques_within(g, cliques, full & ~(1 << x) & ~(1 << y))
-            weights = [q.bit_count() + 1 for q in masks]
-            members = [0] * g.n
-            loads = [0] * g.n
-            for i, (q, w) in enumerate(zip(masks, weights)):
-                for v in iter_bits(q):
-                    members[v] |= 1 << i
-                    loads[v] += w
-            base = _FrameBase(masks, weights, sum(weights), members, loads)
+            base = _FrameBase(masks, g.n)
             cache[key] = base
         yield x, y, base
 
@@ -507,11 +511,12 @@ def _row_weight(base: _FrameBase, i: int) -> int:
     t * (w1 + w3) plus the sum of t², and each of those sums over Q3 is a sum
     over the vertices of Q1 of their `members` and `loads`: closed form,
     with no loop over the cliques."""
-    q1, w1, members = bit_list(base.masks[i]), base.weights[i], base.members
-    total = w1 * base.weight_sum
+    weights, weight_sum, members, loads = base.tables
+    q1, w1 = bit_list(base.masks[i]), weights[i]
+    total = w1 * weight_sum
     for u in q1:
         mu = members[u]
-        total -= w1 * mu.bit_count() + base.loads[u]
+        total -= w1 * mu.bit_count() + loads[u]
         for v in q1:
             total += (mu & members[v]).bit_count()
     return total

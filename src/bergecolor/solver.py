@@ -7,6 +7,12 @@ colorings bottom-up with Kempe swaps.  The decomposition is recorded as a
 binary tree whose internal nodes carry their partition and a witness triad.
 The maximal cliques are enumerated once, at the root; every other node's
 list is derived from its parent's and carried down with the node.
+
+Each node first peels its simplicial vertices (those whose neighborhood is a
+clique) and runs the search on what is left, its core.  A peeled vertex is
+colored last, with the lowest color missing from its neighborhood at
+removal: a clique of at most omega - 1 vertices, so a color within omega is
+always free (Gavril 1972, perfect elimination orderings).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .graphs import (
     _iter_triads,
     cliques_within,
     induced,
+    iter_bits,
     mask_of,
     maximal_cliques,
     omega,
@@ -45,15 +52,18 @@ class SolveStats:
 class TreeNode:
     """One piece of the decomposition, in the labels of the original graph.
 
-    Internal nodes carry the partition that split them, a triad witnessing
-    condition (v), and exactly two children: the piece minus R, then the
-    piece minus L.  Leaves carry neither.
+    `vertices` lists every vertex of the piece; `peeled` those removed as
+    simplicial before the search, in removal order, and the rest form the
+    core.  Internal nodes carry the partition that split the core, a triad
+    witnessing condition (v), and exactly two children: the core minus R,
+    then the core minus L.  Leaves carry neither.
     """
 
     vertices: tuple[int, ...]
     partition: GoodPartition | None = None
     triad: tuple[int, int, int] | None = None
     children: tuple["TreeNode", "TreeNode"] | None = None
+    peeled: tuple[int, ...] = ()
 
     def is_leaf(self) -> bool:
         return self.children is None
@@ -184,6 +194,51 @@ def _child(
     return sub, order, relabel(cliques_within(g, cliques, keep), runs)
 
 
+def _peel(g: Graph) -> list[tuple[int, int]]:
+    """Remove simplicial vertices by ascending scans over the remaining
+    vertices, each scan removing every vertex whose remaining neighborhood
+    is a clique, until a scan removes nothing.  Returns each removed vertex
+    with that neighborhood as a mask, in removal order.
+
+    A vertex whose remaining neighborhood has not changed since it failed
+    the test would fail again, so a scan tests only the vertices that lost a
+    neighbor since their last test: removing v queues its neighbors above v
+    for this scan and those below v for the next."""
+    rest = todo = g.full_mask
+    peeled = []
+    while todo:
+        later = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            nb = g.mask(v) & rest
+            # nb is a clique when each member u misses only itself in it
+            if all(nb & ~g.mask(u) == 1 << u for u in iter_bits(nb)):
+                rest ^= low
+                peeled.append((v, nb))
+                todo |= nb & ~(low - 1)
+                later |= nb & (low - 1)
+        todo = later
+    return peeled
+
+
+def _color_peeled(
+    core: PartialColoring, back: tuple[int, ...], peeled: list[tuple[int, int]], k: int
+) -> tuple[PartialColoring, int]:
+    """Extend the core's coloring (vertex i is back[i] in the node) to the
+    peeled vertices, last removed first.  Each one's neighborhood at removal
+    is then a colored clique, so the lowest color missing from it is at most
+    its size + 1; the node's k grows to the largest such clique plus v."""
+    colors = {back[i]: col for i, col in core.colors.items()}
+    for v, nb in reversed(peeled):
+        size = nb.bit_count()
+        taken = {colors[u] for u in iter_bits(nb)}
+        colors[v] = min(set(range(1, size + 2)) - taken)
+        k = max(k, size + 1)
+    return PartialColoring(colors), k
+
+
 def _solve(
     g: Graph,
     orig: tuple[int, ...],
@@ -194,9 +249,20 @@ def _solve(
 ) -> tuple[PartialColoring, int, TreeNode]:
     """Color g, whose vertex i is orig[i] in the root graph and whose maximal
     cliques are `cliques` (masks, lexicographic order), building one tree
-    node; counters and swap events go into the run's `stats` and `events`."""
+    node; counters and swap events go into the run's `stats` and `events`.
+    The node peels its simplicial vertices, then searches and splits the
+    core that is left, or colors it as a leaf."""
     stats.node_count += 1
     stats.max_depth = max(stats.max_depth, depth)
+    node = TreeNode(vertices=orig)
+    peeled = _peel(g)
+    if peeled:
+        node.peeled = tuple(orig[v] for v, _ in peeled)
+        # from here on g is the core; back gives its vertices' node labels
+        core = g.full_mask & ~mask_of(v for v, _ in peeled)
+        g, back, cliques = _child(g, cliques, core)
+        orig = tuple(orig[j] for j in back)
+
     fstats: dict[str, int] = {}
     gp = find_good_partition(g, fstats, cliques=cliques)
     stats.frames_tried += fstats.get("frames_tried", 0)
@@ -205,41 +271,41 @@ def _solve(
     if gp is None:
         stats.leaf_count += 1
         k = max((q.bit_count() for q in cliques), default=0)
-        return leaf_color(g, k), k, TreeNode(vertices=orig)
+        coloring = leaf_color(g, k)
+    else:
+        triad = _witness_triad(g, gp)
+        full = g.full_mask
+        # the first child holds L, the second R
+        g1, map1, cliques1 = _child(g, cliques, full & ~mask_of(gp.r))
+        g2, map2, cliques2 = _child(g, cliques, full & ~mask_of(gp.l))
+        # map1/map2 give this node's labels; compose with orig for root labels
+        orig1 = tuple(orig[j] for j in map1)
+        orig2 = tuple(orig[j] for j in map2)
+        col1, k1, node1 = _solve(g1, orig1, cliques1, depth + 1, stats, events)
+        col2, k2, node2 = _solve(g2, orig2, cliques2, depth + 1, stats, events)
 
-    triad = _witness_triad(g, gp)
-    full = g.full_mask
-    # the first child holds L, the second R
-    g1, map1, cliques1 = _child(g, cliques, full & ~mask_of(gp.r))
-    g2, map2, cliques2 = _child(g, cliques, full & ~mask_of(gp.l))
-    # map1/map2 give this node's labels; compose with orig for root labels
-    orig1 = tuple(orig[j] for j in map1)
-    orig2 = tuple(orig[j] for j in map2)
-    col1, k1, node1 = _solve(g1, orig1, cliques1, depth + 1, stats, events)
-    col2, k2, node2 = _solve(g2, orig2, cliques2, depth + 1, stats, events)
+        # children were solved in their own labels (map1/map2 give this node's)
+        c1 = PartialColoring({map1[i]: col for i, col in col1.colors.items()})
+        c2 = PartialColoring({map2[i]: col for i, col in col2.colors.items()})
+        k = max(k1, k2)
 
-    # children were solved in their own labels (map1/map2 give this node's)
-    c1 = PartialColoring({map1[i]: col for i, col in col1.colors.items()})
-    c2 = PartialColoring({map2[i]: col for i, col in col2.colors.items()})
-    k = max(k1, k2)
+        coloring = merge_colorings(
+            g, gp, c1, c2, k,
+            trace=lambda ev: events.append({**ev, "node_n": len(orig)}),
+        )
 
-    merged = merge_colorings(
-        g, gp, c1, c2, k, trace=lambda ev: events.append({**ev, "node_n": len(orig)})
-    )
-
-    node = TreeNode(
-        vertices=orig,
-        partition=GoodPartition(
+        node.partition = GoodPartition(
             k1=frozenset(orig[i] for i in gp.k1),
             k2=frozenset(orig[i] for i in gp.k2),
             k3=frozenset(orig[i] for i in gp.k3),
             l=frozenset(orig[i] for i in gp.l),
             r=frozenset(orig[i] for i in gp.r),
-        ),
-        triad=tuple(sorted(orig[v] for v in triad)),
-        children=(node1, node2),
-    )
-    return merged, k, node
+        )
+        node.triad = tuple(sorted(orig[v] for v in triad))
+        node.children = (node1, node2)
+    if peeled:
+        coloring, k = _color_peeled(coloring, back, peeled, k)
+    return coloring, k, node
 
 
 def color(
@@ -297,16 +363,19 @@ def _preorder(tree: TreeNode) -> list[tuple[TreeNode, list[int]]]:
 
 def tree_to_json(tree: TreeNode) -> dict:
     """The tree as a flat list of nodes in pre-order, root first; an internal
-    node names its two children by their positions in that list."""
+    node names its two children by their positions in that list, and a node
+    that peeled vertices lists them in removal order."""
     nodes = []
     for node, kids in _preorder(tree):
         out: dict = {"vertices": list(node.vertices)}
+        if node.peeled:
+            out["peeled"] = list(node.peeled)
         if kids:
             out["partition"] = node.partition.to_json()
             out["triad"] = list(node.triad)
             out["children"] = kids
         nodes.append(out)
-    return {"schema": "bergecolor-tree/2", "nodes": nodes}
+    return {"schema": "bergecolor-tree/3", "nodes": nodes}
 
 
 def tree_to_dot(tree: TreeNode) -> str:
@@ -323,6 +392,8 @@ def tree_to_dot(tree: TreeNode) -> str:
             )
         else:
             label = f"leaf |V|={len(node.vertices)}"
+        if node.peeled:
+            label += f"\\npeeled={len(node.peeled)}"
         lines.append(f'  n{i} [label="{label}"];')
         lines.extend(f"  n{i} -> n{k};" for k in kids)
     lines.append("}")

@@ -9,11 +9,71 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from bergecolor import Graph
+from bergecolor import DimacsError, Graph
 
 
 def naive_is_clique(g: Graph, vs) -> bool:
     return all(g.adjacent(a, b) for a, b in combinations(sorted(vs), 2))
+
+
+def naive_peel(g: Graph) -> list[tuple[int, frozenset[int]]]:
+    """Simplicial vertices removed by full ascending scans, each scan testing
+    every remaining vertex, until a scan removes nothing; each removed vertex
+    with its remaining neighbours at removal, in removal order."""
+    rest = set(range(g.n))
+    out = []
+    removed = True
+    while removed:
+        removed = False
+        for v in sorted(rest):
+            nb = frozenset(u for u in rest if g.adjacent(u, v))
+            if naive_is_clique(g, nb):
+                rest.discard(v)
+                out.append((v, nb))
+                removed = True
+    return out
+
+
+def naive_parse_col(text: str) -> Graph:
+    """DIMACS .col text parsed one line at a time, every check made on the
+    line it applies to; raises DimacsError at the first bad line."""
+    n = None
+    edges = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if n is not None:
+                raise DimacsError(line_no, "duplicate problem line")
+            if len(fields) != 4 or fields[1] != "edge":
+                raise DimacsError(line_no, f"malformed problem line: {line!r}")
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise DimacsError(line_no, f"non-integer sizes: {line!r}")
+            if n < 0 or m < 0:
+                raise DimacsError(line_no, "negative size")
+        elif fields[0] == "e":
+            if n is None:
+                raise DimacsError(line_no, "edge before problem line")
+            if len(fields) != 3:
+                raise DimacsError(line_no, f"malformed edge line: {line!r}")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise DimacsError(line_no, f"non-integer endpoint: {line!r}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise DimacsError(line_no, f"endpoint out of range 1..{n}: {line!r}")
+            if u == v:
+                raise DimacsError(line_no, f"self-loop at {u}")
+            edges.add((min(u, v) - 1, max(u, v) - 1))
+        else:
+            raise DimacsError(line_no, f"unknown line type {fields[0]!r}")
+    if n is None:
+        raise DimacsError(1, "missing problem line")
+    return Graph(n, sorted(edges))
 
 
 def naive_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:

@@ -9,7 +9,10 @@ import sys
 import pytest
 
 from bergecolor import (
+    GoodPartition,
     PrismSpec,
+    SolveStats,
+    TreeNode,
     gen_prism,
     gen_square_free_berge,
     parse_coloring_lines,
@@ -67,30 +70,33 @@ def test_color_writes_artifacts(tmp_path, capsys):
     assert rep["checks"] == {"square_free": True, "berge": True}
     assert rep["omega"] == 2 and rep["colors_used"] == 2
     assert rep["stats"] == {
-        "frames_tried": 6,
+        "frames_tried": 5,
         "frames_pruned": 1,
         "swaps_applied": 0,
-        "leaf_count": 3,
-        "node_count": 5,
-        "max_depth": 3,
+        "leaf_count": 2,
+        "node_count": 3,
+        "max_depth": 2,
     }
     assert isinstance(rep["wall_time_s"], float)
 
     assert open(tr_f).read() == ""  # no swaps on C6
 
     tree = json.load(open(tree_f))
-    assert tree["schema"] == "bergecolor-tree/2"
+    assert tree["schema"] == "bergecolor-tree/3"
     assert tree["nodes"][0]["vertices"] == [0, 1, 2, 3, 4, 5]
+    assert [n.get("peeled") for n in tree["nodes"]] == [
+        None, [1, 3, 4, 5, 0], [1, 2, 3, 4]
+    ]
     assert len(tree["nodes"]) == rep["stats"]["node_count"]
 
 
 def test_color_trace_lines(tmp_path):
-    g = gen_square_free_berge(9, 3)  # known to need six merge swaps
+    g = gen_square_free_berge(25, 1)  # known to need eight merge swaps
     path = col(tmp_path, g)
     tr_f = str(tmp_path / "t.trace")
     assert main(["color", path, "-o", str(tmp_path / "o"), "--trace", tr_f]) == 0
     events = [json.loads(line) for line in open(tr_f)]
-    assert len(events) == 6
+    assert len(events) == 8
     assert all(e["event"] == "swap" for e in events)
 
 
@@ -171,14 +177,50 @@ def test_out_of_range_options_rejected_at_parse_time(argv, capsys):
     assert "must be at least" in capsys.readouterr().err
 
 
+def _split_chain(n):
+    """A decomposition-shaped tree over the path 0..n-1, built bottom-up:
+    each internal node cuts its lowest vertex off (R = {i}, K2 = {i + 1}),
+    its first child is the rest of the chain and its second the edge
+    {i, i + 1}, so the tree is n - 3 levels deep."""
+    node = TreeNode(vertices=tuple(range(n - 4, n)))
+    for i in range(n - 5, -1, -1):
+        node = TreeNode(
+            vertices=tuple(range(i, n)),
+            partition=GoodPartition(
+                k1=frozenset(),
+                k2=frozenset({i + 1}),
+                k3=frozenset(),
+                l=frozenset(range(i + 2, n)),
+                r=frozenset({i}),
+            ),
+            triad=(i, i + 2, i + 4),
+            children=(node, TreeNode(vertices=(i, i + 1))),
+        )
+    return node
+
+
 def test_color_deep_tree_writes_json(tmp_path, monkeypatch):
-    # a path decomposes about one level per vertex, deeper than the
-    # interpreter's recursion limit allows a recursive walk of the tree
+    # tree export, depth() and iter_nodes() must work on a tree deeper than
+    # the interpreter's recursion limit allows a recursive walk of.  Peeling
+    # colors a path in one node, so a stand-in for color() returns a real
+    # coloring with a chain of one-vertex splits in place of its tree.
+    n = 600
+    real = cli.color
+
+    def deep(g, **kwargs):
+        result = real(g, **kwargs)
+        result.tree = _split_chain(g.n)
+        result.stats = SolveStats(
+            node_count=2 * g.n - 7, leaf_count=g.n - 3, max_depth=g.n - 3
+        )
+        return result
+
     trees = []
+    monkeypatch.setattr(cli, "color", deep)
     monkeypatch.setattr(
         cli, "tree_to_json", lambda t: trees.append(t) or tree_to_json(t)
     )
-    path = col(tmp_path, path_graph(600))
+    path = col(tmp_path, path_graph(n))
     rep_f = str(tmp_path / "r.json")
     tree_f = tmp_path / "t.json"
     rc = main(["color", path, "-o", str(tmp_path / "o"), "--report", rep_f,
@@ -191,10 +233,26 @@ def test_color_deep_tree_writes_json(tmp_path, monkeypatch):
     (tree,) = trees
     assert tree_f.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert doc == tree_to_json(tree)
-    assert doc["nodes"][0]["vertices"] == list(range(600))
+    assert doc["nodes"][0]["vertices"] == list(range(n))
     assert len(doc["nodes"]) == stats["node_count"] == tree.node_count()
+    assert tree.leaf_count() == stats["leaf_count"]
     assert tree.depth() == stats["max_depth"] > sys.getrecursionlimit() // 2
     assert tree_to_dot(tree).count("->") == stats["node_count"] - 1
+
+
+def test_color_large_clique(tmp_path, capsys):
+    # exited 1 with a recursion error: leaf coloring recursed once per
+    # vertex, and now the node peels every vertex instead
+    path = col(tmp_path, complete(1100))
+    rep_f = tmp_path / "r.json"
+    out_f = tmp_path / "k.sol"
+    assert main(["color", path, "-o", str(out_f), "--report", str(rep_f)]) == 0
+    c = parse_coloring_lines(out_f.read_text())
+    assert sorted(c.colors.values()) == list(range(1, 1101))
+    rep = json.load(open(rep_f))
+    assert rep["omega"] == rep["colors_used"] == 1100
+    assert rep["stats"]["node_count"] == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_color_error_writes_report(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from bergecolor import DimacsError, Graph, format_col, parse_col, read_col, write_col
 
 from conftest import cycle
+from oracles import naive_parse_col
 
 
 @st.composite
@@ -51,6 +52,29 @@ def test_parse_errors_carry_line_numbers(text, line_no):
         parse_col(text)
     assert exc.value.line_no == line_no
     assert f"line {line_no}" in str(exc.value)
+
+
+LINES = [
+    "p edge 4 3", "p edge 2 0", "p edge x 1", "p edge -1 0", "p edgy 4 3",
+    "e 1 2", "e 2 1", " e\t3  4 ", "e 4 1", "e +2 3", "e 1_0 2", "e 1 1",
+    "e 0 2", "e 2 9", "e 1 z", "e 1", "e 1 2 3", "c note", "", "q 1 2",
+]
+
+
+@given(st.booleans(), st.lists(st.sampled_from(LINES), max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_line_by_line_parser(header, lines):
+    # edge lines are checked in bulk; the result, or the first bad line and
+    # its message, must be what checking each line in turn gives
+    text = "\n".join(["p edge 4 3"] * header + lines)
+    try:
+        want = naive_parse_col(text)
+    except DimacsError as exc:
+        with pytest.raises(DimacsError) as got:
+            parse_col(text)
+        assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
+    else:
+        assert parse_col(text) == want
 
 
 def test_parse_empty_input():

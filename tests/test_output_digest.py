@@ -21,9 +21,10 @@ STAT_FIELDS = (
     "berge_checked",
 )
 
-# Last changed when tree_to_json became a flat pre-order node list
-# (schema bergecolor-tree/2); colorings, traces and stats were unchanged.
-EXPECTED = "cfae64dc930be802d2d33a3bda9753fa25150d5a9366c13d4cebac3a6b288362"
+# Last changed when every node began to peel its simplicial vertices before
+# the frame search (schema bergecolor-tree/3): trees, traces, counters and
+# some colorings changed.
+EXPECTED = "c1cdf122496d193dd1b9f1aaa8ddd7344666fd4bf4e00548ce8ed7957956301b"
 
 
 def corpus_digest(corpus) -> str:
@@ -49,12 +50,12 @@ def test_output_digest_on_acceptance_corpus(corpus):
 # omega-2 draws on which frame search prunes millions of frames per solve:
 # (n, seed) -> (node_count, frames_tried, frames_pruned).
 PRUNE_HEAVY = {
-    (40, 3): (59, 195, 746843),
-    (80, 1): (137, 232, 3186680),
-    (100, 1): (165, 254, 904628),
+    (40, 3): (33, 178, 538600),
+    (80, 1): (51, 179, 2092096),
+    (100, 1): (39, 167, 500969),
 }
 PRUNE_HEAVY_EXPECTED = (
-    "a33cce01c1262c134f3979cad51cd2717f5d8b00e8e38d21d322318f6c2593ee"
+    "42ec86da1f564255947d536a4010bac03f19c1f10e3152e74373b32d17cc02b1"
 )
 
 

@@ -25,10 +25,10 @@ from bergecolor import (
     verify_coloring,
 )
 from bergecolor import solver
-from bergecolor.graphs import mask_of, maximal_cliques
+from bergecolor.graphs import bit_list, mask_of, maximal_cliques
 
 from conftest import complete, complete_minus_star, cycle, path_graph
-from oracles import naive_chromatic_number
+from oracles import naive_chromatic_number, naive_is_clique, naive_peel
 
 
 def pc(d):
@@ -145,18 +145,37 @@ def test_color_even_cycle_frozen():
     r = color(cycle(6))
     assert r.colors_used == 2
     assert verify_coloring(cycle(6), r.coloring).ok
+    assert r.coloring.colors == {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2}
+    # C6 has no simplicial vertex, so the root searches the whole cycle
+    assert r.tree.peeled == ()
     p = r.tree.partition
     assert (p.k1, p.k2, p.k3) == ({1}, frozenset(), {3, 4})
     assert (p.l, p.r) == ({0, 5}, {2})
     assert r.tree.triad == (0, 2, 4)
-    assert r.tree.children[0].vertices == (0, 1, 3, 4, 5)
-    assert r.tree.children[1].vertices == (1, 2, 3, 4)
-    assert r.stats.frames_tried == 6
+    # both children are paths, peeled whole into leaves with an empty core
+    first, second = r.tree.children
+    assert first.vertices == (0, 1, 3, 4, 5)
+    assert first.peeled == (1, 3, 4, 5, 0)
+    assert second.vertices == (1, 2, 3, 4)
+    assert second.peeled == (1, 2, 3, 4)
+    assert first.is_leaf() and second.is_leaf()
+    assert r.stats.frames_tried == 5
     assert r.stats.frames_pruned == 1
-    assert r.stats.node_count == 5
-    assert r.stats.leaf_count == 3
-    assert r.stats.max_depth == 3
+    assert r.stats.node_count == 3
+    assert r.stats.leaf_count == 2
+    assert r.stats.max_depth == 2
     assert r.stats.berge_checked
+
+
+def test_color_long_path_is_one_node():
+    # one node peels the whole path; the recursive solve used to nest once
+    # per vertex and overflow the interpreter's stack
+    g = path_graph(1000)
+    r = color(g)
+    assert r.colors_used == 2
+    assert verify_coloring(g, r.coloring).ok
+    assert r.stats.node_count == 1
+    assert r.tree.peeled == tuple(range(1000))
 
 
 def test_color_clique_is_single_leaf():
@@ -217,15 +236,19 @@ def test_berge_cap_skips_check():
 
 def _check_tree(g, tree):
     for node in tree.iter_nodes():
+        vs = set(node.vertices)
+        assert len(set(node.peeled)) == len(node.peeled)
+        assert set(node.peeled) <= vs
         if node.is_leaf():
             assert node.partition is None and node.triad is None
         else:
+            # the partition and the children cover the core exactly
+            core = vs - set(node.peeled)
             p = node.partition
-            vs = set(node.vertices)
-            for part in (p.k1, p.k2, p.k3, p.l, p.r):
-                assert part <= vs
-            assert node.children[0].vertices == tuple(sorted(vs - p.r))
-            assert node.children[1].vertices == tuple(sorted(vs - p.l))
+            assert set().union(*p.sets()) == core
+            assert sum(map(len, p.sets())) == len(core)
+            assert node.children[0].vertices == tuple(sorted(core - p.r))
+            assert node.children[1].vertices == tuple(sorted(core - p.l))
             assert set(node.triad) & p.l and set(node.triad) & p.r
     triads = [n.triad for n in tree.iter_nodes() if n.triad is not None]
     assert len(triads) == len(set(triads))
@@ -245,10 +268,10 @@ def test_tree_structure_on_generated_graphs():
 
 def test_trace_events_record_strict_progress():
     ev = []
-    g = gen_square_free_berge(9, 3)
+    g = gen_square_free_berge(25, 1)
     r = color(g, trace=ev)
-    assert r.stats.swaps_applied == 6
-    assert len(ev) == 6
+    assert r.stats.swaps_applied == 8
+    assert len(ev) == 8
     for e in ev:
         assert set(e) == {
             "event", "side", "seed", "pair", "class", "bad_before",
@@ -277,10 +300,48 @@ def test_carried_cliques_are_each_nodes_maximal_cliques(corpus_graphs, monkeypat
     graphs = [g for _, g in corpus_graphs if g.n <= 30]
     graphs += [gen_square_free_berge(120, 0), path_graph(60)]
     assert omega(graphs[-2]) >= 3
+    # peeling leaves few nodes per graph; these draws bring the count back
+    graphs += [gen_square_free_berge(n, s) for n in (40, 50, 60, 70) for s in range(40)]
     total = 0
     for g in graphs:
         total += color(g).stats.node_count
     assert nodes == total > 2000
+
+
+def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monkeypatch):
+    # at every node: each peeled vertex's neighbourhood at removal is a
+    # clique, no core vertex is simplicial in the core, the order is that of
+    # full ascending scans, and each peeled vertex's color is at most the
+    # size of that neighbourhood plus one
+    peel, extend = solver._peel, solver._color_peeled
+    peeled_total = 0
+
+    def checked_peel(g):
+        nonlocal peeled_total
+        peeled = peel(g)
+        assert [(v, set(bit_list(nb))) for v, nb in peeled] == naive_peel(g)
+        rest = set(range(g.n))
+        for v, nb in peeled:
+            assert naive_is_clique(g, bit_list(nb))
+            rest.discard(v)
+        for u in rest:
+            assert not naive_is_clique(g, [w for w in rest if g.adjacent(u, w)])
+        peeled_total += len(peeled)
+        return peeled
+
+    def checked_extend(core, back, peeled, k):
+        coloring, k2 = extend(core, back, peeled, k)
+        for v, nb in peeled:
+            assert coloring.colors[v] <= nb.bit_count() + 1 <= k2
+            assert coloring.colors[v] not in {coloring.colors[u] for u in bit_list(nb)}
+        return coloring, k2
+
+    monkeypatch.setattr(solver, "_peel", checked_peel)
+    monkeypatch.setattr(solver, "_color_peeled", checked_extend)
+    for _, g in corpus_graphs:
+        r = color(g, trust_berge=True)
+        assert r.colors_used == omega(g)
+    assert peeled_total > 1000
 
 
 # ------------------------------------------------------------- serialization
@@ -289,7 +350,7 @@ def test_carried_cliques_are_each_nodes_maximal_cliques(corpus_graphs, monkeypat
 def test_tree_to_json_shape():
     r = color(cycle(6))
     doc = tree_to_json(r.tree)
-    assert doc["schema"] == "bergecolor-tree/2"
+    assert doc["schema"] == "bergecolor-tree/3"
     nodes = doc["nodes"]
     assert len(nodes) == r.tree.node_count()
     root = nodes[0]
@@ -305,12 +366,20 @@ def test_tree_to_json_shape():
         list(t.vertices) for t in r.tree.iter_nodes()
     ]
     assert root["children"] == [1, 1 + r.tree.children[0].node_count()]
+    # only a node that peeled vertices carries the key, in removal order
+    assert "peeled" not in root
+    assert [n.get("peeled") for n in nodes[1:]] == [
+        list(t.peeled) for t in r.tree.iter_nodes()
+    ][1:] == [[1, 3, 4, 5, 0], [1, 2, 3, 4]]
     json.dumps(doc)  # must be serializable as-is
 
 
 def test_tree_to_json_leaf():
     doc = tree_to_json(color(complete(4)).tree)
-    assert doc["nodes"] == [{"vertices": [0, 1, 2, 3]}]
+    assert doc["nodes"] == [{"vertices": [0, 1, 2, 3], "peeled": [0, 1, 2, 3]}]
+    assert tree_to_json(color(cycle(6)).tree)["nodes"][0].keys() == {
+        "vertices", "partition", "triad", "children"
+    }
 
 
 def test_tree_to_dot():
@@ -321,3 +390,4 @@ def test_tree_to_dot():
     assert dot.count("->") == r.tree.node_count() - 1
     assert "leaf" in dot
     assert "triad=(0, 2, 4)" in dot
+    assert dot.count("peeled=") == 2 and "peeled=5" in dot
