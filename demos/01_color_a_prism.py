@@ -36,7 +36,8 @@ print("verified:", verdict.ok)
 
 s = result.stats
 print(
-    f"\nsearch: {s.frames_tried} frames tried ({s.frames_pruned} pruned), "
+    f"\nsearch: {s.frames_tried} frames tried "
+    f"({s.frames_pruned} clique pairs skipped), "
     f"{s.swaps_applied} merge swaps"
 )
 print(

@@ -291,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--trace", help="write decomposition/swap events as JSON lines")
     c.add_argument("--tree", help="write the decomposition tree (.dot or .json)")
     c.add_argument(
-        "--jobs",
-        type=_int_at_least(1),
-        default=1,
-        help="accepted for compatibility and ignored: the solver runs sequentially",
-    )
-    c.add_argument(
         "--berge-cap",
         type=_int_at_least(0),
         default=64,

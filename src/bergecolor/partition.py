@@ -20,7 +20,6 @@ from the working cutset until the partition conditions hold or the frame dies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .errors import InternalViolation, MalformedPartition, NotSquareFree
@@ -394,51 +393,27 @@ def _anchored_pairs(g: Graph) -> Iterator[tuple[int, int]]:
                 yield (x, y)
 
 
-@dataclass
-class _FrameBase:
-    """The maximal cliques of G minus {x, y} as bitmasks, in lexicographic
-    order, shared by (x, y) and (y, x); `n` is the vertex count of G."""
-
-    masks: list[int]
-    n: int
-
-    @cached_property
-    def tables(self) -> tuple[list[int], int, list[int], list[int]]:
-        """What the frame search counts skipped rows by, built on the first
-        skip: each clique's weight |Q| + 1, the sum of the weights, and for
-        every vertex v the bitmask of the indices of the cliques containing
-        v (`members`) and the sum of their weights (`loads`)."""
-        weights = [q.bit_count() + 1 for q in self.masks]
-        members = [0] * self.n
-        loads = [0] * self.n
-        for i, (q, w) in enumerate(zip(self.masks, weights)):
-            for v in iter_bits(q):
-                members[v] |= 1 << i
-                loads[v] += w
-        return weights, sum(weights), members, loads
-
-
 def _frame_bases(
     g: Graph, cliques: list[int] | None = None
-) -> Iterator[tuple[int, int, _FrameBase]]:
-    """Each anchor pair with its frame base.  `cliques` are the maximal
-    cliques of g as masks, in lexicographic order; when not given they are
-    enumerated here, once the first anchor pair is found.  The cliques of
-    G minus {x, y} are derived from them."""
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Each anchor pair (x, y) with the maximal cliques of G minus {x, y} as
+    bitmasks, in lexicographic order.  `cliques` are the maximal cliques of
+    g as masks, in lexicographic order; when not given they are enumerated
+    here, once the first anchor pair is found.  The cliques of G minus
+    {x, y} are derived from them."""
     # Both orders of an anchor pair are visited, (x, y) first, so the entry
     # is dropped once (y, x) has taken it.
-    cache: dict[frozenset[int], _FrameBase] = {}
+    cache: dict[frozenset[int], list[int]] = {}
     full = g.full_mask
     for x, y in _anchored_pairs(g):
         key = frozenset((x, y))
-        base = cache.pop(key, None)
-        if base is None:
+        masks = cache.pop(key, None)
+        if masks is None:
             if cliques is None:
                 cliques = [mask_of(c) for c in maximal_cliques_in(g, full)]
             masks = cliques_within(g, cliques, full & ~(1 << x) & ~(1 << y))
-            base = _FrameBase(masks, g.n)
-            cache[key] = base
-        yield x, y, base
+            cache[key] = masks
+        yield x, y, masks
 
 
 def _disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
@@ -496,30 +471,12 @@ def _frame_choices(
 def enumerate_frames(g: Graph) -> Iterator[Frame]:
     """All frames in canonical order: anchors (x, y) ascending, then both
     cliques in lexicographic order, then anchor choices (none first)."""
-    for x, y, base in _frame_bases(g):
-        cliques = [tuple(iter_bits(q)) for q in base.masks]
-        for q1, q1m in zip(cliques, base.masks):
-            for q3, q3m in zip(cliques, base.masks):
+    for x, y, masks in _frame_bases(g):
+        cliques = [tuple(iter_bits(q)) for q in masks]
+        for q1, q1m in zip(cliques, masks):
+            for q3, q3m in zip(cliques, masks):
                 for c1, c3 in _frame_choices(q1m, q3m):
                     yield Frame(q1=q1, q3=q3, x=x, y=y, c1=c1, c3=c3)
-
-
-def _row_weight(base: _FrameBase, i: int) -> int:
-    """Frames in the row of clique i: the sum over every clique Q3 of
-    (w1 - t) * (w3 - t), where Q1 is clique i, w1 and w3 are the weights and
-    t = |Q1 ∩ Q3|.  Expanded, that is w1 * (sum of weights) minus the sum of
-    t * (w1 + w3) plus the sum of t², and each of those sums over Q3 is a sum
-    over the vertices of Q1 of their `members` and `loads`: closed form,
-    with no loop over the cliques."""
-    weights, weight_sum, members, loads = base.tables
-    q1, w1 = bit_list(base.masks[i]), weights[i]
-    total = w1 * weight_sum
-    for u in q1:
-        mu = members[u]
-        total -= w1 * mu.bit_count() + loads[u]
-        for v in q1:
-            total += (mu & members[v]).bit_count()
-    return total
 
 
 def find_good_partition(
@@ -540,28 +497,27 @@ def find_good_partition(
       path in G - (Q1 ∪ Q3) and is skipped unseen.  Only pairs that hit
       every path run the separation BFS, once per distinct union.
     * Row skip.  When no clique's mask covers the paths Q1 misses, every
-      pair in Q1's row fails the path prune, so the row is skipped whole and
-      its frames are counted in closed form (`_row_weight`).
+      pair in Q1's row fails the path prune, so the row is skipped whole.
 
-    `stats`, if given, accumulates counters under keys "frames_tried" and
-    "frames_pruned"; the pruned count includes every skipped frame, exactly
-    as if each pair had been tested.  `cliques`, if given, are the maximal
-    cliques of g as masks in lexicographic order (the solver carries them
-    down the decomposition); otherwise they are enumerated from g.
+    `stats`, if given, accumulates counters under keys "frames_tried" (frames
+    handed to `refine_frame`) and "frames_pruned" (clique pairs skipped
+    without refinement, one per pair, a skipped row counting every pair in
+    it).  `cliques`, if given, are the maximal cliques of g as masks in
+    lexicographic order (the solver carries them down the decomposition);
+    otherwise they are enumerated from g.
     """
     tried = 0
     pruned = 0
     found = None
-    for x, y, base in _frame_bases(g, cliques):
-        masks = base.masks
+    for x, y, masks in _frame_bases(g, cliques):
         hits, every = _path_hits(g, x, y, masks)
         kinds = set(hits)
         # rows of Q1 with such a mask hold a pair that hits every path
         open_kinds = {a for a in kinds if any(a | b == every for b in kinds)}
         union_ok: dict[int, bool] = {}
-        for i, (q1m, h1) in enumerate(zip(masks, hits)):
+        for q1m, h1 in zip(masks, hits):
             if h1 not in open_kinds:
-                pruned += _row_weight(base, i)
+                pruned += len(masks)
                 continue
             for q3m, h3 in zip(masks, hits):
                 ok = False
@@ -572,9 +528,7 @@ def find_good_partition(
                         ok = _separate(g, um, x, y) is not None
                         union_ok[um] = ok
                 if not ok:
-                    n1 = (q1m & ~q3m).bit_count()
-                    n3 = (q3m & ~q1m).bit_count()
-                    pruned += (n1 + 1) * (n3 + 1)
+                    pruned += 1
                     continue
                 q1, q3 = tuple(iter_bits(q1m)), tuple(iter_bits(q3m))
                 for c1, c3 in _frame_choices(q1m, q3m):

@@ -39,8 +39,8 @@ from .recolor import PartialColoring, merge_colorings
 
 @dataclass
 class SolveStats:
-    frames_tried: int = 0
-    frames_pruned: int = 0
+    frames_tried: int = 0  # frames handed to refine_frame
+    frames_pruned: int = 0  # clique pairs skipped without refinement
     swaps_applied: int = 0
     leaf_count: int = 0
     node_count: int = 0
@@ -333,7 +333,7 @@ def color(
     coloring, k, tree = _solve(g, tuple(range(g.n)), cliques, 1, stats, events)
     stats.swaps_applied = len(events)  # every event is one applied swap
 
-    w = omega(g)
+    w = max((q.bit_count() for q in cliques), default=0)
     if k != w or coloring.colors_used() != w:
         raise InternalViolation(
             f"solver used {coloring.colors_used()} colors, clique number is {w}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from bergecolor import DimacsError, Graph
+from bergecolor import DimacsError, Frame, Graph, refine_frame
 
 
 def naive_is_clique(g: Graph, vs) -> bool:
@@ -278,6 +278,65 @@ def naive_good_partition_check(g: Graph, k1, k2, k3, l, r) -> bool:
                 if z != x and z != y and not g.adjacent(z, x) and not g.adjacent(z, y):
                     return True
     return False
+
+
+def _naive_maximal_cliques_avoiding(g: Graph, drop) -> list[tuple[int, ...]]:
+    """Maximal cliques of G minus `drop`, as sorted tuples in lexicographic
+    order: every clique grown one higher vertex at a time, kept when no
+    other remaining vertex is adjacent to all of it."""
+    rest = [v for v in range(g.n) if v not in drop]
+    out = []
+    stack = [(v,) for v in rest]
+    while stack:
+        q = stack.pop()
+        grow = [v for v in rest if v > q[-1] and all(g.adjacent(v, u) for u in q)]
+        stack.extend(q + (v,) for v in grow)
+        if not any(
+            v not in q and all(g.adjacent(v, u) for u in q) for v in rest
+        ):
+            out.append(q)
+    return sorted(out)
+
+
+def naive_skipped_pairs(g: Graph) -> int:
+    """Clique pairs the good-partition search skips without refinement.
+
+    Walks the anchor pairs (x, y) in ascending order: non-adjacent, with a
+    third vertex non-adjacent to both.  For each, every ordered pair (Q1, Q3)
+    of maximal cliques of G minus {x, y}, in lexicographic order, is counted
+    when x and y stay in one component of G minus (Q1 ∪ Q3).  A pair that
+    separates them has its frames handed to the package's refine_frame,
+    anchor choices none first, then ascending; the walk stops at the first
+    frame that refines to a partition.
+    """
+    skipped = 0
+    for x in range(g.n):
+        for y in range(g.n):
+            if y == x or g.adjacent(x, y):
+                continue
+            if not any(
+                z not in (x, y) and not g.adjacent(z, x) and not g.adjacent(z, y)
+                for z in range(g.n)
+            ):
+                continue
+            cliques = _naive_maximal_cliques_avoiding(g, (x, y))
+            for q1 in cliques:
+                for q3 in cliques:
+                    rest = set(range(g.n)) - set(q1) - set(q3)
+                    if any({x, y} <= c for c in naive_components(g, rest)):
+                        skipped += 1
+                        continue
+                    side1 = sorted(set(q1) - set(q3))
+                    side3 = sorted(set(q3) - set(q1))
+                    for c1 in [()] + [(v,) for v in side1]:
+                        for c3 in [()] + [(v,) for v in side3]:
+                            frame = Frame(
+                                q1=q1, q3=q3, x=x, y=y,
+                                c1=frozenset(c1), c3=frozenset(c3),
+                            )
+                            if refine_frame(g, frame) is not None:
+                                return skipped
+    return skipped
 
 
 def brute_good_partition(g: Graph):

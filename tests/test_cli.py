@@ -143,16 +143,6 @@ def test_color_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_color_jobs_flag_same_output(tmp_path):
-    g = gen_prism(PrismSpec((16, 18, 20)))
-    path = col(tmp_path, g)
-    a = str(tmp_path / "a.sol")
-    b = str(tmp_path / "b.sol")
-    assert main(["color", path, "-o", a, "--jobs", "1"]) == 0
-    assert main(["color", path, "-o", b, "--jobs", "4"]) == 0
-    assert open(a).read() == open(b).read()
-
-
 def test_color_berge_cap_below_n_reports_unchecked(tmp_path):
     path = col(tmp_path, cycle(6))
     rep_f = str(tmp_path / "r.json")
@@ -166,7 +156,6 @@ def test_color_berge_cap_below_n_reports_unchecked(tmp_path):
     "argv",
     [
         ["color", "g.col", "--berge-cap", "-1"],
-        ["color", "g.col", "--jobs", "0"],
         ["analyze", "g.col", "--berge-cap", "-1"],
     ],
 )

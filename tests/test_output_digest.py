@@ -21,10 +21,9 @@ STAT_FIELDS = (
     "berge_checked",
 )
 
-# Last changed when every node began to peel its simplicial vertices before
-# the frame search (schema bergecolor-tree/3): trees, traces, counters and
-# some colorings changed.
-EXPECTED = "c1cdf122496d193dd1b9f1aaa8ddd7344666fd4bf4e00548ce8ed7957956301b"
+# Last changed when frames_pruned began to count skipped clique pairs instead
+# of frames; colorings, trees, traces and every other counter stayed the same.
+EXPECTED = "1b39ad8dd031faf2dee45d8bc74edf846eb35c35ec40a54d4cb92ce1c2249c43"
 
 
 def corpus_digest(corpus) -> str:
@@ -47,12 +46,12 @@ def test_output_digest_on_acceptance_corpus(corpus):
     assert corpus_digest(corpus) == EXPECTED
 
 
-# omega-2 draws on which frame search prunes millions of frames per solve:
-# (n, seed) -> (node_count, frames_tried, frames_pruned).
+# omega-2 draws on which frame search skips tens of thousands of clique pairs
+# per solve: (n, seed) -> (node_count, frames_tried, frames_pruned).
 PRUNE_HEAVY = {
-    (40, 3): (33, 178, 538600),
-    (80, 1): (51, 179, 2092096),
-    (100, 1): (39, 167, 500969),
+    (40, 3): (33, 178, 66272),
+    (80, 1): (51, 179, 248132),
+    (100, 1): (39, 167, 58938),
 }
 PRUNE_HEAVY_EXPECTED = (
     "42ec86da1f564255947d536a4010bac03f19c1f10e3152e74373b32d17cc02b1"

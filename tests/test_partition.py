@@ -17,17 +17,19 @@ from bergecolor import (
     refine_frame,
     verify_good_partition,
 )
-from bergecolor.graphs import iter_bits, mask_of, maximal_cliques_in
+from bergecolor.graphs import mask_of, maximal_cliques_in
 from bergecolor.partition import (
     _anchored_pairs,
     _disjoint_paths,
-    _frame_bases,
     _path_hits,
-    _row_weight,
 )
 
 from conftest import complete, complete_minus_star, cycle
-from oracles import naive_components, naive_good_partition_check
+from oracles import (
+    naive_components,
+    naive_good_partition_check,
+    naive_skipped_pairs,
+)
 
 
 def gp(k1=(), k2=(), k3=(), l=(), r=()):
@@ -288,21 +290,17 @@ def test_path_prune_is_sound(corpus_graphs):
     assert skipped > 10000 and checked > skipped
 
 
-def test_row_weight_is_the_row_sum(corpus_graphs):
-    graphs = [g for name, g in corpus_graphs if name.startswith(("prism", "hyper"))]
-    graphs += [gen_square_free_berge(n, s) for n, s in ((30, 6), (40, 0), (40, 3))]
-    rows = 0
-    for g in graphs[::4]:
-        for x, y, base in islice(_frame_bases(g), 2):
-            cliques = [tuple(iter_bits(q)) for q in base.masks]
-            for i, q1 in enumerate(cliques):
-                direct = sum(
-                    (len(set(q1) - set(q3)) + 1) * (len(set(q3) - set(q1)) + 1)
-                    for q3 in cliques
-                )
-                assert _row_weight(base, i) == direct
-                rows += 1
-    assert rows > 200
+def test_pruned_counts_skipped_clique_pairs(corpus_graphs):
+    graphs = [g for _, g in corpus_graphs if g.n <= 30]
+    draws = ((26, 5), (28, 0), (32, 2), (40, 5))  # omega 2, pairs skipped at the root
+    graphs += [gen_square_free_berge(n, s) for n, s in draws]
+    total = 0
+    for g in graphs:
+        stats = {}
+        find_good_partition(g, stats)
+        assert stats["frames_pruned"] == naive_skipped_pairs(g)
+        total += stats["frames_pruned"]
+    assert total > 5000
 
 
 # --- serialization -----------------------------------------------------------

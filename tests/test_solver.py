@@ -178,6 +178,17 @@ def test_color_long_path_is_one_node():
     assert r.tree.peeled == tuple(range(1000))
 
 
+def test_random_200_0_colors():
+    # bipartite draw whose frame search once ran for minutes; no benchmark
+    # workload holds it
+    g = gen_square_free_berge(200, 0)
+    r = color(g)
+    assert r.colors_used == 2
+    assert verify_coloring(g, r.coloring).ok
+    assert r.stats.node_count == 199
+    assert r.stats.frames_tried == 626
+
+
 def test_color_clique_is_single_leaf():
     r = color(complete(4))
     assert r.colors_used == 4
