@@ -156,6 +156,7 @@ def test_color_berge_cap_below_n_reports_unchecked(tmp_path):
     "argv",
     [
         ["color", "g.col", "--berge-cap", "-1"],
+        ["color", "g.col", "--trust-berge", "--berge-cap", "-1"],
         ["analyze", "g.col", "--berge-cap", "-1"],
     ],
 )
