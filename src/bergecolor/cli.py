@@ -15,6 +15,7 @@ All file output is written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,8 +62,8 @@ EXIT_NOT_SQUARE_FREE = 3
 EXIT_NOT_BERGE = 4
 EXIT_INTERNAL = 5
 
-# _solve recurses once per tree level; leaf coloring and the odd-hole
-# search recurse once per vertex they place
+# _solve recurses once per tree level and leaf coloring once per vertex it
+# places; the odd-hole search and clique enumeration keep their own stacks
 TOO_DEEP = (
     "input too deep to solve: the decomposition or a clique search "
     "exceeded the recursion limit"
@@ -276,6 +277,7 @@ def _int_at_least(lo: int):
     return parse
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bergecolor",

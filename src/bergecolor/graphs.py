@@ -297,52 +297,119 @@ class BergeVerdict(NamedTuple):
     witness: tuple[str, tuple[int, ...]] | None  # ("odd-hole"|"odd-antihole", cycle)
 
 
+def _peel(g: Graph) -> list[tuple[int, int]]:
+    """Remove simplicial vertices by ascending scans over the remaining
+    vertices, each scan removing every vertex whose remaining neighborhood
+    is a clique, until a scan removes nothing.  Returns each removed vertex
+    with that neighborhood as a mask, in removal order.  The solver peels
+    each decomposition node with it, and `_find_odd_hole` the whole graph.
+
+    A vertex whose remaining neighborhood has not changed since it failed
+    the test would fail again, so a scan tests only the vertices that lost a
+    neighbor since their last test: removing v queues its neighbors above v
+    for this scan and those below v for the next."""
+    rest = todo = g.full_mask
+    peeled = []
+    while todo:
+        later = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            nb = g.mask(v) & rest
+            # nb is a clique when each member u misses only itself in it
+            if all(nb & ~g.mask(u) == 1 << u for u in iter_bits(nb)):
+                rest ^= low
+                peeled.append((v, nb))
+                todo |= nb & ~(low - 1)
+                later |= nb & (low - 1)
+        todo = later
+    return peeled
+
+
+def _is_bipartite(g: Graph, allowed: int) -> bool:
+    """Whether the subgraph induced on `allowed` has no odd cycle: a BFS by
+    layers from the lowest vertex of each component, where an edge inside
+    one layer closes an odd cycle and any other edge joins adjacent layers."""
+    masks = g._masks
+    rest = allowed
+    while rest:
+        layer = seen = rest & -rest
+        while layer:
+            nxt = 0
+            for v in iter_bits(layer):
+                nb = masks[v] & allowed
+                if nb & layer:
+                    return False
+                nxt |= nb
+            layer = nxt & ~seen
+            seen |= layer
+        rest &= ~seen
+    return True
+
+
 def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     """First chordless odd cycle of length >= 5 found by ordered DFS, or None.
 
     Paths are grown from their smallest vertex, so each hole is seen with a
     canonical anchor; the search order is fixed, hence the result is
-    deterministic.  Worst case exponential: strictly a desk-scale check.
-    """
-    full = g.full_mask
-    for s in range(g.n):
-        above = full & ~((1 << (s + 1)) - 1)
-        ns = g.mask(s)
-        path = [s]
-        # forbid[i] = vertices adjacent to path[i]; extension must avoid all but the last
-        def dfs(last: int, pathmask: int, inner_forbid: int) -> tuple[int, ...] | None:
-            # close the cycle: neighbor of both ends, no chord to the interior
-            if len(path) >= 4 and (len(path) + 1) % 2 == 1:
-                closers = g.mask(last) & ns & above & ~pathmask & ~inner_forbid
-                if closers:
-                    w = (closers & -closers).bit_length() - 1
-                    return tuple(path) + (w,)
-            ext = g.mask(last) & above & ~pathmask & ~inner_forbid & ~ns
-            for w in bit_list(ext):
-                path.append(w)
-                hole = dfs(w, pathmask | (1 << w),
-                           inner_forbid | (g.mask(last) & ~(1 << w)))
-                if hole is not None:
-                    return hole
-                path.pop()
-            return None
+    deterministic.  Two cheap steps come first:
 
-        for u in bit_list(ns & above):
-            path.append(u)
-            hole = dfs(u, (1 << s) | (1 << u), 0)
-            if hole is not None:
-                return hole
-            path.pop()
+    - Peel: no simplicial vertex lies on a hole (a hole vertex has two
+      non-adjacent neighbours on it), so every hole survives in the core
+      left by `_peel`, and the search runs on the core alone.  It skips only
+      branches through vertices on no hole, which find nothing, so the
+      first hole it finds is the one the search on all of g finds.
+    - Bipartite core: a core with no odd cycle has no odd hole.  (An odd
+      cycle in a triangle-free core always yields one, since a shortest
+      odd cycle is chordless; the search below then names it.)
+
+    The DFS keeps an explicit stack, so a long hole stays clear of the
+    recursion limit.  Worst case exponential on cores with triangles.
+    """
+    core = g.full_mask & ~mask_of(v for v, _ in _peel(g))
+    if _is_bipartite(g, core):
+        return None
+    masks = g._masks
+    for s in iter_bits(core):
+        above = core & ~((2 << s) - 1)
+        ns = masks[s] & above
+        path = [s]
+        # one entry per path vertex: its extensions not yet tried, the
+        # vertices a path through them must avoid (all but the last vertex's
+        # neighbours; none from s, whose neighbours ns covers), the path mask
+        stack = [(ns, 0, 1 << s)]
+        while stack:
+            ext, forbid, pathmask = stack[-1]
+            if not ext:
+                stack.pop()
+                path.pop()
+                continue
+            low = ext & -ext
+            stack[-1] = (ext ^ low, forbid, pathmask)
+            w = low.bit_length() - 1
+            path.append(w)
+            pathmask |= low
+            forbid &= ~low
+            nw = masks[w]
+            # close the cycle: neighbor of both ends, no chord to the interior
+            if len(path) >= 4 and len(path) % 2 == 0:
+                closers = nw & ns & ~pathmask & ~forbid
+                if closers:
+                    return tuple(path) + ((closers & -closers).bit_length() - 1,)
+            stack.append((nw & above & ~pathmask & ~forbid & ~ns, forbid | nw, pathmask))
     return None
 
 
 def is_berge(g: Graph, *, cap: int = 64, force: bool = False) -> BergeVerdict:
-    """Check for odd holes and odd antiholes by exhaustive search.
-
-    Brute force with no cleverness beyond one shortcut: a square-free graph
-    with no odd hole has no odd antihole either (the 5-antihole is a 5-hole,
-    and longer antiholes contain 4-cycles).  Refuses n > cap unless forced,
-    because the search is exponential in the worst case.
+    """Check for odd holes, then odd antiholes (odd holes of the complement),
+    with `_find_odd_hole`: a peel and a bipartiteness test settle
+    triangle-free cores at once, and an ordered search names the first hole
+    otherwise.  A square-free graph with no odd hole has no odd antihole
+    either (the 5-antihole is a 5-hole, and longer antiholes contain
+    4-cycles), so its complement is never searched.  Refuses n > cap unless
+    forced, because the search on cores with triangles is exponential in the
+    worst case.
     """
     if g.n > cap and not force:
         raise ValueError(f"is_berge refused: n={g.n} exceeds cap={cap} (use force=True)")

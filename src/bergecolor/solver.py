@@ -23,6 +23,7 @@ from .errors import Infeasible, InternalViolation
 from .graphs import (
     Graph,
     _iter_triads,
+    _peel,
     cliques_within,
     induced,
     iter_bits,
@@ -192,35 +193,6 @@ def _child(
     maximal cliques as masks in its own labels, derived from g's."""
     sub, order, runs = induced(g, keep)
     return sub, order, relabel(cliques_within(g, cliques, keep), runs)
-
-
-def _peel(g: Graph) -> list[tuple[int, int]]:
-    """Remove simplicial vertices by ascending scans over the remaining
-    vertices, each scan removing every vertex whose remaining neighborhood
-    is a clique, until a scan removes nothing.  Returns each removed vertex
-    with that neighborhood as a mask, in removal order.
-
-    A vertex whose remaining neighborhood has not changed since it failed
-    the test would fail again, so a scan tests only the vertices that lost a
-    neighbor since their last test: removing v queues its neighbors above v
-    for this scan and those below v for the next."""
-    rest = todo = g.full_mask
-    peeled = []
-    while todo:
-        later = 0
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            v = low.bit_length() - 1
-            nb = g.mask(v) & rest
-            # nb is a clique when each member u misses only itself in it
-            if all(nb & ~g.mask(u) == 1 << u for u in iter_bits(nb)):
-                rest ^= low
-                peeled.append((v, nb))
-                todo |= nb & ~(low - 1)
-                later |= nb & (low - 1)
-        todo = later
-    return peeled
 
 
 def _color_peeled(

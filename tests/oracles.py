@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from bergecolor import DimacsError, Frame, Graph, refine_frame
+from bergecolor.graphs import bit_list
 
 
 def naive_is_clique(g: Graph, vs) -> bool:
@@ -172,6 +173,43 @@ def naive_is_berge(g: Graph) -> bool:
             if _induced_cycle_length(co_adj, sub):
                 return False
     return True
+
+
+def naive_odd_hole(g: Graph) -> tuple[int, ...] | None:
+    """The first odd hole of the ordered search over all of g, recursive and
+    with no peel or bipartiteness shortcut: the witness `_find_odd_hole`
+    must name.  Recurses once per path vertex, so n stays well under the
+    recursion limit."""
+    full = g.full_mask
+    for s in range(g.n):
+        above = full & ~((1 << (s + 1)) - 1)
+        ns = g.mask(s)
+        path = [s]
+        # forbid[i] = vertices adjacent to path[i]; extension must avoid all but the last
+        def dfs(last: int, pathmask: int, inner_forbid: int) -> tuple[int, ...] | None:
+            # close the cycle: neighbor of both ends, no chord to the interior
+            if len(path) >= 4 and (len(path) + 1) % 2 == 1:
+                closers = g.mask(last) & ns & above & ~pathmask & ~inner_forbid
+                if closers:
+                    w = (closers & -closers).bit_length() - 1
+                    return tuple(path) + (w,)
+            ext = g.mask(last) & above & ~pathmask & ~inner_forbid & ~ns
+            for w in bit_list(ext):
+                path.append(w)
+                hole = dfs(w, pathmask | (1 << w),
+                           inner_forbid | (g.mask(last) & ~(1 << w)))
+                if hole is not None:
+                    return hole
+                path.pop()
+            return None
+
+        for u in bit_list(ns & above):
+            path.append(u)
+            hole = dfs(u, (1 << s) | (1 << u), 0)
+            if hole is not None:
+                return hole
+            path.pop()
+    return None
 
 
 def naive_chromatic_number(g: Graph) -> int:

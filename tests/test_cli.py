@@ -260,6 +260,28 @@ def test_color_error_writes_report(tmp_path, capsys):
     assert rep["checks"]["square_free"] is True
 
 
+def test_parser_is_reused_without_carrying_flags(tmp_path, capsys):
+    # main parses every call with one parser; a flag given to one call
+    # must not reach the next
+    path = col(tmp_path, cycle(5))
+    assert main(["color", path, "--trust-berge"]) == 1  # the leaf search fails
+    assert main(["color", path]) == 4  # the Berge check runs again
+    assert cli.build_parser() is cli.build_parser()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_color_long_odd_hole_is_not_berge(tmp_path, capsys):
+    # the hole is longer than the recursion limit; the odd-hole search keeps
+    # its own stack and names it
+    path = col(tmp_path, cycle(1201), "c1201.col")
+    rep_f = str(tmp_path / "r.json")
+    assert main(["color", path, "--berge-cap", "1300", "--report", rep_f]) == 4
+    assert "odd-hole" in capsys.readouterr().err
+    rep = json.load(open(rep_f))
+    assert rep["status"] == "not-berge"
+    assert rep["witness"] == ["odd-hole", list(range(1201))]
+
+
 def test_color_recursion_error_is_a_tool_error(tmp_path, capsys, monkeypatch):
     # a path of 1000 vertices overflows the stack in _solve after seconds
     # of solving; a stand-in raises at once

@@ -20,6 +20,7 @@ from bergecolor import (
     require_square_free,
 )
 from bergecolor.graphs import (
+    _find_odd_hole,
     bit_list,
     bit_runs,
     cliques_within,
@@ -34,6 +35,7 @@ from oracles import (
     naive_components,
     naive_is_berge,
     naive_maximal_cliques,
+    naive_odd_hole,
     naive_omega,
     naive_squares,
     naive_subgraph,
@@ -47,6 +49,21 @@ def graphs(draw, max_n: int = 9):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(n, edges)
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 16):
+    """A cycle of length 3 to 9 with pendant trees hung on it and a few
+    chords, relabelled at random: the peel strips the trees, and the core
+    left is bipartite or not, with or without triangles."""
+    k = draw(st.integers(3, 9))
+    n = draw(st.integers(k, max_n))
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(k, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
 
 
 def test_mask_helpers_round_trip():
@@ -224,6 +241,30 @@ def test_is_berge_examples():
 @settings(max_examples=150, deadline=None)
 def test_is_berge_matches_naive(g):
     assert is_berge(g).ok == naive_is_berge(g)
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=400, deadline=None)
+def test_odd_hole_witness_is_the_ordered_search_witness(g):
+    # the peel, the bipartite test and the core restriction only skip work:
+    # the same hole is named as by the search over all of g, in g and in
+    # its complement (where is_berge looks for antiholes)
+    assert _find_odd_hole(g) == naive_odd_hole(g)
+    co = g.complement()
+    assert _find_odd_hole(co) == naive_odd_hole(co)
+
+
+@given(sparse_graphs())
+@settings(max_examples=400, deadline=None)
+def test_odd_hole_witness_on_cycles_with_trees_and_chords(g):
+    assert _find_odd_hole(g) == naive_odd_hole(g)
+
+
+def test_long_odd_hole_is_found_without_recursion():
+    # a hole longer than the recursion limit: the search keeps its own stack
+    verdict = is_berge(cycle(1201), cap=1201)
+    assert verdict.witness == ("odd-hole", tuple(range(1201)))
+    assert sys.getrecursionlimit() < 1201
 
 
 def test_is_berge_witness_is_a_hole():
