@@ -245,7 +245,7 @@ def cmd_analyze(args) -> int:
     if sq is not None:
         report["square"] = list(sq)
     if g.n <= args.berge_cap:
-        verdict = is_berge(g, cap=args.berge_cap)
+        verdict = is_berge(g, cap=args.berge_cap, square_free=sq is None)
         report["berge"] = verdict.ok
         if not verdict.ok:
             report["berge_witness"] = [verdict.witness[0], list(verdict.witness[1])]

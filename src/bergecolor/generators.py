@@ -27,7 +27,7 @@ def _validate(g: Graph, what: str, berge_cap: int = 20) -> None:
     if sq is not None:
         warnings.warn(f"{what} contains an induced square {sq}", GeneratorWarning)
     elif g.n <= berge_cap:
-        verdict = is_berge(g, cap=berge_cap)
+        verdict = is_berge(g, cap=berge_cap, square_free=True)
         if not verdict.ok:
             kind, cyc = verdict.witness
             warnings.warn(f"{what} contains an {kind} {cyc}", GeneratorWarning)
@@ -287,7 +287,9 @@ def gen_square_free_berge(
             continue
         if contains_square(g) is not None:
             continue
-        if g.n <= berge_check_cap and not is_berge(g, cap=berge_check_cap).ok:
+        if g.n <= berge_check_cap and not is_berge(
+            g, cap=berge_check_cap, square_free=True
+        ).ok:
             continue
         return g
     raise GenerationExhausted(

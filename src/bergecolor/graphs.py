@@ -297,18 +297,22 @@ class BergeVerdict(NamedTuple):
     witness: tuple[str, tuple[int, ...]] | None  # ("odd-hole"|"odd-antihole", cycle)
 
 
-def _peel(g: Graph) -> list[tuple[int, int]]:
-    """Remove simplicial vertices by ascending scans over the remaining
-    vertices, each scan removing every vertex whose remaining neighborhood
-    is a clique, until a scan removes nothing.  Returns each removed vertex
-    with that neighborhood as a mask, in removal order.  The solver peels
-    each decomposition node with it, and `_find_odd_hole` the whole graph.
+def _peel(g: Graph, seeds: int, keep: int) -> list[tuple[int, int]]:
+    """Remove simplicial vertices of the subgraph induced on `keep` by
+    ascending scans over the remaining vertices, each scan removing every
+    vertex whose remaining neighborhood is a clique, until a scan removes
+    nothing.  Returns each removed vertex with that neighborhood as a mask,
+    in removal order.  The solver peels each decomposition piece with it, in
+    the labels of the piece's parent, and `_find_odd_hole` the whole graph.
 
     A vertex whose remaining neighborhood has not changed since it failed
     the test would fail again, so a scan tests only the vertices that lost a
     neighbor since their last test: removing v queues its neighbors above v
-    for this scan and those below v for the next."""
-    rest = todo = g.full_mask
+    for this scan and those below v for the next.  The first scan tests only
+    `seeds`; the caller vouches that no other kept vertex is simplicial in
+    g[keep] (seeds equal to keep vouch for nothing)."""
+    rest = keep
+    todo = seeds & keep
     peeled = []
     while todo:
         later = 0
@@ -367,7 +371,7 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     The DFS keeps an explicit stack, so a long hole stays clear of the
     recursion limit.  Worst case exponential on cores with triangles.
     """
-    core = g.full_mask & ~mask_of(v for v, _ in _peel(g))
+    core = g.full_mask & ~mask_of(v for v, _ in _peel(g, g.full_mask, g.full_mask))
     if _is_bipartite(g, core):
         return None
     masks = g._masks
@@ -401,22 +405,25 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def is_berge(g: Graph, *, cap: int = 64, force: bool = False) -> BergeVerdict:
+def is_berge(
+    g: Graph, *, cap: int = 64, force: bool = False, square_free: bool = False
+) -> BergeVerdict:
     """Check for odd holes, then odd antiholes (odd holes of the complement),
     with `_find_odd_hole`: a peel and a bipartiteness test settle
     triangle-free cores at once, and an ordered search names the first hole
     otherwise.  A square-free graph with no odd hole has no odd antihole
     either (the 5-antihole is a 5-hole, and longer antiholes contain
-    4-cycles), so its complement is never searched.  Refuses n > cap unless
-    forced, because the search on cores with triangles is exponential in the
-    worst case.
+    4-cycles), so its complement is never searched.  `square_free=True`
+    says the caller has already found g square-free, so it is not checked
+    again.  Refuses n > cap unless forced, because the search on cores with
+    triangles is exponential in the worst case.
     """
     if g.n > cap and not force:
         raise ValueError(f"is_berge refused: n={g.n} exceeds cap={cap} (use force=True)")
     hole = _find_odd_hole(g)
     if hole is not None:
         return BergeVerdict(False, ("odd-hole", hole))
-    if contains_square(g) is None:
+    if square_free or contains_square(g) is None:
         return BergeVerdict(True, None)
     anti = _find_odd_hole(g.complement())
     if anti is not None:
@@ -435,8 +442,10 @@ def require_square_free(g: Graph) -> None:
         raise NotSquareFree(f"graph contains an induced 4-cycle {sq}", witness=sq)
 
 
-def require_berge(g: Graph, *, cap: int = 64, force: bool = False) -> None:
-    verdict = is_berge(g, cap=cap, force=force)
+def require_berge(
+    g: Graph, *, cap: int = 64, force: bool = False, square_free: bool = False
+) -> None:
+    verdict = is_berge(g, cap=cap, force=force, square_free=square_free)
     if not verdict.ok:
         kind, cyc = verdict.witness
         raise NotBerge(f"graph contains an {kind} {cyc}", witness=verdict.witness)

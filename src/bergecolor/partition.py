@@ -245,10 +245,23 @@ def verify_good_partition(g: Graph, p: GoodPartition) -> PartitionVerdict:
     return PartitionVerdict(False, "v", None)
 
 
-def _separate(g: Graph, cut: int, x: int, y: int) -> tuple[int, int] | None:
+def _separate(
+    g: Graph, cut: int, x: int, y: int, paths: list[int] | None = None
+) -> tuple[int, int] | None:
+    """(x's component, the rest) of G - cut, or None when x and y are
+    connected there.  `paths`, if given, lists interiors of x-y paths as
+    masks: a cut that misses one of them leaves x and y connected, and is
+    answered without a BFS.  A BFS that finds x and y connected appends the
+    interior of a shortest x-y path of G - cut to the list."""
+    if paths is not None:
+        for pm in paths:
+            if not cut & pm:
+                return None
     rest = g.full_mask & ~cut
     lmask = component_mask(g, x, rest)
     if (lmask >> y) & 1:
+        if paths is not None:
+            paths.append(mask_of(_shortest_interior(g, x, y, lmask)))
         return None
     return lmask, rest & ~lmask
 
@@ -315,7 +328,9 @@ def _emit(g: Graph, k1m: int, k2m: int, k3m: int, lm: int, rm: int) -> GoodParti
     return cand
 
 
-def refine_frame(g: Graph, frame: Frame) -> GoodPartition | None:
+def refine_frame(
+    g: Graph, frame: Frame, paths: list[int] | None = None
+) -> GoodPartition | None:
     """Drive one frame to a good partition or to failure.
 
     Step 1 cuts each side of the frame down to its anchored tail and drops
@@ -325,6 +340,9 @@ def refine_frame(g: Graph, frame: Frame) -> GoodPartition | None:
     neighborhood of an L-vertex seeing both sides.  Every repair strictly
     shrinks the working cutset, and every change reruns the connectivity
     split; the frame dies the moment x and y fall into one component.
+    `paths`, if given, is the search's list of x-y path interiors (see
+    `_separate`): a cutset that misses one of them kills the frame without
+    a BFS, and each BFS that finds x and y connected adds one.
     The partition returned has been verified; a verification failure here
     means a bug, not bad input, and raises InternalViolation.
     """
@@ -334,7 +352,7 @@ def refine_frame(g: Graph, frame: Frame) -> GoodPartition | None:
     k1m = _truncated_side(g, q1m & ~q3m, q3m & ~q1m, frame.c1)
     k3m = _truncated_side(g, q3m & ~q1m, q1m & ~q3m, frame.c3)
 
-    sep = _separate(g, k1m | k2m | k3m, x, y)
+    sep = _separate(g, k1m | k2m | k3m, x, y, paths)
     if sep is None:
         return None
     lm, rm = sep
@@ -359,7 +377,7 @@ def refine_frame(g: Graph, frame: Frame) -> GoodPartition | None:
             repairs += 1
             if repairs > budget:
                 raise InternalViolation("refinement exceeded its shrink budget")
-            sep = _separate(g, k1m | k2m | k3m, x, y)
+            sep = _separate(g, k1m | k2m | k3m, x, y, paths)
             if sep is None:
                 return None
             lm, rm = sep
@@ -375,7 +393,7 @@ def refine_frame(g: Graph, frame: Frame) -> GoodPartition | None:
         repairs += 1
         if repairs > budget:
             raise InternalViolation("refinement exceeded its shrink budget")
-        sep = _separate(g, k1m | k2m | k3m, x, y)
+        sep = _separate(g, k1m | k2m | k3m, x, y, paths)
         if sep is None:
             return None
         lm, rm = sep
@@ -416,43 +434,57 @@ def _frame_bases(
         yield x, y, masks
 
 
+def _shortest_interior(
+    g: Graph, x: int, y: int, allowed: int
+) -> tuple[int, ...] | None:
+    """Interior, from the x end, of a shortest x-y path in the subgraph
+    induced on `allowed` (which must hold y), or None when there is none.
+    Ties go to the lowest vertex id."""
+    layers = [1 << x]
+    seen = 1 << x
+    while not (seen >> y) & 1:
+        nxt = 0
+        for v in iter_bits(layers[-1]):
+            nxt |= g.mask(v)
+        nxt &= allowed & ~seen
+        if not nxt:
+            return None
+        seen |= nxt
+        layers.append(nxt)
+    interior = []
+    v = y
+    for layer in reversed(layers[1:-1]):
+        back = layer & g.mask(v)
+        v = (back & -back).bit_length() - 1
+        interior.append(v)
+    interior.reverse()
+    return tuple(interior)
+
+
 def _disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
     """Internally disjoint x-y paths, found greedily: a shortest path, then a
     shortest path avoiding the interiors found so far, until y is cut off.
     Each path is given by its interior, from the x end; x and y must be
-    distinct and non-adjacent, so no interior is empty.  Ties go to the
-    lowest vertex id."""
+    distinct and non-adjacent, so no interior is empty."""
     paths: list[tuple[int, ...]] = []
     allowed = g.full_mask
-    while True:
-        layers = [1 << x]
-        seen = 1 << x
-        while not (seen >> y) & 1:
-            nxt = 0
-            for v in iter_bits(layers[-1]):
-                nxt |= g.mask(v)
-            nxt &= allowed & ~seen
-            if not nxt:
-                return paths
-            seen |= nxt
-            layers.append(nxt)
-        interior = []
-        v = y
-        for layer in reversed(layers[1:-1]):
-            back = layer & g.mask(v)
-            v = (back & -back).bit_length() - 1
-            interior.append(v)
-        interior.reverse()
-        paths.append(tuple(interior))
+    while (interior := _shortest_interior(g, x, y, allowed)) is not None:
+        paths.append(interior)
         allowed &= ~mask_of(interior)
+    return paths
 
 
-def _path_hits(g: Graph, x: int, y: int, masks: list[int]) -> tuple[list[int], int]:
-    """For each vertex set in `masks`, the bitmask of the paths of
-    `_disjoint_paths(g, x, y)` whose interior it meets; and the bitmask of
-    all those paths."""
-    interiors = [mask_of(p) for p in _disjoint_paths(g, x, y)]
-    hits = [sum(1 << j for j, pm in enumerate(interiors) if m & pm) for m in masks]
+def _path_hits(interiors: list[int], masks: list[int]) -> tuple[list[int], int]:
+    """For each vertex set in `masks`, the bitmask of the path interiors in
+    `interiors` (masks) that it meets; and the bitmask of all of them.  A set
+    that misses their union gets 0 without a look at each one."""
+    union = 0
+    for pm in interiors:
+        union |= pm
+    hits = [
+        sum(1 << j for j, pm in enumerate(interiors) if m & pm) if m & union else 0
+        for m in masks
+    ]
     return hits, (1 << len(interiors)) - 1
 
 
@@ -488,16 +520,25 @@ def find_good_partition(
     The scan skips a clique pair (Q1, Q3) when the union Q1 ∪ Q3 fails to
     separate x from y: refinement only shrinks the cutset, so no anchor
     choice of that pair can succeed.  Two prunes find most such unions
-    without a BFS, and the result is the partition the unpruned scan returns:
+    without a BFS, a list of learned paths spares most of the BFS runs that
+    are left, and the result is the partition the unpruned scan returns:
 
     * Path prune.  A set that separates x from y meets the interior of every
       x-y path, so it meets each of the internally disjoint x-y paths found
       by `_disjoint_paths`.  Each clique gets a bitmask of the paths its
       vertices hit; a pair whose two masks together miss a path leaves that
       path in G - (Q1 ∪ Q3) and is skipped unseen.  Only pairs that hit
-      every path run the separation BFS, once per distinct union.
+      every path run the separation test, once per distinct union.
     * Row skip.  When no clique's mask covers the paths Q1 misses, every
       pair in Q1's row fails the path prune, so the row is skipped whole.
+    * Learned paths.  Each anchor pair keeps one list of x-y path
+      interiors, the disjoint ones first.  Every separation BFS that finds x
+      and y connected, for a union or inside `refine_frame`, adds the
+      interior of a shortest x-y path of G minus its cutset.  A later union
+      or refinement cutset that misses a listed interior leaves that path
+      whole, so it is answered "connected" without a BFS (Menger's argument
+      again).  This skips BFS runs only; which pairs are skipped and which
+      frames are tried, and so both counters, stay as they were.
 
     `stats`, if given, accumulates counters under keys "frames_tried" (frames
     handed to `refine_frame`) and "frames_pruned" (clique pairs skipped
@@ -510,7 +551,9 @@ def find_good_partition(
     pruned = 0
     found = None
     for x, y, masks in _frame_bases(g, cliques):
-        hits, every = _path_hits(g, x, y, masks)
+        # the disjoint interiors; each BFS that finds x, y connected adds one
+        paths = [mask_of(p) for p in _disjoint_paths(g, x, y)]
+        hits, every = _path_hits(paths, masks)
         kinds = set(hits)
         # rows of Q1 with such a mask hold a pair that hits every path
         open_kinds = {a for a in kinds if any(a | b == every for b in kinds)}
@@ -525,7 +568,7 @@ def find_good_partition(
                     um = q1m | q3m
                     ok = union_ok.get(um)
                     if ok is None:
-                        ok = _separate(g, um, x, y) is not None
+                        ok = _separate(g, um, x, y, paths) is not None
                         union_ok[um] = ok
                 if not ok:
                     pruned += 1
@@ -533,7 +576,8 @@ def find_good_partition(
                 q1, q3 = tuple(iter_bits(q1m)), tuple(iter_bits(q3m))
                 for c1, c3 in _frame_choices(q1m, q3m):
                     tried += 1
-                    gp = refine_frame(g, Frame(q1=q1, q3=q3, x=x, y=y, c1=c1, c3=c3))
+                    frame = Frame(q1=q1, q3=q3, x=x, y=y, c1=c1, c3=c3)
+                    gp = refine_frame(g, frame, paths)
                     if gp is not None:
                         found = gp
                         break

@@ -9,10 +9,13 @@ The maximal cliques are enumerated once, at the root; every other node's
 list is derived from its parent's and carried down with the node.
 
 Each node first peels its simplicial vertices (those whose neighborhood is a
-clique) and runs the search on what is left, its core.  A peeled vertex is
-colored last, with the lowest color missing from its neighborhood at
-removal: a clique of at most omega - 1 vertices, so a color within omega is
-always free (Gavril 1972, perfect elimination orderings).
+clique) and runs the search on what is left, its core.  The peel runs in
+the parent's labels, before the piece is built, so only the core becomes a
+graph of its own; a child's peel starts from the parent's cutset, the only
+vertices that can have become simplicial.  A peeled vertex is colored last,
+in the parent's labels, with the lowest color missing from its neighborhood
+at removal: a clique of at most omega - 1 vertices, so a color within omega
+is always free (Gavril 1972, perfect elimination orderings).
 """
 
 from __future__ import annotations
@@ -198,10 +201,11 @@ def _child(
 def _color_peeled(
     core: PartialColoring, back: tuple[int, ...], peeled: list[tuple[int, int]], k: int
 ) -> tuple[PartialColoring, int]:
-    """Extend the core's coloring (vertex i is back[i] in the node) to the
-    peeled vertices, last removed first.  Each one's neighborhood at removal
-    is then a colored clique, so the lowest color missing from it is at most
-    its size + 1; the node's k grows to the largest such clique plus v."""
+    """Move the core's coloring to the parent's labels (core vertex i is
+    back[i] there) and extend it to the peeled vertices, last removed first.
+    Each one's neighborhood at removal is then a colored clique, so the
+    lowest color missing from it is at most its size + 1; the piece's k
+    grows to the largest such clique plus v."""
     colors = {back[i]: col for i, col in core.colors.items()}
     for v, nb in reversed(peeled):
         size = nb.bit_count()
@@ -215,25 +219,34 @@ def _solve(
     g: Graph,
     orig: tuple[int, ...],
     cliques: list[int],
+    keep: int,
+    seeds: int,
     depth: int,
     stats: SolveStats,
     events: list[dict],
 ) -> tuple[PartialColoring, int, TreeNode]:
-    """Color g, whose vertex i is orig[i] in the root graph and whose maximal
-    cliques are `cliques` (masks, lexicographic order), building one tree
-    node; counters and swap events go into the run's `stats` and `events`.
-    The node peels its simplicial vertices, then searches and splits the
-    core that is left, or colors it as a leaf."""
+    """Color the piece of g induced on `keep`, building one tree node, and
+    return its coloring in g's labels.  Vertex i of g is orig[i] in the root
+    graph and g's maximal cliques are `cliques` (masks, lexicographic
+    order); counters and swap events go into the run's `stats` and `events`.
+
+    The piece is peeled in g's labels, the first scan testing only `seeds`
+    (see `_peel`), and only the core that is left is built as a graph of its
+    own.  The core is then searched and split, or colored as a leaf.  The
+    root passes every vertex as seeds.  A child passes its parent's cutset
+    K1 ∪ K2 ∪ K3: the parent's core has no simplicial vertex, and L and R
+    have no edges between them, so only cut vertices lose a neighbor."""
     stats.node_count += 1
     stats.max_depth = max(stats.max_depth, depth)
-    node = TreeNode(vertices=orig)
-    peeled = _peel(g)
-    if peeled:
-        node.peeled = tuple(orig[v] for v, _ in peeled)
-        # from here on g is the core; back gives its vertices' node labels
-        core = g.full_mask & ~mask_of(v for v, _ in peeled)
-        g, back, cliques = _child(g, cliques, core)
-        orig = tuple(orig[j] for j in back)
+    peeled = _peel(g, seeds, keep)
+    node = TreeNode(
+        vertices=tuple(orig[v] for v in iter_bits(keep)),
+        peeled=tuple(orig[v] for v, _ in peeled),
+    )
+    # from here on g is the core; back gives its vertices' labels in the parent
+    core = keep & ~mask_of(v for v, _ in peeled)
+    g, back, cliques = _child(g, cliques, core)
+    orig = tuple(orig[j] for j in back)
 
     fstats: dict[str, int] = {}
     gp = find_good_partition(g, fstats, cliques=cliques)
@@ -247,18 +260,14 @@ def _solve(
     else:
         triad = _witness_triad(g, gp)
         full = g.full_mask
-        # the first child holds L, the second R
-        g1, map1, cliques1 = _child(g, cliques, full & ~mask_of(gp.r))
-        g2, map2, cliques2 = _child(g, cliques, full & ~mask_of(gp.l))
-        # map1/map2 give this node's labels; compose with orig for root labels
-        orig1 = tuple(orig[j] for j in map1)
-        orig2 = tuple(orig[j] for j in map2)
-        col1, k1, node1 = _solve(g1, orig1, cliques1, depth + 1, stats, events)
-        col2, k2, node2 = _solve(g2, orig2, cliques2, depth + 1, stats, events)
-
-        # children were solved in their own labels (map1/map2 give this node's)
-        c1 = PartialColoring({map1[i]: col for i, col in col1.colors.items()})
-        c2 = PartialColoring({map2[i]: col for i, col in col2.colors.items()})
+        cut = mask_of(gp.k1 | gp.k2 | gp.k3)
+        # the first child holds L, the second R; both answer in g's labels
+        c1, k1, node1 = _solve(
+            g, orig, cliques, full & ~mask_of(gp.r), cut, depth + 1, stats, events
+        )
+        c2, k2, node2 = _solve(
+            g, orig, cliques, full & ~mask_of(gp.l), cut, depth + 1, stats, events
+        )
         k = max(k1, k2)
 
         coloring = merge_colorings(
@@ -275,8 +284,7 @@ def _solve(
         )
         node.triad = tuple(sorted(orig[v] for v in triad))
         node.children = (node1, node2)
-    if peeled:
-        coloring, k = _color_peeled(coloring, back, peeled, k)
+    coloring, k = _color_peeled(coloring, back, peeled, k)
     return coloring, k, node
 
 
@@ -297,12 +305,15 @@ def color(
     require_square_free(g)
     stats = SolveStats()
     if not trust_berge and g.n <= berge_cap:
-        require_berge(g, cap=berge_cap)
+        require_berge(g, cap=berge_cap, square_free=True)
         stats.berge_checked = True
 
     events: list[dict] = []
     cliques = [mask_of(c) for c in maximal_cliques(g)]
-    coloring, k, tree = _solve(g, tuple(range(g.n)), cliques, 1, stats, events)
+    full = g.full_mask
+    coloring, k, tree = _solve(
+        g, tuple(range(g.n)), cliques, full, full, 1, stats, events
+    )
     stats.swaps_applied = len(events)  # every event is one applied swap
 
     w = max((q.bit_count() for q in cliques), default=0)

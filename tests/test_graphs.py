@@ -21,6 +21,7 @@ from bergecolor import (
 )
 from bergecolor.graphs import (
     _find_odd_hole,
+    _peel,
     bit_list,
     bit_runs,
     cliques_within,
@@ -37,6 +38,7 @@ from oracles import (
     naive_maximal_cliques,
     naive_odd_hole,
     naive_omega,
+    naive_peel,
     naive_squares,
     naive_subgraph,
     naive_triads,
@@ -258,6 +260,24 @@ def test_odd_hole_witness_is_the_ordered_search_witness(g):
 @settings(max_examples=400, deadline=None)
 def test_odd_hole_witness_on_cycles_with_trees_and_chords(g):
     assert _find_odd_hole(g) == naive_odd_hole(g)
+
+
+@given(graphs(max_n=10), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_peel_of_a_kept_set_matches_naive_peel(g, rnd):
+    # seeds equal to keep vouch for nothing: the peel of g[keep], in g's
+    # labels, is the full ascending scans of the induced subgraph
+    keep = mask_of(v for v in range(g.n) if rnd.random() < 0.7)
+    piece, order = naive_subgraph(g, bit_list(keep))
+    want = [(order[v], {order[u] for u in nb}) for v, nb in naive_peel(piece)]
+    assert [(v, set(bit_list(nb))) for v, nb in _peel(g, keep, keep)] == want
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_is_berge_square_free_flag_skips_only_the_square_check(g):
+    if contains_square(g) is None:
+        assert is_berge(g, square_free=True) == is_berge(g)
 
 
 def test_long_odd_hole_is_found_without_recursion():

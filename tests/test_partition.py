@@ -1,3 +1,4 @@
+import random
 from itertools import islice
 
 import pytest
@@ -10,6 +11,7 @@ from bergecolor import (
     Graph,
     MalformedPartition,
     NotSquareFree,
+    color,
     enumerate_frames,
     find_good_partition,
     gen_square_free_berge,
@@ -17,11 +19,13 @@ from bergecolor import (
     refine_frame,
     verify_good_partition,
 )
-from bergecolor.graphs import mask_of, maximal_cliques_in
+from bergecolor import partition
+from bergecolor.graphs import bit_list, mask_of, maximal_cliques_in
 from bergecolor.partition import (
     _anchored_pairs,
     _disjoint_paths,
     _path_hits,
+    _separate,
 )
 
 from conftest import complete, complete_minus_star, cycle
@@ -274,7 +278,8 @@ def test_path_prune_is_sound(corpus_graphs):
             assert not any({x, y} <= c for c in naive_components(g, rest))
 
             cliques = maximal_cliques_in(g, g.full_mask & ~(1 << x) & ~(1 << y))
-            hits, every = _path_hits(g, x, y, [mask_of(q) for q in cliques])
+            interiors = [mask_of(p) for p in paths]
+            hits, every = _path_hits(interiors, [mask_of(q) for q in cliques])
             assert every == (1 << len(paths)) - 1
             for q1, h1 in zip(cliques, hits):
                 for q3, h3 in zip(cliques, hits):
@@ -290,12 +295,103 @@ def test_path_prune_is_sound(corpus_graphs):
     assert skipped > 10000 and checked > skipped
 
 
-def test_pruned_counts_skipped_clique_pairs(corpus_graphs):
+def _small_graphs(corpus_graphs):
+    """The corpus graphs with n <= 30 and four omega-2 draws."""
     graphs = [g for _, g in corpus_graphs if g.n <= 30]
     draws = ((26, 5), (28, 0), (32, 2), (40, 5))  # omega 2, pairs skipped at the root
-    graphs += [gen_square_free_berge(n, s) for n, s in draws]
+    return graphs + [gen_square_free_berge(n, s) for n, s in draws]
+
+
+def _naive_split(g, cut, x, y):
+    """What _separate must return, from oracles.naive_components."""
+    comps = naive_components(g, set(range(g.n)) - set(bit_list(cut)))
+    lside = next(c for c in comps if x in c)
+    if y in lside:
+        return None
+    return mask_of(lside), g.full_mask & ~cut & ~mask_of(lside)
+
+
+def _assert_learned(g, x, y, cut, interior):
+    """`interior` is a non-empty mask whose vertices, with x and y, induce
+    a path from x to y that is a shortest one in G - cut."""
+    assert interior and not interior & (cut | 1 << x | 1 << y)
+    on = interior | 1 << x | 1 << y
+    degrees = {v: (g.mask(v) & on).bit_count() for v in bit_list(on)}
+    assert degrees.pop(x) == degrees.pop(y) == 1
+    assert set(degrees.values()) == {2}
+    assert any({x, y} <= c for c in naive_components(g, set(bit_list(on))))
+    # breadth-first distance from x to y in G - cut, over vertex sets
+    rest, reach, dist = g.full_mask & ~cut, 1 << x, 0
+    while not (reach >> y) & 1:
+        reach |= mask_of(w for v in bit_list(reach) for w in bit_list(g.mask(v) & rest))
+        dist += 1
+    assert interior.bit_count() == dist - 1
+
+
+def test_learned_paths_avoid_their_cuts(corpus_graphs, monkeypatch):
+    # every interior that a separation test adds, at every node of a solve,
+    # is a shortest x-y path of G - cut, for the cut that test was given
+    separate = partition._separate
+    learned = 0
+
+    def checked(g, cut, x, y, paths=None):
+        nonlocal learned
+        before = None if paths is None else len(paths)
+        out = separate(g, cut, x, y, paths)
+        assert out == _naive_split(g, cut, x, y)
+        if paths is not None and len(paths) > before:
+            assert out is None and len(paths) == before + 1
+            _assert_learned(g, x, y, cut, paths[-1])
+            learned += 1
+        return out
+
+    monkeypatch.setattr(partition, "_separate", checked)
+    larger = [g for _, g in corpus_graphs if g.n > 30]
+    for g in larger + _small_graphs(corpus_graphs):
+        color(g, trust_berge=True)
+    assert learned > 150
+
+
+def test_separate_with_learned_paths_matches_components(corpus_graphs):
+    # random cuts, each shrinking by one to three vertices at a time until
+    # empty, as refinement shrinks its cutset; every split agrees with a
+    # naive component search with no path list, while paths are learned,
+    # and once they are
+    rng = random.Random(9)
+    skipped_by_learned = 0
+    for g in _small_graphs(corpus_graphs):
+        pairs = list(_anchored_pairs(g))
+        for x, y in pairs[:: len(pairs) // 5 + 1]:
+            paths = [mask_of(p) for p in _disjoint_paths(g, x, y)]
+            disjoint = paths[:]
+            inside = [v for v in range(g.n) if v not in (x, y)]
+            cuts = []
+            for _ in range(2):
+                order = rng.sample(inside, len(inside))
+                for _ in range(rng.randrange(len(order) // 2)):
+                    order.pop()
+                while order:
+                    cuts.append(mask_of(order))
+                    del order[: rng.randint(1, 3)]
+            for _ in range(2):
+                for cut in cuts:
+                    want = _naive_split(g, cut, x, y)
+                    assert _separate(g, cut, x, y) == want
+                    # answered by a learned path alone
+                    if all(cut & pm for pm in disjoint) and any(
+                        not cut & pm for pm in paths[len(disjoint):]
+                    ):
+                        skipped_by_learned += 1
+                    n_before = len(paths)
+                    assert _separate(g, cut, x, y, paths) == want
+                    if len(paths) > n_before:
+                        _assert_learned(g, x, y, cut, paths[-1])
+    assert skipped_by_learned > 150
+
+
+def test_pruned_counts_skipped_clique_pairs(corpus_graphs):
     total = 0
-    for g in graphs:
+    for g in _small_graphs(corpus_graphs):
         stats = {}
         find_good_partition(g, stats)
         assert stats["frames_pruned"] == naive_skipped_pairs(g)

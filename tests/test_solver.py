@@ -25,10 +25,10 @@ from bergecolor import (
     verify_coloring,
 )
 from bergecolor import solver
-from bergecolor.graphs import bit_list, mask_of, maximal_cliques
+from bergecolor.graphs import bit_list, contains_square, mask_of, maximal_cliques
 
 from conftest import complete, complete_minus_star, cycle, path_graph
-from oracles import naive_chromatic_number, naive_is_clique, naive_peel
+from oracles import naive_chromatic_number, naive_is_clique, naive_peel, naive_subgraph
 
 
 def pc(d):
@@ -228,6 +228,26 @@ def test_color_rejects_odd_hole():
         color(cycle(5))
 
 
+def test_color_checks_for_squares_once(monkeypatch):
+    # the Berge check is told that the square check has passed; a square is
+    # still reported before an odd hole
+    calls = 0
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return contains_square(g)
+
+    monkeypatch.setattr("bergecolor.graphs.contains_square", counted)
+    r = color(gen_prism(PrismSpec((3, 3, 3))))
+    assert r.stats.berge_checked and calls == 1
+    square_and_hole = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 0)] + [
+        (4 + i, 4 + (i + 1) % 5) for i in range(5)
+    ])
+    with pytest.raises(NotSquareFree):
+        color(square_and_hole)
+
+
 def test_trust_berge_still_fails_loud():
     # C5 sneaks past the skipped Berge check but has no triad, so the
     # leaf step demands a 2-coloring of an odd cycle and must refuse
@@ -320,24 +340,29 @@ def test_carried_cliques_are_each_nodes_maximal_cliques(corpus_graphs, monkeypat
 
 
 def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monkeypatch):
-    # at every node: each peeled vertex's neighbourhood at removal is a
-    # clique, no core vertex is simplicial in the core, the order is that of
-    # full ascending scans, and each peeled vertex's color is at most the
+    # at every node: the peel of the piece, seeded with the parent's cutset
+    # and run in the parent's labels, equals full ascending scans of the
+    # whole piece (so the seeds miss no simplicial vertex); each peeled
+    # vertex's neighbourhood at removal is a clique, no core vertex is
+    # simplicial in the core, and each peeled vertex's color is at most the
     # size of that neighbourhood plus one
     peel, extend = solver._peel, solver._color_peeled
-    peeled_total = 0
+    peeled_total = seeded = 0
 
-    def checked_peel(g):
-        nonlocal peeled_total
-        peeled = peel(g)
-        assert [(v, set(bit_list(nb))) for v, nb in peeled] == naive_peel(g)
-        rest = set(range(g.n))
+    def checked_peel(g, seeds, keep):
+        nonlocal peeled_total, seeded
+        peeled = peel(g, seeds, keep)
+        piece, order = naive_subgraph(g, bit_list(keep))
+        expected = [(order[v], {order[u] for u in nb}) for v, nb in naive_peel(piece)]
+        assert [(v, set(bit_list(nb))) for v, nb in peeled] == expected
+        rest = set(bit_list(keep))
         for v, nb in peeled:
             assert naive_is_clique(g, bit_list(nb))
             rest.discard(v)
         for u in rest:
             assert not naive_is_clique(g, [w for w in rest if g.adjacent(u, w)])
         peeled_total += len(peeled)
+        seeded += seeds != keep
         return peeled
 
     def checked_extend(core, back, peeled, k):
@@ -349,10 +374,13 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
 
     monkeypatch.setattr(solver, "_peel", checked_peel)
     monkeypatch.setattr(solver, "_color_peeled", checked_extend)
-    for _, g in corpus_graphs:
+    # in these two draws a K2 vertex becomes simplicial in a child
+    graphs = [g for _, g in corpus_graphs]
+    graphs += [gen_square_free_berge(51, 5), gen_square_free_berge(57, 4)]
+    for g in graphs:
         r = color(g, trust_berge=True)
         assert r.colors_used == omega(g)
-    assert peeled_total > 1000
+    assert peeled_total > 1000 and seeded > 500
 
 
 # ------------------------------------------------------------- serialization
