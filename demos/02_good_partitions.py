@@ -7,14 +7,13 @@ that L and R see nothing of each other, K1 u K2 and K2 u K3 are cliques, and
 three path/triad conditions hold.  The solver colors L's side and R's side
 separately and reconciles them across the cutset K1 u K2 u K3.
 
-This script finds one on the 6-cycle, shows what the verifier says about a
-broken variant, and counts the frames the search walks through.
+This script finds one on the 6-cycle, shows how much of the frame search it
+took, and what the verifier says about a broken variant.
 """
 
 from bergecolor import (
     GoodPartition,
     Graph,
-    enumerate_frames,
     find_good_partition,
     find_triads,
     verify_good_partition,
@@ -28,13 +27,13 @@ def cycle(n):
 g = cycle(6)
 print("triads of C6:", find_triads(g))
 
-# the search tries frames (two cliques around a non-edge) and refines each
-print("frames to consider:", sum(1 for _ in enumerate_frames(g)))
-
+# the search refines frames (two cliques around a non-edge) in a fixed
+# order, and skips clique pairs whose union cannot separate the non-edge
 stats = {}
 part = find_good_partition(g, stats)
 print("\nfound:", part)
-print("search stats:", stats)
+print("frames tried:", stats["frames_tried"])
+print("clique pairs pruned:", stats["frames_pruned"])
 print("verifier says:", verify_good_partition(g, part))
 
 # pull vertex 5 out of L and into K1: 1 and 5 are not adjacent in C6,

@@ -9,7 +9,8 @@ Subcommands: color, verify, gen, analyze.  Exit codes are stable:
     4  input graph is not Berge
     5  internal invariant violation (always a bug, never user error)
 
-All file output is written atomically (temp file + rename).
+All file output is written atomically (temp file + rename), with the mode
+the umask gives a new file, as `open(path, "w")` would.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict
 
 from . import __version__
-from .dimacs import read_col, write_col
+from .dimacs import atomic_write, read_col, write_col
 from .errors import (
     BergeColorError,
     BergeViolation,
@@ -43,7 +42,7 @@ from .generators import (
     gen_square_free_berge,
     sidecar_metadata,
 )
-from .graphs import contains_square, find_triads, is_berge, maximal_cliques
+from .graphs import contains_square, find_triads, is_berge, mask_of, maximal_cliques
 from .partition import GoodPartition, find_good_partition, verify_good_partition
 from .recolor import (
     PartialColoring,
@@ -68,18 +67,6 @@ TOO_DEEP = (
     "input too deep to solve: the decomposition or a clique search "
     "exceeded the recursion limit"
 )
-
-
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _json_text(obj) -> str:
@@ -149,18 +136,18 @@ def cmd_color(args) -> int:
 
     lines = coloring_to_lines(result.coloring)
     if args.output:
-        _atomic_write(args.output, lines)
+        atomic_write(args.output, lines)
     else:
         sys.stdout.write(lines)
     if args.trace:
-        _atomic_write(
+        atomic_write(
             args.trace, "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace)
         )
     if args.tree:
         if args.tree.endswith(".dot"):
-            _atomic_write(args.tree, tree_to_dot(result.tree))
+            atomic_write(args.tree, tree_to_dot(result.tree))
         else:
-            _atomic_write(args.tree, _json_text(tree_to_json(result.tree)))
+            atomic_write(args.tree, _json_text(tree_to_json(result.tree)))
     print(
         f"colored {g.n} vertices with {result.colors_used} colors",
         file=sys.stderr,
@@ -171,7 +158,7 @@ def cmd_color(args) -> int:
 def _finish_report(args, report: dict, t0: float) -> None:
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)
     if args.report:
-        _atomic_write(args.report, _json_text(report))
+        atomic_write(args.report, _json_text(report))
 
 
 def cmd_verify(args) -> int:
@@ -228,7 +215,7 @@ def cmd_gen(args) -> int:
     else:
         raise SpecError(f"unknown construction {args.construction!r}")
     write_col(g, args.output, comment=f"bergecolor gen {args.construction}")
-    _atomic_write(args.output + ".json", _json_text(meta))
+    atomic_write(args.output + ".json", _json_text(meta))
     print(f"wrote {args.output} ({g.n} vertices, {g.m} edges)", file=sys.stderr)
     return EXIT_OK
 
@@ -256,13 +243,14 @@ def cmd_analyze(args) -> int:
     report["maximal_cliques"] = len(cliques)
     report["triads"] = len(find_triads(g))
     if report["square_free"]:
-        report["good_partition"] = find_good_partition(g) is not None
+        masks = [mask_of(c) for c in cliques]
+        report["good_partition"] = find_good_partition(g, cliques=masks) is not None
     else:
         report["good_partition"] = None  # search needs a square-free graph
     out = _json_text(report)
     sys.stdout.write(out)
     if args.report:
-        _atomic_write(args.report, out)
+        atomic_write(args.report, out)
     return EXIT_OK
 
 

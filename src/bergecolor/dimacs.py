@@ -1,8 +1,10 @@
-"""DIMACS .col graph files: `p edge <n> <m>` header, `e <u> <v>` edges, 1-based."""
+"""DIMACS .col graph files: `p edge <n> <m>` header, `e <u> <v>` edges, 1-based.
+Also the atomic file write that every output of the package goes through."""
 
 from __future__ import annotations
 
 import os
+import secrets
 from typing import Iterable
 
 from .errors import DimacsError
@@ -113,8 +115,23 @@ def format_col(g: Graph, comment: str | None = None) -> str:
 
 
 def write_col(g: Graph, path: str, comment: str | None = None) -> None:
-    # write-to-temp + rename so readers never observe a partial file
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(format_col(g, comment))
-    os.replace(tmp, path)
+    atomic_write(path, format_col(g, comment), encoding="ascii")
+
+
+def atomic_write(path: str, text: str, encoding: str = "utf-8") -> None:
+    """Write `text` to `path` so that readers never see a partial file: into
+    a temp file with a unique name in the same directory, then renamed into
+    place.  The temp file is created with mode 0o666, so the umask sets the
+    file's mode as it would for `open(path, "w")`; on any failure it is
+    removed."""
+    data = text.encode(encoding)
+    d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -147,7 +147,8 @@ def induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[tuple[int
     any mask of g's vertices to the subgraph's labels (see `relabel`)."""
     order = tuple(iter_bits(keep))
     runs = bit_runs(keep)
-    masks = relabel([g.mask(v) for v in order], runs)
+    adj = g._masks
+    masks = relabel([adj[v] for v in order], runs)
     sub = object.__new__(Graph)
     sub.n = len(order)
     sub._masks = tuple(masks)
@@ -157,12 +158,13 @@ def induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[tuple[int
 
 def component_mask(g: Graph, start: int, allowed: int) -> int:
     """Connected component of `start` inside the induced subgraph on `allowed`."""
+    masks = g._masks
     seen = (1 << start) & allowed
     frontier = seen
     while frontier:
         nxt = 0
         for v in iter_bits(frontier):
-            nxt |= g.mask(v)
+            nxt |= masks[v]
         nxt &= allowed & ~seen
         seen |= nxt
         frontier = nxt
@@ -185,17 +187,18 @@ def components(g: Graph, vertices: Iterable[int] | None = None) -> list[frozense
 def contains_square(g: Graph) -> tuple[int, int, int, int] | None:
     """First induced 4-cycle in lexicographic order, as (a, b, c, d) with
     edges ab, bc, cd, da and non-edges ac, bd; None when square-free."""
+    masks = g._masks
     full = g.full_mask
     for a in range(g.n):
-        na = g.mask(a)
+        na = masks[a]
         above_a = full & ~((1 << (a + 1)) - 1)
         for b in iter_bits(na & above_a):
-            nb = g.mask(b)
+            nb = masks[b]
             # c: adjacent to b, not to a, above a (so c != a, b)
             for c in iter_bits(nb & ~na & above_a):
                 # d: common neighbor of a and c, above b, not adjacent to b
                 above_b = full & ~((1 << (b + 1)) - 1)
-                cand = na & g.mask(c) & above_b & ~nb
+                cand = na & masks[c] & above_b & ~nb
                 if cand:
                     d = (cand & -cand).bit_length() - 1
                     return (a, b, c, d)
@@ -311,6 +314,7 @@ def _peel(g: Graph, seeds: int, keep: int) -> list[tuple[int, int]]:
     for this scan and those below v for the next.  The first scan tests only
     `seeds`; the caller vouches that no other kept vertex is simplicial in
     g[keep] (seeds equal to keep vouch for nothing)."""
+    masks = g._masks
     rest = keep
     todo = seeds & keep
     peeled = []
@@ -320,9 +324,16 @@ def _peel(g: Graph, seeds: int, keep: int) -> list[tuple[int, int]]:
             low = todo & -todo
             todo ^= low
             v = low.bit_length() - 1
-            nb = g.mask(v) & rest
-            # nb is a clique when each member u misses only itself in it
-            if all(nb & ~g.mask(u) == 1 << u for u in iter_bits(nb)):
+            nb = masks[v] & rest
+            # nb is a clique when each member u misses only itself in it;
+            # the scan stops at the first miss, leaving `left` non-zero
+            left = nb
+            while left:
+                u = left & -left
+                if nb & ~masks[u.bit_length() - 1] != u:
+                    break
+                left ^= u
+            if not left:
                 rest ^= low
                 peeled.append((v, nb))
                 todo |= nb & ~(low - 1)

@@ -440,12 +440,13 @@ def _shortest_interior(
     """Interior, from the x end, of a shortest x-y path in the subgraph
     induced on `allowed` (which must hold y), or None when there is none.
     Ties go to the lowest vertex id."""
+    masks = g._masks
     layers = [1 << x]
     seen = 1 << x
     while not (seen >> y) & 1:
         nxt = 0
         for v in iter_bits(layers[-1]):
-            nxt |= g.mask(v)
+            nxt |= masks[v]
         nxt &= allowed & ~seen
         if not nxt:
             return None
@@ -454,7 +455,7 @@ def _shortest_interior(
     interior = []
     v = y
     for layer in reversed(layers[1:-1]):
-        back = layer & g.mask(v)
+        back = layer & masks[v]
         v = (back & -back).bit_length() - 1
         interior.append(v)
     interior.reverse()
@@ -465,10 +466,16 @@ def _disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
     """Internally disjoint x-y paths, found greedily: a shortest path, then a
     shortest path avoiding the interiors found so far, until y is cut off.
     Each path is given by its interior, from the x end; x and y must be
-    distinct and non-adjacent, so no interior is empty."""
+    distinct and non-adjacent, so no interior is empty.  Every x-y path
+    leaves x and enters y through a neighbour, so once the interiors cover
+    all of x's or all of y's neighbours the search stops without a BFS."""
     paths: list[tuple[int, ...]] = []
     allowed = g.full_mask
-    while (interior := _shortest_interior(g, x, y, allowed)) is not None:
+    nx, ny = g._masks[x], g._masks[y]
+    while nx & allowed and ny & allowed:
+        interior = _shortest_interior(g, x, y, allowed)
+        if interior is None:
+            break
         paths.append(interior)
         allowed &= ~mask_of(interior)
     return paths
@@ -500,21 +507,12 @@ def _frame_choices(
             yield c1, c3
 
 
-def enumerate_frames(g: Graph) -> Iterator[Frame]:
-    """All frames in canonical order: anchors (x, y) ascending, then both
-    cliques in lexicographic order, then anchor choices (none first)."""
-    for x, y, masks in _frame_bases(g):
-        cliques = [tuple(iter_bits(q)) for q in masks]
-        for q1, q1m in zip(cliques, masks):
-            for q3, q3m in zip(cliques, masks):
-                for c1, c3 in _frame_choices(q1m, q3m):
-                    yield Frame(q1=q1, q3=q3, x=x, y=y, c1=c1, c3=c3)
-
-
 def find_good_partition(
     g: Graph, stats: dict | None = None, *, cliques: list[int] | None = None
 ) -> GoodPartition | None:
-    """First good partition reachable by refining frames in canonical order.
+    """First good partition reachable by refining frames in canonical order:
+    anchor pairs (x, y) ascending, then both cliques of G minus {x, y} in
+    lexicographic order, then the anchor choices C1, C3, none first.
 
     Complete: if the graph has any good partition, some frame refines to one.
     The scan skips a clique pair (Q1, Q3) when the union Q1 ∪ Q3 fails to

@@ -85,7 +85,7 @@ def coloring_from_json(obj: dict) -> PartialColoring:
         for v, col in obj["colors"]:
             if colors.setdefault(int(v), int(col)) != int(col):
                 raise ValueError(f"vertex {v} has two colors")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f'coloring JSON needs "colors" as [vertex, color] pairs: {exc}')
     return PartialColoring(colors)
 

@@ -114,8 +114,12 @@ class ColoringVerdict:
         return self.ok
 
 
-def verify_coloring(g: Graph, c: PartialColoring) -> ColoringVerdict:
-    """Proper, total, positive integer colors, and at most omega(g) of them."""
+def verify_coloring(
+    g: Graph, c: PartialColoring, *, clique_number: int | None = None
+) -> ColoringVerdict:
+    """Proper, total, positive integer colors, and at most omega(g) of them.
+    `clique_number`, if given, is omega(g) as the caller has found it from
+    g's maximal cliques; otherwise it is computed here."""
     for v in c.colors:
         if not (isinstance(v, int) and 0 <= v < g.n):
             return ColoringVerdict(False, "unknown-vertex", (v,))
@@ -129,7 +133,7 @@ def verify_coloring(g: Graph, c: PartialColoring) -> ColoringVerdict:
         if c.colors[u] == c.colors[v]:
             return ColoringVerdict(False, "improper-edge", (u, v))
     used = len(set(c.colors.values()))
-    w = omega(g)
+    w = omega(g) if clique_number is None else clique_number
     if used > w:
         return ColoringVerdict(False, "too-many-colors", (used, w))
     return ColoringVerdict(True)
@@ -316,12 +320,14 @@ def color(
     )
     stats.swaps_applied = len(events)  # every event is one applied swap
 
+    # omega(g) from the root's maximal cliques, never from the solve's own k;
+    # the final check reuses it rather than enumerating the cliques again
     w = max((q.bit_count() for q in cliques), default=0)
     if k != w or coloring.colors_used() != w:
         raise InternalViolation(
             f"solver used {coloring.colors_used()} colors, clique number is {w}"
         )
-    verdict = verify_coloring(g, coloring)
+    verdict = verify_coloring(g, coloring, clique_number=w)
     if not verdict:
         raise InternalViolation(f"final coloring invalid: {verdict.reason}")
     if stats.node_count > max(1, 3 * g.n**3):

@@ -336,6 +336,41 @@ def _naive_maximal_cliques_avoiding(g: Graph, drop) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _naive_anchor_pairs(g: Graph):
+    """Ordered pairs (x, y), ascending: non-adjacent, with a third vertex
+    non-adjacent to both."""
+    for x in range(g.n):
+        for y in range(g.n):
+            if y == x or g.adjacent(x, y):
+                continue
+            if any(
+                z not in (x, y) and not g.adjacent(z, x) and not g.adjacent(z, y)
+                for z in range(g.n)
+            ):
+                yield x, y
+
+
+def _naive_frames_of(q1, q3, x, y):
+    """The frames of one clique pair, anchor choices none first, then
+    ascending."""
+    side1 = sorted(set(q1) - set(q3))
+    side3 = sorted(set(q3) - set(q1))
+    for c1 in [()] + [(v,) for v in side1]:
+        for c3 in [()] + [(v,) for v in side3]:
+            yield Frame(q1=q1, q3=q3, x=x, y=y, c1=frozenset(c1), c3=frozenset(c3))
+
+
+def enumerate_frames(g: Graph):
+    """All frames in the canonical order of the good-partition search:
+    anchor pairs (x, y) ascending, then both maximal cliques of G minus
+    {x, y} in lexicographic order, then anchor choices, none first."""
+    for x, y in _naive_anchor_pairs(g):
+        cliques = _naive_maximal_cliques_avoiding(g, (x, y))
+        for q1 in cliques:
+            for q3 in cliques:
+                yield from _naive_frames_of(q1, q3, x, y)
+
+
 def naive_skipped_pairs(g: Graph) -> int:
     """Clique pairs the good-partition search skips without refinement.
 
@@ -348,33 +383,48 @@ def naive_skipped_pairs(g: Graph) -> int:
     frame that refines to a partition.
     """
     skipped = 0
-    for x in range(g.n):
-        for y in range(g.n):
-            if y == x or g.adjacent(x, y):
-                continue
-            if not any(
-                z not in (x, y) and not g.adjacent(z, x) and not g.adjacent(z, y)
-                for z in range(g.n)
-            ):
-                continue
-            cliques = _naive_maximal_cliques_avoiding(g, (x, y))
-            for q1 in cliques:
-                for q3 in cliques:
-                    rest = set(range(g.n)) - set(q1) - set(q3)
-                    if any({x, y} <= c for c in naive_components(g, rest)):
-                        skipped += 1
-                        continue
-                    side1 = sorted(set(q1) - set(q3))
-                    side3 = sorted(set(q3) - set(q1))
-                    for c1 in [()] + [(v,) for v in side1]:
-                        for c3 in [()] + [(v,) for v in side3]:
-                            frame = Frame(
-                                q1=q1, q3=q3, x=x, y=y,
-                                c1=frozenset(c1), c3=frozenset(c3),
-                            )
-                            if refine_frame(g, frame) is not None:
-                                return skipped
+    for x, y in _naive_anchor_pairs(g):
+        cliques = _naive_maximal_cliques_avoiding(g, (x, y))
+        for q1 in cliques:
+            for q3 in cliques:
+                rest = set(range(g.n)) - set(q1) - set(q3)
+                if any({x, y} <= c for c in naive_components(g, rest)):
+                    skipped += 1
+                    continue
+                for frame in _naive_frames_of(q1, q3, x, y):
+                    if refine_frame(g, frame) is not None:
+                        return skipped
     return skipped
+
+
+def naive_disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
+    """Internally disjoint x-y paths, greedily: a shortest x-y path (breadth
+    -first layers from x; walking back from y, the lowest-id neighbour in
+    each earlier layer), then a shortest one avoiding the interiors found so
+    far, until the next search finds no path.  Each path is its interior,
+    from the x end."""
+    paths = []
+    allowed = set(range(g.n))
+    while True:
+        layers = [{x}]
+        seen = {x}
+        while y not in seen:
+            nxt = {
+                w for v in layers[-1] for w in g.neighbors(v)
+                if w in allowed and w not in seen
+            }
+            if not nxt:
+                return paths
+            seen |= nxt
+            layers.append(nxt)
+        interior = []
+        v = y
+        for layer in reversed(layers[1:-1]):
+            v = min(u for u in layer if g.adjacent(u, v))
+            interior.append(v)
+        interior.reverse()
+        paths.append(tuple(interior))
+        allowed -= set(interior)
 
 
 def brute_good_partition(g: Graph):

@@ -3,10 +3,17 @@
 Everything runs in-process through main(argv) so exit codes, stdout, stderr,
 and written artifacts can be checked without spawning subprocesses."""
 
+import io
 import json
+import os
+import stat
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergecolor import (
     GoodPartition,
@@ -24,6 +31,7 @@ from bergecolor import (
 )
 from bergecolor import cli
 from bergecolor.cli import main
+from bergecolor.graphs import maximal_cliques_in
 
 from conftest import complete, cycle, path_graph
 
@@ -373,6 +381,7 @@ def test_verify_coloring_garbage_file(tmp_path, capsys):
         {"colors": 5},
         {"colors": [[0, 1, 2]]},
         {"colors": [[0, 1], [1, 2], [1, 1], [2, 1], [3, 2], [4, 1], [5, 2]]},
+        {"colors": [[float("inf"), 1]]},  # JSON's Infinity has no int value
     ],
 )
 def test_verify_coloring_malformed_json(tmp_path, capsys, doc):
@@ -511,6 +520,23 @@ def test_analyze_prism(tmp_path, capsys):
     assert json.load(open(rep_f)) == rep
 
 
+def test_analyze_enumerates_maximal_cliques_once(tmp_path, capsys, monkeypatch):
+    # the clique list analyze reports is handed on to the partition search
+    calls = 0
+
+    def counted(g, allowed):
+        nonlocal calls
+        calls += 1
+        return maximal_cliques_in(g, allowed)
+
+    for mod in ("bergecolor.graphs", "bergecolor.partition"):
+        monkeypatch.setattr(f"{mod}.maximal_cliques_in", counted)
+    path = col(tmp_path, gen_prism(PrismSpec((2, 2, 2))))
+    assert main(["analyze", path]) == 0
+    assert json.loads(capsys.readouterr().out)["good_partition"] is True
+    assert calls == 1
+
+
 def test_analyze_clique_has_no_partition(tmp_path, capsys):
     path = col(tmp_path, complete(4))
     assert main(["analyze", path]) == 0
@@ -556,6 +582,142 @@ def test_analyze_recursion_error_is_a_tool_error(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err == f"error: {cli.TOO_DEEP}\n"
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------- file output
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_output_files_follow_the_umask(tmp_path, capsys, umask_022):
+    # every file the CLI writes gets the mode open(path, "w") would give it
+    # (0o666 less the umask), and no temp file is left beside them
+    def path(name):
+        return str(tmp_path / name)
+
+    assert main(["gen", "prism", "2", "2", "2", "-o", path("g.col")]) == 0
+    assert main([
+        "color", path("g.col"), "-o", path("g.sol"), "--report", path("g.report"),
+        "--trace", path("g.trace"), "--tree", path("g.tree.json"),
+    ]) == 0
+    assert main(["color", path("g.col"), "--tree", path("g.dot")]) == 0
+    assert main(["analyze", path("g.col"), "--report", path("g.analysis")]) == 0
+    names = [
+        "g.analysis", "g.col", "g.col.json", "g.dot", "g.report", "g.sol",
+        "g.trace", "g.tree.json",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for p in tmp_path.iterdir():
+        assert stat.S_IMODE(p.stat().st_mode) == 0o644, p.name
+
+
+def test_failed_rename_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["gen", "prism", "2", "2", "2", "-o", str(tmp_path / "g.col")]) == 1
+    assert "rename refused" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------- fuzz
+
+
+@st.composite
+def dimacs_texts(draw, stray: bool = True):
+    """DIMACS text of a graph with n <= 12; with `stray`, sometimes a stray
+    line too."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"p edge {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+    strays = st.one_of(
+        st.builds("e {} {}".format, st.integers(-1, 14), st.integers(-1, 14)),
+        st.sampled_from(["c note", "", "p edge 2 1", "e 1", "x 1 2", "p edge a 0"]),
+    )
+    for line in draw(st.lists(strays, max_size=2)) if stray else ():
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+# floats that no int() conversion takes as they are
+ODD_FLOATS = st.sampled_from([1.5, 1e300, float("inf"), float("-inf"), float("nan")])
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 14) | ODD_FLOATS | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["colors", "K1", "K2", "K3", "L", "R"]), inner),
+    max_leaves=12,
+)
+ANY_BYTES = st.binary(max_size=300)
+# coloring files: 'v i c' lines, and JSON whose pairs hold any scalars
+COLORING_FILES = (
+    ANY_BYTES
+    | st.lists(
+        st.builds("v {} {}".format, st.integers(-1, 14), st.integers(-1, 14)), max_size=14
+    ).map(lambda lines: "\n".join(lines).encode())
+    | st.lists(st.lists(JSON_SCALARS, min_size=2, max_size=2), max_size=5).map(
+        lambda pairs: json.dumps({"colors": pairs}).encode()
+    )
+    | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+)
+# partition files: JSON with the five keys, vertex lists or any values
+PARTITION_FILES = (
+    ANY_BYTES
+    | st.fixed_dictionaries(
+        {key: st.lists(st.integers(-1, 12), max_size=5) | JSON_VALUES
+         for key in ("K1", "K2", "K3", "L", "R")}
+    ).map(lambda d: json.dumps(d).encode())
+    | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+)
+# (arguments, graph files, second files): color and analyze see stray DIMACS
+# lines; the verify commands see well-formed graphs, so that the coloring
+# or partition file is read
+FUZZ_COMMANDS = {
+    "color": (
+        ["color", "{g}", "--report", "{d}/report"],
+        ANY_BYTES | dimacs_texts().map(str.encode),
+        None,
+    ),
+    "analyze": (["analyze", "{g}"], ANY_BYTES | dimacs_texts().map(str.encode), None),
+    "verify-coloring": (
+        ["verify", "{g}", "--coloring", "{f}"],
+        ANY_BYTES | dimacs_texts(stray=False).map(str.encode),
+        COLORING_FILES,
+    ),
+    "verify-partition": (
+        ["verify", "{g}", "--partition", "{f}"],
+        ANY_BYTES | dimacs_texts(stray=False).map(str.encode),
+        PARTITION_FILES,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FUZZ_COMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_input_maps_to_an_exit_code(name, data):
+    args, graph_files, second_files = FUZZ_COMMANDS[name]
+    with tempfile.TemporaryDirectory() as d:
+        files = {"g": os.path.join(d, "g.col"), "f": os.path.join(d, "second"), "d": d}
+        with open(files["g"], "wb") as fh:
+            fh.write(data.draw(graph_files, label="graph"))
+        if second_files is not None:
+            with open(files["f"], "wb") as fh:
+                fh.write(data.draw(second_files, label="second"))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main([arg.format(**files) for arg in args])
+    assert rc in range(6)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 # ------------------------------------------------------------------- general

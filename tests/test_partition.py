@@ -12,7 +12,6 @@ from bergecolor import (
     MalformedPartition,
     NotSquareFree,
     color,
-    enumerate_frames,
     find_good_partition,
     gen_square_free_berge,
     nested_order,
@@ -30,7 +29,9 @@ from bergecolor.partition import (
 
 from conftest import complete, complete_minus_star, cycle
 from oracles import (
+    enumerate_frames,
     naive_components,
+    naive_disjoint_paths,
     naive_good_partition_check,
     naive_skipped_pairs,
 )
@@ -293,6 +294,39 @@ def test_path_prune_is_sound(corpus_graphs):
                     rest = set(range(g.n)) - union
                     assert any({x, y} <= c for c in naive_components(g, rest))
     assert skipped > 10000 and checked > skipped
+
+
+def test_disjoint_paths_match_naive(corpus_graphs):
+    # the search stops once x's or y's neighbours are used up; the list it
+    # returns is the one the search run until a BFS fails returns
+    pairs = 0
+    for g in _small_graphs(corpus_graphs):
+        for x, y in _anchored_pairs(g):
+            assert _disjoint_paths(g, x, y) == naive_disjoint_paths(g, x, y)
+            pairs += 1
+    assert pairs > 35000
+
+
+def test_search_tries_frames_in_canonical_order(corpus_graphs, monkeypatch):
+    # the frames handed to refine_frame are, in order, a subsequence of all
+    # frames in canonical order, ending at the first that refines
+    tried = []
+    refine = partition.refine_frame
+
+    def recording(g, frame, paths=None):
+        tried.append(frame)
+        return refine(g, frame, paths)
+
+    monkeypatch.setattr(partition, "refine_frame", recording)
+    for _, g in corpus_graphs:
+        if g.n > 12:
+            continue
+        tried.clear()
+        part = find_good_partition(g)
+        frames = enumerate_frames(g)
+        assert all(f in frames for f in tried)  # consumes `frames` in order
+        if part is not None:
+            assert refine(g, tried[-1]) == part
 
 
 def _small_graphs(corpus_graphs):

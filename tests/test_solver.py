@@ -25,7 +25,13 @@ from bergecolor import (
     verify_coloring,
 )
 from bergecolor import solver
-from bergecolor.graphs import bit_list, contains_square, mask_of, maximal_cliques
+from bergecolor.graphs import (
+    bit_list,
+    contains_square,
+    mask_of,
+    maximal_cliques,
+    maximal_cliques_in,
+)
 
 from conftest import complete, complete_minus_star, cycle, path_graph
 from oracles import naive_chromatic_number, naive_is_clique, naive_peel, naive_subgraph
@@ -246,6 +252,45 @@ def test_color_checks_for_squares_once(monkeypatch):
     ])
     with pytest.raises(NotSquareFree):
         color(square_and_hole)
+
+
+def test_color_enumerates_maximal_cliques_once(corpus_graphs, monkeypatch):
+    # one Bron-Kerbosch run per solve: the root's clique list is carried
+    # down the tree and also gives the final check its clique number
+    calls = 0
+
+    def counted(g, allowed):
+        nonlocal calls
+        calls += 1
+        return maximal_cliques_in(g, allowed)
+
+    for mod in ("bergecolor.graphs", "bergecolor.partition"):
+        monkeypatch.setattr(f"{mod}.maximal_cliques_in", counted)
+    for name, g in corpus_graphs:
+        calls = 0
+        color(g)
+        assert calls == 1, name
+
+
+def test_verify_with_given_clique_number_matches(corpus_graphs):
+    # the final check of color() passes omega(g); the verdict is the one
+    # verify_coloring reaches by computing omega itself
+    reasons = set()
+    for name, g in corpus_graphs:
+        c = color(g, trust_berge=True).coloring.colors
+        w = omega(g)
+        u, v = g.edges()[0]
+        variants = [
+            c,
+            {**c, v: c[u]},  # improper
+            {k: col for k, col in c.items() if k != g.n - 1},  # partial
+            {**c, u: w + 1, v: w + 2},  # proper, over omega
+        ]
+        for colors in variants:
+            want = verify_coloring(g, pc(colors))
+            assert verify_coloring(g, pc(colors), clique_number=w) == want, name
+            reasons.add(want.reason)
+    assert reasons == {None, "improper-edge", "uncolored-vertex", "too-many-colors"}
 
 
 def test_trust_berge_still_fails_loud():
