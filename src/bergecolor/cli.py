@@ -6,7 +6,8 @@ Subcommands: color, verify, gen, analyze.  Exit codes are stable:
     1  invalid artifact or other tool error
     2  input could not be parsed
     3  input graph contains an induced square
-    4  input graph is not Berge
+    4  input graph is not Berge (when the Berge check was skipped, a failed
+       merge or leaf search shows it, and no hole is named)
     5  internal invariant violation (always a bug, never user error)
 
 All file output is written atomically (temp file + rename), with the mode
@@ -28,6 +29,7 @@ from .errors import (
     BergeColorError,
     BergeViolation,
     DimacsError,
+    Infeasible,
     InternalViolation,
     NotBerge,
     NotSquareFree,
@@ -122,6 +124,21 @@ def cmd_color(args) -> int:
         # color() checks for squares first, so every other error comes later
         report["checks"]["square_free"] = True
         report["error"] = str(e)
+        # a square-free Berge input always has an omega-coloring and a
+        # reducing swap, so with the Berge check skipped these two errors
+        # blame the input, not the program
+        if isinstance(e, (BergeViolation, Infeasible)) and (
+            args.trust_berge or g.n > args.berge_cap
+        ):
+            report["checks"]["berge"] = False
+            report["status"] = "not-berge"
+            report["witness"] = None
+            _finish_report(args, report, t0)
+            return _fail(
+                f"input is not Berge ({e}); the Berge check was skipped, "
+                "so no odd hole or antihole was named",
+                EXIT_NOT_BERGE,
+            )
         _finish_report(args, report, t0)
         raise e from None  # main maps it to its exit code
 

@@ -10,6 +10,11 @@ from typing import Iterable
 from .errors import DimacsError
 from .graphs import Graph
 
+# The largest vertex count a problem line may declare.  The graph is
+# allocated from the declared count before any edge is read, so without a
+# bound an 18-byte header could claim hundreds of megabytes.
+MAX_VERTICES = 1_000_000
+
 
 def parse_col(text: str) -> Graph:
     lines = text.splitlines()
@@ -48,6 +53,10 @@ def parse_col(text: str) -> Graph:
                 raise fail(line_no, f"non-integer sizes: {line!r}")
             if n < 0 or declared_m < 0:
                 raise fail(line_no, "negative size")
+            if n > MAX_VERTICES:
+                raise fail(
+                    line_no, f"{n} vertices is over the limit of {MAX_VERTICES}"
+                )
         elif fields[0] == "e":
             if n is None:
                 raise fail(line_no, "edge before problem line")

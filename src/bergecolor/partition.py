@@ -19,7 +19,7 @@ from the working cutset until the partition conditions hold or the frame dies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import InternalViolation, MalformedPartition, NotSquareFree
@@ -41,6 +41,9 @@ class GoodPartition:
     k3: frozenset[int]
     l: frozenset[int]
     r: frozenset[int]
+    # the anchor pair (x, y) whose frame refined to this partition, x in L
+    # and y in R; None when the partition was not found by refinement
+    anchor: tuple[int, int] | None = field(default=None, compare=False)
 
     def sets(self) -> tuple[frozenset[int], ...]:
         return (self.k1, self.k2, self.k3, self.l, self.r)
@@ -311,13 +314,16 @@ def _truncated_side(g: Graph, side: int, other: int, c: frozenset[int]) -> int:
     return keep
 
 
-def _emit(g: Graph, k1m: int, k2m: int, k3m: int, lm: int, rm: int) -> GoodPartition:
+def _emit(
+    g: Graph, frame: Frame, k1m: int, k2m: int, k3m: int, lm: int, rm: int
+) -> GoodPartition:
     cand = GoodPartition(
         k1=frozenset(iter_bits(k1m)),
         k2=frozenset(iter_bits(k2m)),
         k3=frozenset(iter_bits(k3m)),
         l=frozenset(iter_bits(lm)),
         r=frozenset(iter_bits(rm)),
+        anchor=(frame.x, frame.y),
     )
     verdict = verify_good_partition(g, cand)
     if not verdict:
@@ -343,8 +349,9 @@ def refine_frame(
     `paths`, if given, is the search's list of x-y path interiors (see
     `_separate`): a cutset that misses one of them kills the frame without
     a BFS, and each BFS that finds x and y connected adds one.
-    The partition returned has been verified; a verification failure here
-    means a bug, not bad input, and raises InternalViolation.
+    The partition returned has been verified, and carries the frame's anchor
+    pair; a verification failure here means a bug, not bad input, and raises
+    InternalViolation.
     """
     q1m, q3m = mask_of(frame.q1), mask_of(frame.q3)
     x, y = frame.x, frame.y
@@ -357,7 +364,7 @@ def refine_frame(
         return None
     lm, rm = sep
     if k1m == 0 or k3m == 0:
-        return _emit(g, k1m, k2m, k3m, lm, rm)
+        return _emit(g, frame, k1m, k2m, k3m, lm, rm)
 
     c1v = min(frame.c1)
     budget = k1m.bit_count() + k3m.bit_count()
@@ -385,7 +392,7 @@ def refine_frame(
         # condition (iv) repairs; any shrink can enlarge L', so recheck (iii)
         u = _both_sides_vertex(g, k1m, k3m, lm)
         if u is None:
-            return _emit(g, k1m, k2m, k3m, lm, rm)
+            return _emit(g, frame, k1m, k2m, k3m, lm, rm)
         new_k3 = k3m & ~g.mask(u)
         if new_k3 == k3m:
             raise InternalViolation("condition (iv) repair did not shrink K'3")
@@ -399,12 +406,24 @@ def refine_frame(
         lm, rm = sep
 
 
-def _anchored_pairs(g: Graph) -> Iterator[tuple[int, int]]:
-    """Ordered pairs (x, y) of distinct non-adjacent vertices sharing a triad."""
+def _anchored_pairs(
+    g: Graph, start: tuple[int, int] = (0, 0)
+) -> Iterator[tuple[int, int]]:
+    """Ordered pairs (x, y) of distinct non-adjacent vertices sharing a triad,
+    in lexicographic order rotated to begin at the first pair at or after
+    `start`: the pairs from there on, then those before it.  A start past
+    every pair begins at the first."""
+    n = g.n
+    if not n:
+        return
+    x0, y0 = start if start[0] < n else (0, 0)
+    y0 = min(y0, n)
     full = g.full_mask
-    for x in range(g.n):
+    # row x0 comes round twice: from y0 on first, and up to y0 last
+    for i in range(x0, x0 + n + 1):
+        x = i % n
         nx = g.mask(x)
-        for y in range(g.n):
+        for y in range(y0 if i == x0 else 0, y0 if i == x0 + n else n):
             if y == x or (nx >> y) & 1:
                 continue
             if full & ~nx & ~g.mask(y) & ~(1 << x) & ~(1 << y):
@@ -412,18 +431,19 @@ def _anchored_pairs(g: Graph) -> Iterator[tuple[int, int]]:
 
 
 def _frame_bases(
-    g: Graph, cliques: list[int] | None = None
+    g: Graph, cliques: list[int] | None = None, start: tuple[int, int] = (0, 0)
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """Each anchor pair (x, y) with the maximal cliques of G minus {x, y} as
-    bitmasks, in lexicographic order.  `cliques` are the maximal cliques of
-    g as masks, in lexicographic order; when not given they are enumerated
-    here, once the first anchor pair is found.  The cliques of G minus
-    {x, y} are derived from them."""
-    # Both orders of an anchor pair are visited, (x, y) first, so the entry
-    # is dropped once (y, x) has taken it.
+    """Each anchor pair (x, y), in the rotated order of `_anchored_pairs`
+    from `start`, with the maximal cliques of G minus {x, y} as bitmasks,
+    in lexicographic order.  `cliques` are the maximal cliques of g as
+    masks, in lexicographic order; when not given they are enumerated here,
+    once the first anchor pair is found.  The cliques of G minus {x, y} are
+    derived from them."""
+    # Both orders of an anchor pair are visited, so the entry the first one
+    # stores is dropped once the second has taken it.
     cache: dict[frozenset[int], list[int]] = {}
     full = g.full_mask
-    for x, y in _anchored_pairs(g):
+    for x, y in _anchored_pairs(g, start):
         key = frozenset((x, y))
         masks = cache.pop(key, None)
         if masks is None:
@@ -508,13 +528,25 @@ def _frame_choices(
 
 
 def find_good_partition(
-    g: Graph, stats: dict | None = None, *, cliques: list[int] | None = None
+    g: Graph,
+    stats: dict | None = None,
+    *,
+    cliques: list[int] | None = None,
+    start: tuple[int, int] = (0, 0),
 ) -> GoodPartition | None:
     """First good partition reachable by refining frames in canonical order:
     anchor pairs (x, y) ascending, then both cliques of G minus {x, y} in
-    lexicographic order, then the anchor choices C1, C3, none first.
+    lexicographic order, then the anchor choices C1, C3, none first.  With a
+    `start` pair the anchor pairs are rotated (see `_anchored_pairs`): the
+    scan begins at the first pair at or after `start` and wraps around to
+    the pairs before it, and the result is the first partition in that
+    rotated order.  The solver starts each child where its parent's search
+    succeeded, so it does not fail again on the pairs the parent passed
+    over.  The partition returned carries its anchor pair.
 
-    Complete: if the graph has any good partition, some frame refines to one.
+    Complete: if the graph has any good partition, some frame refines to
+    one.  A rotation still visits every anchor pair, so this holds for any
+    `start`.
     The scan skips a clique pair (Q1, Q3) when the union Q1 ∪ Q3 fails to
     separate x from y: refinement only shrinks the cutset, so no anchor
     choice of that pair can succeed.  Two prunes find most such unions
@@ -548,7 +580,7 @@ def find_good_partition(
     tried = 0
     pruned = 0
     found = None
-    for x, y, masks in _frame_bases(g, cliques):
+    for x, y, masks in _frame_bases(g, cliques, start):
         # the disjoint interiors; each BFS that finds x, y connected adds one
         paths = [mask_of(p) for p in _disjoint_paths(g, x, y)]
         hits, every = _path_hits(paths, masks)

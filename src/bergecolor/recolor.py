@@ -83,9 +83,14 @@ def coloring_from_json(obj: dict) -> PartialColoring:
     colors: dict[int, int] = {}
     try:
         for v, col in obj["colors"]:
-            if colors.setdefault(int(v), int(col)) != int(col):
+            # bool is an int subclass; neither it nor a float is a vertex
+            # or a color, and int() would truncate them silently
+            for value in (v, col):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"{value!r} is not an integer")
+            if colors.setdefault(v, col) != col:
                 raise ValueError(f"vertex {v} has two colors")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f'coloring JSON needs "colors" as [vertex, color] pairs: {exc}')
     return PartialColoring(colors)
 

@@ -20,6 +20,7 @@ is always free (Gavril 1972, perfect elimination orderings).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import Infeasible, InternalViolation
@@ -225,6 +226,7 @@ def _solve(
     cliques: list[int],
     keep: int,
     seeds: int,
+    start: tuple[int, int],
     depth: int,
     stats: SolveStats,
     events: list[dict],
@@ -239,7 +241,13 @@ def _solve(
     own.  The core is then searched and split, or colored as a leaf.  The
     root passes every vertex as seeds.  A child passes its parent's cutset
     K1 ∪ K2 ∪ K3: the parent's core has no simplicial vertex, and L and R
-    have no edges between them, so only cut vertices lose a neighbor."""
+    have no edges between them, so only cut vertices lose a neighbor.
+
+    `start` is an anchor pair in root labels.  The frame search begins at
+    the first of the core's anchor pairs at or after it, compared in root
+    labels, and wraps around to the pairs before it.  The root passes
+    (0, 0); a child passes its parent's anchor pair, so it resumes where the
+    parent's search succeeded."""
     stats.node_count += 1
     stats.max_depth = max(stats.max_depth, depth)
     peeled = _peel(g, seeds, keep)
@@ -252,8 +260,13 @@ def _solve(
     g, back, cliques = _child(g, cliques, core)
     orig = tuple(orig[j] for j in back)
 
+    # orig is increasing, so the first pair at or after `start` in root
+    # labels is the first at or after (x0, y0) in the core's own
+    x0 = bisect_left(orig, start[0])
+    on_row = x0 < len(orig) and orig[x0] == start[0]
+    y0 = bisect_left(orig, start[1]) if on_row else 0
     fstats: dict[str, int] = {}
-    gp = find_good_partition(g, fstats, cliques=cliques)
+    gp = find_good_partition(g, fstats, cliques=cliques, start=(x0, y0))
     stats.frames_tried += fstats.get("frames_tried", 0)
     stats.frames_pruned += fstats.get("frames_pruned", 0)
 
@@ -265,12 +278,15 @@ def _solve(
         triad = _witness_triad(g, gp)
         full = g.full_mask
         cut = mask_of(gp.k1 | gp.k2 | gp.k3)
+        anchor = (orig[gp.anchor[0]], orig[gp.anchor[1]])
         # the first child holds L, the second R; both answer in g's labels
         c1, k1, node1 = _solve(
-            g, orig, cliques, full & ~mask_of(gp.r), cut, depth + 1, stats, events
+            g, orig, cliques, full & ~mask_of(gp.r), cut, anchor, depth + 1,
+            stats, events,
         )
         c2, k2, node2 = _solve(
-            g, orig, cliques, full & ~mask_of(gp.l), cut, depth + 1, stats, events
+            g, orig, cliques, full & ~mask_of(gp.l), cut, anchor, depth + 1,
+            stats, events,
         )
         k = max(k1, k2)
 
@@ -316,7 +332,7 @@ def color(
     cliques = [mask_of(c) for c in maximal_cliques(g)]
     full = g.full_mask
     coloring, k, tree = _solve(
-        g, tuple(range(g.n)), cliques, full, full, 1, stats, events
+        g, tuple(range(g.n)), cliques, full, full, (0, 0), 1, stats, events
     )
     stats.swaps_applied = len(events)  # every event is one applied swap
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from bergecolor import DimacsError, Frame, Graph, refine_frame
+from bergecolor.dimacs import MAX_VERTICES
 from bergecolor.graphs import bit_list
 
 
@@ -56,6 +57,10 @@ def naive_parse_col(text: str) -> Graph:
                 raise DimacsError(line_no, f"non-integer sizes: {line!r}")
             if n < 0 or m < 0:
                 raise DimacsError(line_no, "negative size")
+            if n > MAX_VERTICES:
+                raise DimacsError(
+                    line_no, f"{n} vertices is over the limit of {MAX_VERTICES}"
+                )
         elif fields[0] == "e":
             if n is None:
                 raise DimacsError(line_no, "edge before problem line")
@@ -360,11 +365,15 @@ def _naive_frames_of(q1, q3, x, y):
             yield Frame(q1=q1, q3=q3, x=x, y=y, c1=frozenset(c1), c3=frozenset(c3))
 
 
-def enumerate_frames(g: Graph):
+def enumerate_frames(g: Graph, start: tuple[int, int] = (0, 0)):
     """All frames in the canonical order of the good-partition search:
     anchor pairs (x, y) ascending, then both maximal cliques of G minus
-    {x, y} in lexicographic order, then anchor choices, none first."""
-    for x, y in _naive_anchor_pairs(g):
+    {x, y} in lexicographic order, then anchor choices, none first.  With a
+    `start` pair, the anchor pairs at or after it come first and those
+    before it follow, each part in ascending order."""
+    pairs = list(_naive_anchor_pairs(g))
+    head = [p for p in pairs if p < start]
+    for x, y in [p for p in pairs if p >= start] + head:
         cliques = _naive_maximal_cliques_avoiding(g, (x, y))
         for q1 in cliques:
             for q3 in cliques:

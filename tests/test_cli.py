@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergecolor import (
+    BergeViolation,
     GoodPartition,
     PrismSpec,
     SolveStats,
@@ -29,7 +30,7 @@ from bergecolor import (
     verify_coloring,
     write_col,
 )
-from bergecolor import cli
+from bergecolor import cli, solver
 from bergecolor.cli import main
 from bergecolor.graphs import maximal_cliques_in
 
@@ -146,6 +147,14 @@ def test_color_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["color", "analyze"])
+def test_vertex_count_over_the_limit_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "huge.col"
+    path.write_text("p edge 10000000 0\n")
+    assert main([command, str(path)]) == 2
+    assert "line 1: 10000000 vertices is over the limit" in capsys.readouterr().err
+
+
 def test_color_missing_file(tmp_path, capsys):
     assert main(["color", str(tmp_path / "absent.col")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -255,14 +264,15 @@ def test_color_large_clique(tmp_path, capsys):
 
 def test_color_error_writes_report(tmp_path, capsys):
     # C5 is not Berge; with the check skipped the leaf search finds no
-    # 2-coloring and raises Infeasible from inside color()
+    # 2-coloring and raises Infeasible from inside color(), which blames
+    # the input
     path = col(tmp_path, cycle(5))
     rep_f = str(tmp_path / "r.json")
-    assert main(["color", path, "--trust-berge", "--report", rep_f]) == 1
+    assert main(["color", path, "--trust-berge", "--report", rep_f]) == 4
     err = capsys.readouterr().err
     assert "no proper coloring with 2 colors" in err
     rep = json.load(open(rep_f))
-    assert rep["status"] == "error"
+    assert rep["status"] == "not-berge"
     assert rep["error"] in err
     assert isinstance(rep["wall_time_s"], float)
     assert rep["checks"]["square_free"] is True
@@ -272,10 +282,49 @@ def test_parser_is_reused_without_carrying_flags(tmp_path, capsys):
     # main parses every call with one parser; a flag given to one call
     # must not reach the next
     path = col(tmp_path, cycle(5))
-    assert main(["color", path, "--trust-berge"]) == 1  # the leaf search fails
+    assert main(["color", path, "--trust-berge"]) == 4  # the leaf search fails
     assert main(["color", path]) == 4  # the Berge check runs again
     assert cli.build_parser() is cli.build_parser()
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n,flags",
+    [
+        (5, ["--trust-berge"]),  # the leaf search finds no 2-coloring
+        (7, ["--trust-berge"]),  # the merge runs out of swaps
+        (101, []),  # over the default --berge-cap of 64
+    ],
+)
+def test_color_not_berge_with_the_check_skipped(tmp_path, capsys, n, flags):
+    # with the Berge check skipped, a failed leaf search or merge proves the
+    # input is not Berge; it exits 4 like a named hole, not 5 like a bug
+    path = col(tmp_path, cycle(n))
+    rep_f = str(tmp_path / "r.json")
+    assert main(["color", path, "--report", rep_f, *flags]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not Berge (")
+    assert "no odd hole or antihole was named" in err
+    assert "internal violation" not in err and "Traceback" not in err
+    rep = json.load(open(rep_f))
+    assert rep["status"] == "not-berge"
+    assert rep["checks"] == {"square_free": True, "berge": False}
+    assert rep["witness"] is None
+    assert rep["error"] in err
+
+
+def test_berge_violation_with_the_check_run_is_internal(tmp_path, capsys, monkeypatch):
+    # once the Berge check has passed, running out of swaps is a bug
+    def exhausted(*args, **kwargs):
+        raise BergeViolation("no reducing swap left")
+
+    monkeypatch.setattr(solver, "merge_colorings", exhausted)
+    path = col(tmp_path, cycle(6))
+    rep_f = str(tmp_path / "r.json")
+    assert main(["color", path, "--report", rep_f]) == 5
+    assert "internal violation: no reducing swap left" in capsys.readouterr().err
+    rep = json.load(open(rep_f))
+    assert rep["status"] == "error"
 
 
 def test_color_long_odd_hole_is_not_berge(tmp_path, capsys):
@@ -382,6 +431,9 @@ def test_verify_coloring_garbage_file(tmp_path, capsys):
         {"colors": [[0, 1, 2]]},
         {"colors": [[0, 1], [1, 2], [1, 1], [2, 1], [3, 2], [4, 1], [5, 2]]},
         {"colors": [[float("inf"), 1]]},  # JSON's Infinity has no int value
+        {"colors": [[0.9, 1], [True, 2.5]]},  # int() would truncate these
+        # a proper 2-coloring of C6 but for the types of its values
+        {"colors": [[0, 1.0], [1, 2], [2, True], [3, 2], [4, 1], [5.0, 2]]},
     ],
 )
 def test_verify_coloring_malformed_json(tmp_path, capsys, doc):

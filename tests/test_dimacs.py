@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergecolor import DimacsError, Graph, format_col, parse_col, read_col, write_col
+from bergecolor.dimacs import MAX_VERTICES
 
 from conftest import cycle
 from oracles import naive_parse_col
@@ -56,6 +57,7 @@ def test_parse_errors_carry_line_numbers(text, line_no):
 
 LINES = [
     "p edge 4 3", "p edge 2 0", "p edge x 1", "p edge -1 0", "p edgy 4 3",
+    f"p edge {MAX_VERTICES + 1} 0",
     "e 1 2", "e 2 1", " e\t3  4 ", "e 4 1", "e +2 3", "e 1_0 2", "e 1 1",
     "e 0 2", "e 2 9", "e 1 z", "e 1", "e 1 2 3", "c note", "", "q 1 2",
 ]
@@ -75,6 +77,18 @@ def test_parse_matches_line_by_line_parser(header, lines):
         assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
     else:
         assert parse_col(text) == want
+
+
+def test_parse_rejects_vertex_count_over_the_limit():
+    # the graph is allocated from the declared count before any edge is
+    # read; 18 bytes must not claim hundreds of megabytes
+    for text in ("p edge 10000000 0\n", f"c big\np edge {MAX_VERTICES + 1} 0\n"):
+        with pytest.raises(DimacsError) as exc:
+            parse_col(text)
+        assert "over the limit of 1000000" in str(exc.value)
+        assert exc.value.line_no == text.count("\n")
+    assert MAX_VERTICES == 1_000_000
+    assert parse_col("p edge 1000 1\ne 1 1000\n").n == 1000
 
 
 def test_parse_empty_input():

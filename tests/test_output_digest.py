@@ -21,9 +21,11 @@ STAT_FIELDS = (
     "berge_checked",
 )
 
-# Last changed when frames_pruned began to count skipped clique pairs instead
-# of frames; colorings, trees, traces and every other counter stayed the same.
-EXPECTED = "1b39ad8dd031faf2dee45d8bc74edf846eb35c35ec40a54d4cb92ce1c2249c43"
+# Last changed when each child began to resume its anchor-pair scan where
+# its parent's search succeeded, instead of scanning from its first pair:
+# nodes may take other partitions, so trees, colorings, traces and counters
+# changed.
+EXPECTED = "5af8b5bf84946090d7507c8ed9a1888b4003ccd8820a9ed5fd94e5038f2acb85"
 
 
 def corpus_digest(corpus) -> str:
@@ -47,14 +49,16 @@ def test_output_digest_on_acceptance_corpus(corpus):
 
 
 # omega-2 draws on which frame search skips tens of thousands of clique pairs
-# per solve: (n, seed) -> (node_count, frames_tried, frames_pruned).
+# per solve: (n, seed) -> (node_count, frames_tried, frames_pruned).  With
+# every child scanning from its first anchor pair these were (33, 178,
+# 66272), (51, 179, 248132) and (39, 167, 58938).
 PRUNE_HEAVY = {
-    (40, 3): (33, 178, 66272),
-    (80, 1): (51, 179, 248132),
-    (100, 1): (39, 167, 58938),
+    (40, 3): (35, 97, 13686),
+    (80, 1): (51, 167, 76146),
+    (100, 1): (39, 169, 26355),
 }
 PRUNE_HEAVY_EXPECTED = (
-    "42ec86da1f564255947d536a4010bac03f19c1f10e3152e74373b32d17cc02b1"
+    "dbb2dca4282d43a9f8818aab0be39ed86c9c238f96ea69d1b115955c113824f0"
 )
 
 

@@ -329,6 +329,90 @@ def test_search_tries_frames_in_canonical_order(corpus_graphs, monkeypatch):
             assert refine(g, tried[-1]) == part
 
 
+def test_anchored_pairs_rotate_to_their_start(corpus_graphs):
+    # a start pair rotates the canonical list: the pairs at or after it,
+    # then those before it; a start past every pair rotates nothing
+    graphs = [cycle(6), cycle(7), _prism(), complete(4), Graph(0), Graph(3)]
+    graphs += [g for _, g in corpus_graphs if g.n <= 12]
+    for g in graphs:
+        pairs = list(_anchored_pairs(g))
+        n = g.n
+        starts = [(0, 0), (0, 1), (n // 2, 0), (n // 2, n), (n - 1, n), (n, 0)]
+        starts += [(n + 3, 2), *pairs[::5]]
+        for start in starts:
+            i = next((k for k, p in enumerate(pairs) if p >= start), len(pairs))
+            assert list(_anchored_pairs(g, start)) == pairs[i:] + pairs[:i]
+
+
+def _start_pairs(g):
+    """A few start pairs for a search on g: two of its anchor pairs, the
+    last, and one that need not be an anchor pair at all."""
+    pairs = list(_anchored_pairs(g))
+    return [*pairs[1::len(pairs) // 2 + 1], *pairs[-1:], (g.n // 2, 0)]
+
+
+def test_started_search_tries_frames_in_rotated_order(corpus_graphs, monkeypatch):
+    # with a start pair, the frames handed to refine_frame are, in order, a
+    # subsequence of all frames with the anchor pairs rotated to that start,
+    # ending at the first that refines; the partition carries its anchors
+    tried = []
+    refine = partition.refine_frame
+
+    def recording(g, frame, paths=None):
+        tried.append(frame)
+        return refine(g, frame, paths)
+
+    monkeypatch.setattr(partition, "refine_frame", recording)
+    searches = 0
+    for _, g in corpus_graphs:
+        if g.n > 30:
+            continue
+        for start in _start_pairs(g):
+            tried.clear()
+            part = find_good_partition(g, start=start)
+            frames = enumerate_frames(g, start)
+            assert all(f in frames for f in tried)  # consumes `frames` in order
+            if part is not None:
+                assert refine(g, tried[-1]) == part
+                assert part.anchor == (tried[-1].x, tried[-1].y)
+                searches += 1
+    assert searches > 300
+
+
+def test_started_search_is_complete(corpus_graphs):
+    # a good partition is found from every start pair or from none.  Every
+    # corpus graph has one; the graphs without are those with no triad, so
+    # no anchor pair, whatever the start
+    graphs = [g for _, g in corpus_graphs if g.n <= 30]
+    graphs += [complete(1), complete(4), complete_minus_star(8, 5), Graph(0)]
+    found = missed = 0
+    for g in graphs:
+        cliques = [mask_of(q) for q in maximal_cliques_in(g, g.full_mask)]
+        want = find_good_partition(g, cliques=cliques) is not None
+        starts = [*_anchored_pairs(g), (g.n // 2, 0), (1, 2), (g.n, 0)]
+        for start in starts:
+            part = find_good_partition(g, cliques=cliques, start=start)
+            assert (part is not None) == want
+            found += want
+            missed += not want
+    assert found > 30000 and missed >= 12
+
+
+def test_found_partition_carries_its_anchor_pair(corpus_graphs):
+    # x lies in L and y in R; the pair is non-adjacent and shares a triad
+    for _, g in corpus_graphs:
+        if g.n > 30:
+            continue
+        part = find_good_partition(g)
+        if part is None:
+            continue
+        x, y = part.anchor
+        assert x in part.l and y in part.r
+        assert (x, y) in set(_anchored_pairs(g))
+        # the anchor is no part of the partition's identity
+        assert part == gp(part.k1, part.k2, part.k3, part.l, part.r)
+
+
 def _small_graphs(corpus_graphs):
     """The corpus graphs with n <= 30 and four omega-2 draws."""
     graphs = [g for _, g in corpus_graphs if g.n <= 30]
@@ -381,6 +465,9 @@ def test_learned_paths_avoid_their_cuts(corpus_graphs, monkeypatch):
 
     monkeypatch.setattr(partition, "_separate", checked)
     larger = [g for _, g in corpus_graphs if g.n > 30]
+    # omega-2 draws that learn paths at many nodes; since each child resumes
+    # its parent's anchor scan, the other graphs learn fewer
+    larger += [gen_square_free_berge(50, 2), gen_square_free_berge(60, 7)]
     for g in larger + _small_graphs(corpus_graphs):
         color(g, trust_berge=True)
     assert learned > 150
