@@ -44,7 +44,13 @@ from .generators import (
     gen_square_free_berge,
     sidecar_metadata,
 )
-from .graphs import contains_square, find_triads, is_berge, mask_of, maximal_cliques
+from .graphs import (
+    _count_triads,
+    contains_square,
+    is_berge,
+    mask_of,
+    maximal_cliques,
+)
 from .partition import GoodPartition, find_good_partition, verify_good_partition
 from .recolor import (
     PartialColoring,
@@ -124,12 +130,11 @@ def cmd_color(args) -> int:
         # color() checks for squares first, so every other error comes later
         report["checks"]["square_free"] = True
         report["error"] = str(e)
+        skipped = args.trust_berge or g.n > args.berge_cap
         # a square-free Berge input always has an omega-coloring and a
         # reducing swap, so with the Berge check skipped these two errors
         # blame the input, not the program
-        if isinstance(e, (BergeViolation, Infeasible)) and (
-            args.trust_berge or g.n > args.berge_cap
-        ):
+        if isinstance(e, (BergeViolation, Infeasible)) and skipped:
             report["checks"]["berge"] = False
             report["status"] = "not-berge"
             report["witness"] = None
@@ -139,6 +144,8 @@ def cmd_color(args) -> int:
                 "so no odd hole or antihole was named",
                 EXIT_NOT_BERGE,
             )
+        # the Berge check, when it runs, comes before the solve
+        report["checks"]["berge"] = None if skipped else True
         _finish_report(args, report, t0)
         raise e from None  # main maps it to its exit code
 
@@ -258,7 +265,7 @@ def cmd_analyze(args) -> int:
     cliques = maximal_cliques(g)
     report["omega"] = max((len(c) for c in cliques), default=0)
     report["maximal_cliques"] = len(cliques)
-    report["triads"] = len(find_triads(g))
+    report["triads"] = _count_triads(g)
     if report["square_free"]:
         masks = [mask_of(c) for c in cliques]
         report["good_partition"] = find_good_partition(g, cliques=masks) is not None

@@ -1,9 +1,11 @@
 """Immutable undirected graphs over vertex bitmasks, plus the structure queries
 (squares, triads, maximal cliques, odd holes) every other module is built on.
 
-Vertices are 0..n-1.  All neighborhoods are Python ints used as bitsets, which
-is the fastest representation available for the n <= ~64 instances this engine
-targets, and keeps every operation deterministic.
+Vertices are 0..n-1.  Neighborhoods and vertex sets are Python ints used as
+bitsets: one int holds a set of any size, and a set operation is one pass in C
+over its machine words.  No size limit is built in; the benchmark's instances
+reach n = 400 and the scale test in CI n = 800.  Scans go by ascending id,
+which keeps every operation deterministic.
 """
 
 from __future__ import annotations
@@ -87,8 +89,7 @@ class Graph:
         subgraph's vertex i.  keep is sorted ascending, so relabeling is
         order-preserving and deterministic.
         """
-        sub, keep, _ = induced(self, mask_of(vertices))
-        return sub, keep
+        return induced(self, mask_of(vertices))
 
     def complement(self) -> "Graph":
         edges = [
@@ -141,19 +142,17 @@ def relabel(masks: list[int], runs: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[tuple[int, int]]]:
+def induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     """The subgraph induced on the vertex mask `keep`, whose vertex i is
-    keep's i-th lowest vertex; that order as a tuple; and the runs that move
-    any mask of g's vertices to the subgraph's labels (see `relabel`)."""
+    keep's i-th lowest vertex, and that order as a tuple."""
     order = tuple(iter_bits(keep))
-    runs = bit_runs(keep)
     adj = g._masks
-    masks = relabel([adj[v] for v in order], runs)
+    masks = relabel([adj[v] for v in order], bit_runs(keep))
     sub = object.__new__(Graph)
     sub.n = len(order)
     sub._masks = tuple(masks)
     sub._m = sum(map(int.bit_count, masks)) // 2
-    return sub, order, runs
+    return sub, order
 
 
 def component_mask(g: Graph, start: int, allowed: int) -> int:
@@ -205,10 +204,12 @@ def contains_square(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def _iter_triads(g: Graph) -> Iterator[tuple[int, int, int]]:
-    full = g.full_mask
-    for x in range(g.n):
-        nonx = full & ~g.mask(x) & ~((1 << (x + 1)) - 1)
+def _iter_triads(g: Graph, within: int | None = None) -> Iterator[tuple[int, int, int]]:
+    """Triads of the subgraph induced on `within` (all of g by default),
+    ascending."""
+    keep = g.full_mask if within is None else within
+    for x in iter_bits(keep):
+        nonx = keep & ~g.mask(x) & ~((1 << (x + 1)) - 1)
         for y in iter_bits(nonx):
             zs = nonx & ~g.mask(y) & ~((1 << (y + 1)) - 1)
             for z in iter_bits(zs):
@@ -218,6 +219,19 @@ def _iter_triads(g: Graph) -> Iterator[tuple[int, int, int]]:
 def find_triads(g: Graph) -> list[tuple[int, int, int]]:
     """All triples of pairwise non-adjacent vertices, ascending."""
     return list(_iter_triads(g))
+
+
+def _count_triads(g: Graph) -> int:
+    """len(find_triads(g)) without listing them: for each non-adjacent pair
+    x < y, the vertices above y adjacent to neither."""
+    masks = g._masks
+    full = g.full_mask
+    total = 0
+    for x in range(g.n):
+        nonx = full & ~masks[x] & ~((2 << x) - 1)
+        for y in iter_bits(nonx):
+            total += (nonx & ~masks[y] & ~((2 << y) - 1)).bit_count()
+    return total
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -305,8 +319,8 @@ def _peel(g: Graph, seeds: int, keep: int) -> list[tuple[int, int]]:
     ascending scans over the remaining vertices, each scan removing every
     vertex whose remaining neighborhood is a clique, until a scan removes
     nothing.  Returns each removed vertex with that neighborhood as a mask,
-    in removal order.  The solver peels each decomposition piece with it, in
-    the labels of the piece's parent, and `_find_odd_hole` the whole graph.
+    in removal order.  The solver peels each decomposition piece with it, as
+    a mask of the input graph, and `_find_odd_hole` the whole graph.
 
     A vertex whose remaining neighborhood has not changed since it failed
     the test would fail again, so a scan tests only the vertices that lost a

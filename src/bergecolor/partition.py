@@ -214,7 +214,16 @@ def verify_good_partition(g: Graph, p: GoodPartition) -> PartitionVerdict:
 
     Raises MalformedPartition when the five sets fail to partition V(G).
     """
-    k1m, k2m, k3m, lm, rm = _partition_masks(g, p)
+    return _verify_masks(g, _partition_masks(g, p), g.full_mask)
+
+
+def _verify_masks(
+    g: Graph, masks: tuple[int, int, int, int, int], within: int
+) -> PartitionVerdict:
+    """`verify_good_partition` for the five sets given as masks that
+    partition `within`, checked as a partition of the subgraph induced on
+    it; the triad of condition (v) is sought inside `within`."""
+    k1m, k2m, k3m, lm, rm = masks
 
     if lm == 0:
         return PartitionVerdict(False, "i", ("L empty",))
@@ -238,29 +247,34 @@ def verify_good_partition(g: Graph, p: GoodPartition) -> PartitionVerdict:
     if u is not None:
         return PartitionVerdict(False, "iv", (u,))
 
-    full = g.full_mask
     for x in iter_bits(lm):
         nx = g.mask(x)
         for y in iter_bits(rm & ~nx):
-            zs = full & ~nx & ~g.mask(y) & ~(1 << x) & ~(1 << y)
+            zs = within & ~nx & ~g.mask(y) & ~(1 << x) & ~(1 << y)
             if zs:
                 return PartitionVerdict(True)
     return PartitionVerdict(False, "v", None)
 
 
 def _separate(
-    g: Graph, cut: int, x: int, y: int, paths: list[int] | None = None
+    g: Graph,
+    cut: int,
+    x: int,
+    y: int,
+    paths: list[int] | None = None,
+    within: int | None = None,
 ) -> tuple[int, int] | None:
     """(x's component, the rest) of G - cut, or None when x and y are
-    connected there.  `paths`, if given, lists interiors of x-y paths as
-    masks: a cut that misses one of them leaves x and y connected, and is
-    answered without a BFS.  A BFS that finds x and y connected appends the
-    interior of a shortest x-y path of G - cut to the list."""
+    connected there; G is the subgraph induced on `within`, all of g by
+    default.  `paths`, if given, lists interiors of x-y paths as masks: a
+    cut that misses one of them leaves x and y connected, and is answered
+    without a BFS.  A BFS that finds x and y connected appends the interior
+    of a shortest x-y path of G - cut to the list."""
     if paths is not None:
         for pm in paths:
             if not cut & pm:
                 return None
-    rest = g.full_mask & ~cut
+    rest = (g.full_mask if within is None else within) & ~cut
     lmask = component_mask(g, x, rest)
     if (lmask >> y) & 1:
         if paths is not None:
@@ -315,8 +329,17 @@ def _truncated_side(g: Graph, side: int, other: int, c: frozenset[int]) -> int:
 
 
 def _emit(
-    g: Graph, frame: Frame, k1m: int, k2m: int, k3m: int, lm: int, rm: int
+    g: Graph,
+    frame: Frame,
+    k1m: int,
+    k2m: int,
+    k3m: int,
+    lm: int,
+    rm: int,
+    within: int,
 ) -> GoodPartition:
+    """The five masks as a partition carrying the frame's anchor pair,
+    verified as a good partition of the subgraph induced on `within`."""
     cand = GoodPartition(
         k1=frozenset(iter_bits(k1m)),
         k2=frozenset(iter_bits(k2m)),
@@ -325,7 +348,7 @@ def _emit(
         r=frozenset(iter_bits(rm)),
         anchor=(frame.x, frame.y),
     )
-    verdict = verify_good_partition(g, cand)
+    verdict = _verify_masks(g, (k1m, k2m, k3m, lm, rm), within)
     if not verdict:
         raise InternalViolation(
             f"refinement emitted a bad partition: condition {verdict.condition}, "
@@ -335,9 +358,15 @@ def _emit(
 
 
 def refine_frame(
-    g: Graph, frame: Frame, paths: list[int] | None = None
+    g: Graph,
+    frame: Frame,
+    paths: list[int] | None = None,
+    *,
+    within: int | None = None,
 ) -> GoodPartition | None:
-    """Drive one frame to a good partition or to failure.
+    """Drive one frame to a good partition or to failure, in the subgraph
+    induced on `within` (all of g by default), whose vertices the frame's
+    cliques and anchors must be.
 
     Step 1 cuts each side of the frame down to its anchored tail and drops
     sides with no anchor.  Then two repair loops alternate: condition (iii)
@@ -353,18 +382,20 @@ def refine_frame(
     pair; a verification failure here means a bug, not bad input, and raises
     InternalViolation.
     """
+    if within is None:
+        within = g.full_mask
     q1m, q3m = mask_of(frame.q1), mask_of(frame.q3)
     x, y = frame.x, frame.y
     k2m = q1m & q3m
     k1m = _truncated_side(g, q1m & ~q3m, q3m & ~q1m, frame.c1)
     k3m = _truncated_side(g, q3m & ~q1m, q1m & ~q3m, frame.c3)
 
-    sep = _separate(g, k1m | k2m | k3m, x, y, paths)
+    sep = _separate(g, k1m | k2m | k3m, x, y, paths, within)
     if sep is None:
         return None
     lm, rm = sep
     if k1m == 0 or k3m == 0:
-        return _emit(g, frame, k1m, k2m, k3m, lm, rm)
+        return _emit(g, frame, k1m, k2m, k3m, lm, rm, within)
 
     c1v = min(frame.c1)
     budget = k1m.bit_count() + k3m.bit_count()
@@ -384,7 +415,7 @@ def refine_frame(
             repairs += 1
             if repairs > budget:
                 raise InternalViolation("refinement exceeded its shrink budget")
-            sep = _separate(g, k1m | k2m | k3m, x, y, paths)
+            sep = _separate(g, k1m | k2m | k3m, x, y, paths, within)
             if sep is None:
                 return None
             lm, rm = sep
@@ -392,7 +423,7 @@ def refine_frame(
         # condition (iv) repairs; any shrink can enlarge L', so recheck (iii)
         u = _both_sides_vertex(g, k1m, k3m, lm)
         if u is None:
-            return _emit(g, frame, k1m, k2m, k3m, lm, rm)
+            return _emit(g, frame, k1m, k2m, k3m, lm, rm, within)
         new_k3 = k3m & ~g.mask(u)
         if new_k3 == k3m:
             raise InternalViolation("condition (iv) repair did not shrink K'3")
@@ -400,56 +431,63 @@ def refine_frame(
         repairs += 1
         if repairs > budget:
             raise InternalViolation("refinement exceeded its shrink budget")
-        sep = _separate(g, k1m | k2m | k3m, x, y, paths)
+        sep = _separate(g, k1m | k2m | k3m, x, y, paths, within)
         if sep is None:
             return None
         lm, rm = sep
 
 
 def _anchored_pairs(
-    g: Graph, start: tuple[int, int] = (0, 0)
+    g: Graph, start: tuple[int, int] = (0, 0), within: int | None = None
 ) -> Iterator[tuple[int, int]]:
-    """Ordered pairs (x, y) of distinct non-adjacent vertices sharing a triad,
-    in lexicographic order rotated to begin at the first pair at or after
-    `start`: the pairs from there on, then those before it.  A start past
-    every pair begins at the first."""
-    n = g.n
-    if not n:
-        return
-    x0, y0 = start if start[0] < n else (0, 0)
-    y0 = min(y0, n)
-    full = g.full_mask
-    # row x0 comes round twice: from y0 on first, and up to y0 last
-    for i in range(x0, x0 + n + 1):
-        x = i % n
-        nx = g.mask(x)
-        for y in range(y0 if i == x0 else 0, y0 if i == x0 + n else n):
-            if y == x or (nx >> y) & 1:
-                continue
-            if full & ~nx & ~g.mask(y) & ~(1 << x) & ~(1 << y):
-                yield (x, y)
+    """Ordered pairs (x, y) of distinct non-adjacent vertices of `within`
+    (all of g by default) sharing a triad there, in lexicographic order
+    rotated to begin at the first pair at or after `start`: the pairs from
+    there on, then those before it.  A start past every pair begins at the
+    first.  Each row's candidates y are the bits of one mask, walked lazily."""
+    keep = g.full_mask if within is None else within
+    masks = g._masks
+    # every pair is at or after a start below (0, 0)
+    x0, y0 = start if start >= (0, 0) else (0, 0)
+    x0bit = 1 << x0
+    tail = -1 << max(y0, 0)  # the columns y >= y0
+    # row x0 comes round twice: from y0 on first, and below y0 last
+    rows = (
+        (keep & x0bit, tail),
+        (keep & -(x0bit << 1), -1),
+        (keep & (x0bit - 1), -1),
+        (keep & x0bit, ~tail),
+    )
+    for xs, cols in rows:
+        for x in iter_bits(xs):
+            far = keep & ~masks[x] & ~(1 << x)
+            for y in iter_bits(far & cols):
+                if far & ~masks[y] & ~(1 << y):
+                    yield (x, y)
 
 
 def _frame_bases(
-    g: Graph, cliques: list[int] | None = None, start: tuple[int, int] = (0, 0)
+    g: Graph,
+    cliques: list[int] | None,
+    start: tuple[int, int],
+    within: int,
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """Each anchor pair (x, y), in the rotated order of `_anchored_pairs`
-    from `start`, with the maximal cliques of G minus {x, y} as bitmasks,
-    in lexicographic order.  `cliques` are the maximal cliques of g as
-    masks, in lexicographic order; when not given they are enumerated here,
-    once the first anchor pair is found.  The cliques of G minus {x, y} are
-    derived from them."""
+    """Each anchor pair (x, y) of G, the subgraph induced on `within`, in
+    the rotated order of `_anchored_pairs` from `start`, with the maximal
+    cliques of G minus {x, y} as bitmasks, in lexicographic order.
+    `cliques` are the maximal cliques of G as masks, in lexicographic
+    order; when not given they are enumerated here, once the first anchor
+    pair is found.  The cliques of G minus {x, y} are derived from them."""
     # Both orders of an anchor pair are visited, so the entry the first one
     # stores is dropped once the second has taken it.
     cache: dict[frozenset[int], list[int]] = {}
-    full = g.full_mask
-    for x, y in _anchored_pairs(g, start):
+    for x, y in _anchored_pairs(g, start, within):
         key = frozenset((x, y))
         masks = cache.pop(key, None)
         if masks is None:
             if cliques is None:
-                cliques = [mask_of(c) for c in maximal_cliques_in(g, full)]
-            masks = cliques_within(g, cliques, full & ~(1 << x) & ~(1 << y))
+                cliques = [mask_of(c) for c in maximal_cliques_in(g, within)]
+            masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
             cache[key] = masks
         yield x, y, masks
 
@@ -482,15 +520,18 @@ def _shortest_interior(
     return tuple(interior)
 
 
-def _disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
-    """Internally disjoint x-y paths, found greedily: a shortest path, then a
-    shortest path avoiding the interiors found so far, until y is cut off.
+def _disjoint_paths(
+    g: Graph, x: int, y: int, within: int | None = None
+) -> list[tuple[int, ...]]:
+    """Internally disjoint x-y paths in the subgraph induced on `within`
+    (all of g by default), found greedily: a shortest path, then a shortest
+    path avoiding the interiors found so far, until y is cut off.
     Each path is given by its interior, from the x end; x and y must be
     distinct and non-adjacent, so no interior is empty.  Every x-y path
     leaves x and enters y through a neighbour, so once the interiors cover
     all of x's or all of y's neighbours the search stops without a BFS."""
     paths: list[tuple[int, ...]] = []
-    allowed = g.full_mask
+    allowed = g.full_mask if within is None else within
     nx, ny = g._masks[x], g._masks[y]
     while nx & allowed and ny & allowed:
         interior = _shortest_interior(g, x, y, allowed)
@@ -533,6 +574,7 @@ def find_good_partition(
     *,
     cliques: list[int] | None = None,
     start: tuple[int, int] = (0, 0),
+    within: int | None = None,
 ) -> GoodPartition | None:
     """First good partition reachable by refining frames in canonical order:
     anchor pairs (x, y) ascending, then both cliques of G minus {x, y} in
@@ -570,19 +612,28 @@ def find_good_partition(
       again).  This skips BFS runs only; which pairs are skipped and which
       frames are tried, and so both counters, stay as they were.
 
+    `within`, a vertex mask, restricts the search to the subgraph G induced
+    on it; by default G is all of g.  Anchor pairs, cliques, separations
+    and the partition returned are all in g's labels, and since every tie
+    goes to the lowest id, the result is the search on G built as a graph
+    of its own, relabelled back.  The solver searches each decomposition
+    node this way, as a mask of the input graph.
+
     `stats`, if given, accumulates counters under keys "frames_tried" (frames
     handed to `refine_frame`) and "frames_pruned" (clique pairs skipped
     without refinement, one per pair, a skipped row counting every pair in
-    it).  `cliques`, if given, are the maximal cliques of g as masks in
+    it).  `cliques`, if given, are the maximal cliques of G as masks in
     lexicographic order (the solver carries them down the decomposition);
-    otherwise they are enumerated from g.
+    otherwise they are enumerated from G.
     """
+    if within is None:
+        within = g.full_mask
     tried = 0
     pruned = 0
     found = None
-    for x, y, masks in _frame_bases(g, cliques, start):
+    for x, y, masks in _frame_bases(g, cliques, start, within):
         # the disjoint interiors; each BFS that finds x, y connected adds one
-        paths = [mask_of(p) for p in _disjoint_paths(g, x, y)]
+        paths = [mask_of(p) for p in _disjoint_paths(g, x, y, within)]
         hits, every = _path_hits(paths, masks)
         kinds = set(hits)
         # rows of Q1 with such a mask hold a pair that hits every path
@@ -598,7 +649,7 @@ def find_good_partition(
                     um = q1m | q3m
                     ok = union_ok.get(um)
                     if ok is None:
-                        ok = _separate(g, um, x, y, paths) is not None
+                        ok = _separate(g, um, x, y, paths, within) is not None
                         union_ok[um] = ok
                 if not ok:
                     pruned += 1
@@ -607,7 +658,7 @@ def find_good_partition(
                 for c1, c3 in _frame_choices(q1m, q3m):
                     tried += 1
                     frame = Frame(q1=q1, q3=q3, x=x, y=y, c1=c1, c3=c3)
-                    gp = refine_frame(g, frame, paths)
+                    gp = refine_frame(g, frame, paths, within=within)
                     if gp is not None:
                         found = gp
                         break

@@ -229,12 +229,13 @@ def merge_colorings(
     """Combine a coloring of G minus R and one of G minus L into a proper
     coloring of G with at most k colors.
 
-    `p` must be a verified good partition of g, c1/c2 proper colorings of
-    their sides with at most k colors.  `trace`, if given, is called with one
-    dict per applied swap.  Raises BergeViolation when the swap search is
-    exhausted with bad vertices left.
+    `p` must be a verified good partition of G, the subgraph of g induced
+    on the union of its five sets (all of g, or one decomposition piece),
+    and c1/c2 proper colorings of their sides with at most k colors.
+    `trace`, if given, is called with one dict per applied swap.  Raises
+    BergeViolation when the swap search is exhausted with bad vertices left.
     """
-    vall = frozenset(range(g.n))
+    vall = p.k1 | p.k2 | p.k3 | p.l | p.r
     if c1.domain() != vall - p.r:
         raise ValueError("c1 must color exactly G minus R")
     if c2.domain() != vall - p.l:

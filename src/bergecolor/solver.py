@@ -8,19 +8,24 @@ binary tree whose internal nodes carry their partition and a witness triad.
 The maximal cliques are enumerated once, at the root; every other node's
 list is derived from its parent's and carried down with the node.
 
+Every piece is a vertex mask of the one input graph, and the whole
+decomposition runs in the input's labels: no piece becomes a graph of its
+own, and nothing is relabelled.  The search, the merge and the peel read
+the piece's mask; since every tie goes to the lowest id, each answers as it
+would on the piece built as a graph in ascending vertex order.  Only a leaf
+builds a graph, for its branch-and-bound.
+
 Each node first peels its simplicial vertices (those whose neighborhood is a
-clique) and runs the search on what is left, its core.  The peel runs in
-the parent's labels, before the piece is built, so only the core becomes a
-graph of its own; a child's peel starts from the parent's cutset, the only
-vertices that can have become simplicial.  A peeled vertex is colored last,
-in the parent's labels, with the lowest color missing from its neighborhood
-at removal: a clique of at most omega - 1 vertices, so a color within omega
-is always free (Gavril 1972, perfect elimination orderings).
+clique) and runs the search on what is left, its core.  A child's peel
+starts from the parent's cutset, the only vertices that can have become
+simplicial.  A peeled vertex is colored last with the lowest color missing
+from its neighborhood at removal: a clique of at most omega - 1 vertices, so
+a color within omega is always free (Gavril 1972, perfect elimination
+orderings).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import Infeasible, InternalViolation
@@ -34,7 +39,6 @@ from .graphs import (
     mask_of,
     maximal_cliques,
     omega,
-    relabel,
     require_berge,
     require_square_free,
 )
@@ -185,44 +189,45 @@ def leaf_color(g: Graph, target: int) -> PartialColoring:
     return PartialColoring(colors)
 
 
-def _witness_triad(g: Graph, gp: GoodPartition) -> tuple[int, int, int]:
-    """First triad, in ascending order, meeting both L and R."""
-    for x, y, z in _iter_triads(g):
+def _witness_triad(g: Graph, gp: GoodPartition, within: int) -> tuple[int, int, int]:
+    """First triad of the subgraph induced on `within`, in ascending order,
+    meeting both L and R."""
+    for x, y, z in _iter_triads(g, within):
         tset = {x, y, z}
         if tset & gp.l and tset & gp.r:
             return (x, y, z)
     raise InternalViolation("verified partition lost its witness triad")
 
 
-def _child(
-    g: Graph, cliques: list[int], keep: int
-) -> tuple[Graph, tuple[int, ...], list[int]]:
-    """The subgraph induced on `keep`, its vertices' labels in g, and its
-    maximal cliques as masks in its own labels, derived from g's."""
-    sub, order, runs = induced(g, keep)
-    return sub, order, relabel(cliques_within(g, cliques, keep), runs)
+def _leaf_color(g: Graph, core: int, k: int) -> PartialColoring:
+    """`leaf_color` on the subgraph induced on `core`, the one graph the
+    solve builds, its coloring moved back to g's labels."""
+    sub, order = induced(g, core)
+    return PartialColoring(
+        {order[i]: col for i, col in leaf_color(sub, k).colors.items()}
+    )
 
 
 def _color_peeled(
-    core: PartialColoring, back: tuple[int, ...], peeled: list[tuple[int, int]], k: int
+    coloring: PartialColoring, peeled: list[tuple[int, int]], k: int
 ) -> tuple[PartialColoring, int]:
-    """Move the core's coloring to the parent's labels (core vertex i is
-    back[i] there) and extend it to the peeled vertices, last removed first.
-    Each one's neighborhood at removal is then a colored clique, so the
-    lowest color missing from it is at most its size + 1; the piece's k
-    grows to the largest such clique plus v."""
-    colors = {back[i]: col for i, col in core.colors.items()}
+    """Extend the core's coloring, in place, to the peeled vertices, last
+    removed first.  Each one's neighborhood at removal is then a colored
+    clique, so the lowest color missing from it is at most its size + 1;
+    the piece's k grows to the largest such clique plus v."""
+    colors = coloring.colors
     for v, nb in reversed(peeled):
-        size = nb.bit_count()
         taken = {colors[u] for u in iter_bits(nb)}
-        colors[v] = min(set(range(1, size + 2)) - taken)
-        k = max(k, size + 1)
-    return PartialColoring(colors), k
+        col = 1
+        while col in taken:
+            col += 1
+        colors[v] = col
+        k = max(k, nb.bit_count() + 1)
+    return coloring, k
 
 
 def _solve(
     g: Graph,
-    orig: tuple[int, ...],
     cliques: list[int],
     keep: int,
     seeds: int,
@@ -232,79 +237,60 @@ def _solve(
     events: list[dict],
 ) -> tuple[PartialColoring, int, TreeNode]:
     """Color the piece of g induced on `keep`, building one tree node, and
-    return its coloring in g's labels.  Vertex i of g is orig[i] in the root
-    graph and g's maximal cliques are `cliques` (masks, lexicographic
-    order); counters and swap events go into the run's `stats` and `events`.
+    return its coloring.  g is the input graph and every vertex, mask and
+    partition is in its labels; `cliques` are the maximal cliques of the
+    parent's core (masks, lexicographic order), all of g's at the root.
+    Counters and swap events go into the run's `stats` and `events`.
 
-    The piece is peeled in g's labels, the first scan testing only `seeds`
-    (see `_peel`), and only the core that is left is built as a graph of its
-    own.  The core is then searched and split, or colored as a leaf.  The
+    The piece is peeled, the first scan testing only `seeds` (see
+    `_peel`), and its core searched and split, or colored as a leaf.  The
     root passes every vertex as seeds.  A child passes its parent's cutset
     K1 ∪ K2 ∪ K3: the parent's core has no simplicial vertex, and L and R
     have no edges between them, so only cut vertices lose a neighbor.
 
-    `start` is an anchor pair in root labels.  The frame search begins at
-    the first of the core's anchor pairs at or after it, compared in root
-    labels, and wraps around to the pairs before it.  The root passes
+    The frame search begins at the first of the core's anchor pairs at or
+    after `start` and wraps around to the pairs before it.  The root passes
     (0, 0); a child passes its parent's anchor pair, so it resumes where the
     parent's search succeeded."""
     stats.node_count += 1
     stats.max_depth = max(stats.max_depth, depth)
     peeled = _peel(g, seeds, keep)
-    node = TreeNode(
-        vertices=tuple(orig[v] for v in iter_bits(keep)),
-        peeled=tuple(orig[v] for v, _ in peeled),
-    )
-    # from here on g is the core; back gives its vertices' labels in the parent
+    node = TreeNode(vertices=tuple(iter_bits(keep)), peeled=tuple(v for v, _ in peeled))
     core = keep & ~mask_of(v for v, _ in peeled)
-    g, back, cliques = _child(g, cliques, core)
-    orig = tuple(orig[j] for j in back)
+    cliques = cliques_within(g, cliques, core)
 
-    # orig is increasing, so the first pair at or after `start` in root
-    # labels is the first at or after (x0, y0) in the core's own
-    x0 = bisect_left(orig, start[0])
-    on_row = x0 < len(orig) and orig[x0] == start[0]
-    y0 = bisect_left(orig, start[1]) if on_row else 0
     fstats: dict[str, int] = {}
-    gp = find_good_partition(g, fstats, cliques=cliques, start=(x0, y0))
+    gp = find_good_partition(g, fstats, cliques=cliques, start=start, within=core)
     stats.frames_tried += fstats.get("frames_tried", 0)
     stats.frames_pruned += fstats.get("frames_pruned", 0)
 
     if gp is None:
         stats.leaf_count += 1
         k = max((q.bit_count() for q in cliques), default=0)
-        coloring = leaf_color(g, k)
+        coloring = _leaf_color(g, core, k)
     else:
-        triad = _witness_triad(g, gp)
-        full = g.full_mask
         cut = mask_of(gp.k1 | gp.k2 | gp.k3)
-        anchor = (orig[gp.anchor[0]], orig[gp.anchor[1]])
-        # the first child holds L, the second R; both answer in g's labels
+        # the first child holds L, the second R
         c1, k1, node1 = _solve(
-            g, orig, cliques, full & ~mask_of(gp.r), cut, anchor, depth + 1,
+            g, cliques, core & ~mask_of(gp.r), cut, gp.anchor, depth + 1,
             stats, events,
         )
         c2, k2, node2 = _solve(
-            g, orig, cliques, full & ~mask_of(gp.l), cut, anchor, depth + 1,
+            g, cliques, core & ~mask_of(gp.l), cut, gp.anchor, depth + 1,
             stats, events,
         )
         k = max(k1, k2)
 
-        coloring = merge_colorings(
-            g, gp, c1, c2, k,
-            trace=lambda ev: events.append({**ev, "node_n": len(orig)}),
-        )
+        # a swap event names its seed by rank in the core, and the core's size
+        def trace(ev: dict) -> None:
+            rank = (core & ((1 << ev["seed"]) - 1)).bit_count()
+            events.append({**ev, "seed": rank, "node_n": core.bit_count()})
 
-        node.partition = GoodPartition(
-            k1=frozenset(orig[i] for i in gp.k1),
-            k2=frozenset(orig[i] for i in gp.k2),
-            k3=frozenset(orig[i] for i in gp.k3),
-            l=frozenset(orig[i] for i in gp.l),
-            r=frozenset(orig[i] for i in gp.r),
-        )
-        node.triad = tuple(sorted(orig[v] for v in triad))
+        coloring = merge_colorings(g, gp, c1, c2, k, trace=trace)
+        node.partition = gp
+        node.triad = _witness_triad(g, gp, core)
         node.children = (node1, node2)
-    coloring, k = _color_peeled(coloring, back, peeled, k)
+    coloring, k = _color_peeled(coloring, peeled, k)
     return coloring, k, node
 
 
@@ -331,9 +317,7 @@ def color(
     events: list[dict] = []
     cliques = [mask_of(c) for c in maximal_cliques(g)]
     full = g.full_mask
-    coloring, k, tree = _solve(
-        g, tuple(range(g.n)), cliques, full, full, (0, 0), 1, stats, events
-    )
+    coloring, k, tree = _solve(g, cliques, full, full, (0, 0), 1, stats, events)
     stats.swaps_applied = len(events)  # every event is one applied swap
 
     # omega(g) from the root's maximal cliques, never from the solve's own k;

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from bergecolor import (
     BergeViolation,
     GoodPartition,
+    InternalViolation,
     PrismSpec,
     SolveStats,
     TreeNode,
@@ -325,6 +326,27 @@ def test_berge_violation_with_the_check_run_is_internal(tmp_path, capsys, monkey
     assert "internal violation: no reducing swap left" in capsys.readouterr().err
     rep = json.load(open(rep_f))
     assert rep["status"] == "error"
+    # the check ran and passed before the merge failed
+    assert rep["checks"] == {"square_free": True, "berge": True}
+
+
+@pytest.mark.parametrize("flags", [["--trust-berge"], ["--berge-cap", "5"]])
+def test_internal_error_with_the_check_skipped_leaves_berge_unknown(
+    tmp_path, capsys, monkeypatch, flags
+):
+    # an error that does not blame the input says nothing of Berge-ness
+    # when the check did not run
+    def broken(*args, **kwargs):
+        raise InternalViolation("merged coloring is improper")
+
+    monkeypatch.setattr(solver, "merge_colorings", broken)
+    path = col(tmp_path, cycle(6))
+    rep_f = str(tmp_path / "r.json")
+    assert main(["color", path, "--report", rep_f, *flags]) == 5
+    assert "internal violation: merged coloring is improper" in capsys.readouterr().err
+    rep = json.load(open(rep_f))
+    assert rep["status"] == "error"
+    assert rep["checks"] == {"square_free": True, "berge": None}
 
 
 def test_color_long_odd_hole_is_not_berge(tmp_path, capsys):

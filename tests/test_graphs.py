@@ -20,7 +20,9 @@ from bergecolor import (
     require_square_free,
 )
 from bergecolor.graphs import (
+    _count_triads,
     _find_odd_hole,
+    _iter_triads,
     _peel,
     bit_list,
     bit_runs,
@@ -203,6 +205,24 @@ def test_contains_square_matches_naive(g):
 def test_find_triads_matches_naive(g):
     assert set(find_triads(g)) == naive_triads(g)
     assert find_triads(g) == sorted(find_triads(g))
+
+
+def test_count_triads_matches_the_listing(corpus_graphs):
+    # analyze counts the triads without building them
+    counted = 0
+    for _, g in corpus_graphs:
+        assert _count_triads(g) == len(find_triads(g))
+        counted += _count_triads(g)
+    assert _count_triads(Graph(0)) == 0 and counted > 100000
+
+
+@given(graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_triads_within_a_mask_are_those_of_its_subgraph(g, rnd):
+    keep = mask_of(v for v in range(g.n) if rnd.random() < 0.7)
+    sub, order = naive_subgraph(g, bit_list(keep))
+    want = [tuple(order[v] for v in t) for t in find_triads(sub)]
+    assert list(_iter_triads(g, keep)) == want
 
 
 def test_maximal_cliques_examples():

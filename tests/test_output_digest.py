@@ -77,3 +77,28 @@ def test_output_digest_where_frames_are_pruned():
         ]
         h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == PRUNE_HEAVY_EXPECTED
+
+
+# omega >= 3 draws of the `large` kind: deep trees whose spines strip a few
+# vertices per level, (400, 6) 55 levels deep.  Each record holds the sorted
+# coloring, the tree, the swap events and the SolveStats counters.
+DEEP_SPINES = ((180, 0), (240, 6), (300, 2), (400, 6))
+DEEP_SPINES_EXPECTED = (
+    "6b5bdb877899b34ddb725599a29bfdad9282864d2a411b768a2566496db1aa3f"
+)
+
+
+def test_output_digest_on_deep_spines():
+    h = hashlib.sha256()
+    for n, seed in DEEP_SPINES:
+        events: list = []
+        r = color(gen_square_free_berge(n, seed), trace=events)
+        record = [
+            [n, seed],
+            sorted(r.coloring.colors.items()),
+            tree_to_json(r.tree),
+            events,
+            [getattr(r.stats, f) for f in STAT_FIELDS],
+        ]
+        h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == DEEP_SPINES_EXPECTED

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from itertools import islice
 
 import pytest
@@ -34,6 +35,7 @@ from oracles import (
     naive_disjoint_paths,
     naive_good_partition_check,
     naive_skipped_pairs,
+    naive_subgraph,
 )
 
 
@@ -313,9 +315,9 @@ def test_search_tries_frames_in_canonical_order(corpus_graphs, monkeypatch):
     tried = []
     refine = partition.refine_frame
 
-    def recording(g, frame, paths=None):
+    def recording(g, frame, paths=None, *, within=None):
         tried.append(frame)
-        return refine(g, frame, paths)
+        return refine(g, frame, paths, within=within)
 
     monkeypatch.setattr(partition, "refine_frame", recording)
     for _, g in corpus_graphs:
@@ -358,9 +360,9 @@ def test_started_search_tries_frames_in_rotated_order(corpus_graphs, monkeypatch
     tried = []
     refine = partition.refine_frame
 
-    def recording(g, frame, paths=None):
+    def recording(g, frame, paths=None, *, within=None):
         tried.append(frame)
-        return refine(g, frame, paths)
+        return refine(g, frame, paths, within=within)
 
     monkeypatch.setattr(partition, "refine_frame", recording)
     searches = 0
@@ -420,18 +422,20 @@ def _small_graphs(corpus_graphs):
     return graphs + [gen_square_free_berge(n, s) for n, s in draws]
 
 
-def _naive_split(g, cut, x, y):
+def _naive_split(g, cut, x, y, within=None):
     """What _separate must return, from oracles.naive_components."""
-    comps = naive_components(g, set(range(g.n)) - set(bit_list(cut)))
+    within = g.full_mask if within is None else within
+    comps = naive_components(g, set(bit_list(within & ~cut)))
     lside = next(c for c in comps if x in c)
     if y in lside:
         return None
-    return mask_of(lside), g.full_mask & ~cut & ~mask_of(lside)
+    return mask_of(lside), within & ~cut & ~mask_of(lside)
 
 
-def _assert_learned(g, x, y, cut, interior):
+def _assert_learned(g, x, y, cut, interior, within=None):
     """`interior` is a non-empty mask whose vertices, with x and y, induce
-    a path from x to y that is a shortest one in G - cut."""
+    a path from x to y that is a shortest one in G - cut, G the subgraph
+    induced on `within`."""
     assert interior and not interior & (cut | 1 << x | 1 << y)
     on = interior | 1 << x | 1 << y
     degrees = {v: (g.mask(v) & on).bit_count() for v in bit_list(on)}
@@ -439,7 +443,9 @@ def _assert_learned(g, x, y, cut, interior):
     assert set(degrees.values()) == {2}
     assert any({x, y} <= c for c in naive_components(g, set(bit_list(on))))
     # breadth-first distance from x to y in G - cut, over vertex sets
-    rest, reach, dist = g.full_mask & ~cut, 1 << x, 0
+    within = g.full_mask if within is None else within
+    assert not interior & ~within
+    rest, reach, dist = within & ~cut, 1 << x, 0
     while not (reach >> y) & 1:
         reach |= mask_of(w for v in bit_list(reach) for w in bit_list(g.mask(v) & rest))
         dist += 1
@@ -452,14 +458,14 @@ def test_learned_paths_avoid_their_cuts(corpus_graphs, monkeypatch):
     separate = partition._separate
     learned = 0
 
-    def checked(g, cut, x, y, paths=None):
+    def checked(g, cut, x, y, paths=None, within=None):
         nonlocal learned
         before = None if paths is None else len(paths)
-        out = separate(g, cut, x, y, paths)
-        assert out == _naive_split(g, cut, x, y)
+        out = separate(g, cut, x, y, paths, within)
+        assert out == _naive_split(g, cut, x, y, within)
         if paths is not None and len(paths) > before:
             assert out is None and len(paths) == before + 1
-            _assert_learned(g, x, y, cut, paths[-1])
+            _assert_learned(g, x, y, cut, paths[-1], within)
             learned += 1
         return out
 
@@ -508,6 +514,48 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
                     if len(paths) > n_before:
                         _assert_learned(g, x, y, cut, paths[-1])
     assert skipped_by_learned > 150
+
+
+def _start_in_subgraph(order, start):
+    """The start pair, given in g's labels, as the search on the subgraph
+    with vertices `order` (ascending) takes it: the first of its pairs at
+    or after `start` in g's labels is the first at or after this one."""
+    x0 = bisect_left(order, start[0])
+    on_row = x0 < len(order) and order[x0] == start[0]
+    return x0, bisect_left(order, start[1]) if on_row else 0
+
+
+def test_search_within_a_mask_is_the_search_on_its_subgraph(corpus_graphs):
+    # the subgraph induced on a random vertex mask is square-free Berge
+    # again; searched as a mask of g, from starts given in g's labels, it
+    # answers as the search on the subgraph built apart, moved to g's labels
+    rng = random.Random(12)
+    searches = found = 0
+    for g in _small_graphs(corpus_graphs):
+        for _ in range(3):
+            keep = mask_of(v for v in range(g.n) if rng.random() < 0.85)
+            sub, order = naive_subgraph(g, bit_list(keep))
+            pairs = list(_anchored_pairs(g, within=keep))
+            assert pairs == [(order[x], order[y]) for x, y in _anchored_pairs(sub)]
+            for start in [(0, 0), *pairs[:: len(pairs) // 3 + 1], (g.n // 2, 1)]:
+                sub_start = _start_in_subgraph(order, start)
+                want_pairs = _anchored_pairs(sub, sub_start)
+                assert list(_anchored_pairs(g, start, keep)) == [
+                    (order[x], order[y]) for x, y in want_pairs
+                ]
+                stats, want_stats = {}, {}
+                part = find_good_partition(g, stats, start=start, within=keep)
+                want = find_good_partition(sub, want_stats, start=sub_start)
+                assert stats == want_stats
+                searches += 1
+                if want is None:
+                    assert part is None
+                    continue
+                moved = [frozenset(order[v] for v in s) for s in want.sets()]
+                assert part.sets() == tuple(moved)
+                assert part.anchor == tuple(order[v] for v in want.anchor)
+                found += 1
+    assert searches > 500 and found > 400
 
 
 def test_pruned_counts_skipped_clique_pairs(corpus_graphs):

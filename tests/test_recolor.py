@@ -273,3 +273,30 @@ def test_find_reducing_swap_classes():
         assert cand is not None
         assert cand.side in (1, 2) and cand.cls in ("free", "general")
         assert cand.pair[0] < cand.pair[1]
+
+
+def test_merge_inside_a_piece_is_the_merge_on_its_subgraph():
+    # the prism's vertex i is vertex 2i + 1 of a larger graph whose other
+    # vertices see every prism vertex; merged over the prism's partition,
+    # in the larger graph's labels, the colorings and swaps are those of the
+    # merge on the prism itself, moved to those labels
+    import bergecolor as bc
+
+    p = bc.gen_prism(bc.PrismSpec((3, 5, 7)))
+    part = bc.find_good_partition(p)
+    c1, c2, k = _split_color(p, part)
+    odd = [2 * i + 1 for i in range(p.n)]
+    edges = [(odd[u], odd[v]) for u, v in p.edges()]
+    edges += [(2 * i, w) for i in range(p.n) for w in odd]
+    g = Graph(2 * p.n, edges)
+
+    def up(c):
+        return pc({odd[v]: col for v, col in c.colors.items()})
+
+    big = GoodPartition(*(frozenset(odd[v] for v in s) for s in part.sets()))
+    want_events, events = [], []
+    want = merge_colorings(p, part, c1, c2, k, trace=want_events.append)
+    merged = merge_colorings(g, big, up(c1), up(c2), k, trace=events.append)
+    assert want_events  # the merge swaps
+    assert merged.colors == up(want).colors
+    assert events == [{**ev, "seed": odd[ev["seed"]]} for ev in want_events]

@@ -30,12 +30,12 @@ from bergecolor.graphs import (
     bit_list,
     contains_square,
     mask_of,
-    maximal_cliques,
     maximal_cliques_in,
 )
 
 from conftest import complete, complete_minus_star, cycle, path_graph
 from oracles import naive_chromatic_number, naive_is_clique, naive_peel, naive_subgraph
+from test_output_digest import DEEP_SPINES
 
 
 def pc(d):
@@ -381,15 +381,15 @@ def test_trace_events_record_strict_progress():
 
 def test_carried_cliques_are_each_nodes_maximal_cliques(corpus_graphs, monkeypatch):
     # every node's clique list is derived from its parent's; it must equal a
-    # fresh search on that node's graph, as masks and in the same order
+    # fresh search on that node's core, as masks and in the same order
     search = solver.find_good_partition
     nodes = 0
 
-    def checked(g, stats=None, *, cliques=None, start=(0, 0)):
+    def checked(g, stats=None, *, cliques=None, start=(0, 0), within=None):
         nonlocal nodes
-        assert cliques == [mask_of(c) for c in maximal_cliques(g)]
+        assert cliques == [mask_of(c) for c in maximal_cliques_in(g, within)]
         nodes += 1
-        return search(g, stats, cliques=cliques, start=start)
+        return search(g, stats, cliques=cliques, start=start, within=within)
 
     monkeypatch.setattr(solver, "find_good_partition", checked)
     graphs = [g for _, g in corpus_graphs if g.n <= 30]
@@ -405,7 +405,7 @@ def test_carried_cliques_are_each_nodes_maximal_cliques(corpus_graphs, monkeypat
 
 def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monkeypatch):
     # at every node: the peel of the piece, seeded with the parent's cutset
-    # and run in the parent's labels, equals full ascending scans of the
+    # and run in the input's labels, equals full ascending scans of the
     # whole piece (so the seeds miss no simplicial vertex); each peeled
     # vertex's neighbourhood at removal is a clique, no core vertex is
     # simplicial in the core, and each peeled vertex's color is at most the
@@ -429,8 +429,8 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
         seeded += seeds != keep
         return peeled
 
-    def checked_extend(core, back, peeled, k):
-        coloring, k2 = extend(core, back, peeled, k)
+    def checked_extend(core, peeled, k):
+        coloring, k2 = extend(core, peeled, k)
         for v, nb in peeled:
             assert coloring.colors[v] <= nb.bit_count() + 1 <= k2
             assert coloring.colors[v] not in {coloring.colors[u] for u in bit_list(nb)}
@@ -445,6 +445,35 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
         r = color(g, trust_berge=True)
         assert r.colors_used == omega(g)
     assert peeled_total > 1000 and seeded > 500
+
+
+def test_only_leaves_build_graphs_and_their_cores_are_empty(corpus_graphs, monkeypatch):
+    # every node is a mask of the input graph: no Graph is constructed
+    # during a solve, and the one induced graph each leaf builds for
+    # leaf_color is on its core, which the peel has emptied
+    init, induced = Graph.__init__, solver.induced
+    built = leaves = cores = 0
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    def counting_induced(g, keep):
+        nonlocal leaves, cores
+        leaves += 1
+        cores += keep != 0
+        return induced(g, keep)
+
+    graphs = [g for _, g in corpus_graphs]
+    graphs += [gen_square_free_berge(n, s) for n, s in DEEP_SPINES]
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(solver, "induced", counting_induced)
+    total = 0
+    for g in graphs:
+        total += color(g, trust_berge=True).stats.leaf_count
+    assert built == 0 and cores == 0
+    assert leaves == total > 800
 
 
 # ------------------------------------------------------------- serialization
