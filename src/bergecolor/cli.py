@@ -7,7 +7,7 @@ Subcommands: color, verify, gen, analyze.  Exit codes are stable:
     2  input could not be parsed
     3  input graph contains an induced square
     4  input graph is not Berge (when the Berge check was skipped, a failed
-       merge or leaf search shows it, and no hole is named)
+       merge or a leaf left unpeeled shows it, and no hole is named)
     5  internal invariant violation (always a bug, never user error)
 
 All file output is written atomically (temp file + rename), with the mode
@@ -29,7 +29,6 @@ from .errors import (
     BergeColorError,
     BergeViolation,
     DimacsError,
-    Infeasible,
     InternalViolation,
     NotBerge,
     NotSquareFree,
@@ -68,13 +67,6 @@ EXIT_PARSE = 2
 EXIT_NOT_SQUARE_FREE = 3
 EXIT_NOT_BERGE = 4
 EXIT_INTERNAL = 5
-
-# _solve recurses once per tree level and leaf coloring once per vertex it
-# places; the odd-hole search and clique enumeration keep their own stacks
-TOO_DEEP = (
-    "input too deep to solve: the decomposition or a clique search "
-    "exceeded the recursion limit"
-)
 
 
 def _json_text(obj) -> str:
@@ -124,17 +116,15 @@ def cmd_color(args) -> int:
         report["witness"] = [e.witness[0], list(e.witness[1])] if e.witness else None
         _finish_report(args, report, t0)
         return _fail(str(e), EXIT_NOT_BERGE)
-    except (BergeColorError, RecursionError) as e:
-        if isinstance(e, RecursionError):
-            e = BergeColorError(TOO_DEEP)
+    except BergeColorError as e:
         # color() checks for squares first, so every other error comes later
         report["checks"]["square_free"] = True
         report["error"] = str(e)
         skipped = args.trust_berge or g.n > args.berge_cap
-        # a square-free Berge input always has an omega-coloring and a
-        # reducing swap, so with the Berge check skipped these two errors
-        # blame the input, not the program
-        if isinstance(e, (BergeViolation, Infeasible)) and skipped:
+        # a square-free Berge input always has a reducing swap and leaves
+        # that the peel empties, so with the Berge check skipped this error
+        # blames the input, not the program
+        if isinstance(e, BergeViolation) and skipped:
             report["checks"]["berge"] = False
             report["status"] = "not-berge"
             report["witness"] = None
@@ -190,7 +180,8 @@ def cmd_verify(args) -> int:
     if args.coloring:
         try:
             p = _load_coloring(args.coloring)
-        except (ValueError, json.JSONDecodeError) as e:
+        # json raises RecursionError on arrays nested too deep
+        except (ValueError, RecursionError) as e:
             return _fail(f"bad coloring file: {e}", EXIT_PARSE)
         verdict = verify_coloring(g, p)
         if verdict.ok:
@@ -201,7 +192,8 @@ def cmd_verify(args) -> int:
     with open(args.partition) as fh:
         try:
             data = json.load(fh)
-        except ValueError as e:  # malformed JSON or undecodable bytes
+        # malformed JSON, undecodable bytes, or arrays nested too deep
+        except (ValueError, RecursionError) as e:
             return _fail(f"bad partition file: {e}", EXIT_PARSE)
     part = GoodPartition.from_json(data)
     verdict = verify_good_partition(g, part)
@@ -212,28 +204,39 @@ def cmd_verify(args) -> int:
     return EXIT_INVALID
 
 
+def _int_params(texts) -> tuple[int, ...]:
+    """Generator parameters as integers; any other text is a SpecError."""
+    out = []
+    for text in texts:
+        try:
+            out.append(int(text))
+        except ValueError:
+            raise SpecError(f"parameter {text!r} is not an integer") from None
+    return tuple(out)
+
+
 def cmd_gen(args) -> int:
     params = args.params
     if args.construction == "prism":
-        lengths = tuple(int(p) for p in params)
+        lengths = _int_params(params)
         g = gen_prism(PrismSpec(lengths))  # validates arity and parity
         meta = sidecar_metadata("prism", {"lengths": list(lengths)}, g)
     elif args.construction == "hyperprism":
         if len(params) != 3:
             raise SpecError("hyperprism takes three strips, e.g. '2,2 2 2'")
-        strips = tuple(tuple(int(x) for x in p.split(",")) for p in params)
+        strips = tuple(_int_params(p.split(",")) for p in params)
         g = gen_hyperprism(HyperprismSpec(strips))
         meta = sidecar_metadata(
             "hyperprism", {"strips": [list(s) for s in strips]}, g
         )
     elif args.construction == "lk4":
-        lengths = tuple(int(p) for p in params)
+        lengths = _int_params(params)
         g = gen_lk4_subdivision(lengths)
         meta = sidecar_metadata("lk4", {"lengths": list(lengths)}, g)
     elif args.construction == "random":
         if len(params) != 1:
             raise SpecError("random takes one parameter: the vertex count")
-        n = int(params[0])
+        (n,) = _int_params(params)
         g = gen_square_free_berge(n, args.seed)
         meta = sidecar_metadata("random", {"n": n, "seed": args.seed}, g)
     else:
@@ -363,8 +366,6 @@ def main(argv=None) -> int:
         return _fail(str(e), EXIT_INVALID)
     except OSError as e:
         return _fail(str(e), EXIT_INVALID)
-    except RecursionError:
-        return _fail(TOO_DEEP, EXIT_INVALID)
 
 
 if __name__ == "__main__":

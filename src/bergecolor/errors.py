@@ -29,15 +29,12 @@ class NotBerge(BergeColorError):
 
 
 class BergeViolation(BergeColorError):
-    """The merge step ran out of color swaps.
+    """The merge step ran out of color swaps, or a leaf's core was not empty.
 
-    For square-free Berge inputs a reducing swap always exists, so exhaustion
+    For square-free Berge inputs a reducing swap always exists, and the
+    peel empties every leaf (see `solver.leaf_color`), so either failure
     proves the input (or a partition handed in) was not what it claimed to be.
     """
-
-
-class Infeasible(BergeColorError):
-    """No proper coloring with the requested number of colors exists."""
 
 
 class InternalViolation(BergeColorError):

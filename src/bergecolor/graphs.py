@@ -89,7 +89,12 @@ class Graph:
         subgraph's vertex i.  keep is sorted ascending, so relabeling is
         order-preserving and deterministic.
         """
-        return induced(self, mask_of(vertices))
+        keep = tuple(iter_bits(mask_of(vertices)))
+        index = {v: i for i, v in enumerate(keep)}
+        edges = [
+            (i, index[u]) for i, v in enumerate(keep) for u in self.neighbors(v) if u in index
+        ]
+        return Graph(len(keep), edges), keep
 
     def complement(self) -> "Graph":
         edges = [
@@ -112,47 +117,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
-
-
-def bit_runs(keep: int) -> list[tuple[int, int]]:
-    """The runs of consecutive set bits of `keep`, lowest first, each as
-    (run mask, shift), where shift counts the unset bits below the run.
-    Shifting each run down by its shift sends keep's i-th lowest bit to
-    bit i: the order-preserving relabelling onto 0..|keep|-1."""
-    runs = []
-    shift = 0
-    end = 0  # one past the previous run
-    rest = keep
-    while rest:
-        low = rest & -rest
-        run = rest & ~(rest + low)  # the carry clears exactly the lowest run
-        shift += low.bit_length() - 1 - end
-        end = run.bit_length()
-        runs.append((run, shift))
-        rest ^= run
-    return runs
-
-
-def relabel(masks: list[int], runs: list[tuple[int, int]]) -> list[int]:
-    """Each mask cut down to the kept vertices and moved to their new
-    labels, one shift per run of `bit_runs`."""
-    out = [0] * len(masks)
-    for run, shift in runs:
-        out = [o | (m & run) >> shift for o, m in zip(out, masks)]
-    return out
-
-
-def induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
-    """The subgraph induced on the vertex mask `keep`, whose vertex i is
-    keep's i-th lowest vertex, and that order as a tuple."""
-    order = tuple(iter_bits(keep))
-    adj = g._masks
-    masks = relabel([adj[v] for v in order], bit_runs(keep))
-    sub = object.__new__(Graph)
-    sub.n = len(order)
-    sub._masks = tuple(masks)
-    sub._m = sum(map(int.bit_count, masks)) // 2
-    return sub, order
 
 
 def component_mask(g: Graph, start: int, allowed: int) -> int:

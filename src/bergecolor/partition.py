@@ -64,12 +64,12 @@ class GoodPartition:
         except (KeyError, TypeError) as exc:
             raise MalformedPartition(f"partition JSON needs keys K1,K2,K3,L,R: {exc}")
         sets = []
-        for name, field in zip(("K1", "K2", "K3", "L", "R"), fields):
-            if not isinstance(field, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in field
+        for name, members in zip(("K1", "K2", "K3", "L", "R"), fields):
+            if not isinstance(members, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in members
             ):
                 raise MalformedPartition(f"{name} must be a list of integers")
-            sets.append(frozenset(field))
+            sets.append(frozenset(members))
         return cls(*sets)
 
 

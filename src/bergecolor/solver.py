@@ -1,19 +1,20 @@
 """Exact optimal coloring of square-free Berge graphs.
 
-color() splits the graph along good partitions until no piece has one, colors
-the leaf pieces by branch-and-bound with a clique-number target (which exact
-coloring must hit, since the inputs are perfect), and merges sibling
-colorings bottom-up with Kempe swaps.  The decomposition is recorded as a
-binary tree whose internal nodes carry their partition and a witness triad.
-The maximal cliques are enumerated once, at the root; every other node's
-list is derived from its parent's and carried down with the node.
+color() splits the graph along good partitions until no piece has one and
+merges sibling colorings bottom-up with Kempe swaps, using exactly the
+clique number of colors (which exact coloring must hit, since the inputs
+are perfect).  The decomposition is recorded as a binary tree whose
+internal nodes carry their partition and a witness triad.  The maximal
+cliques are enumerated once, at the root; every other node's list is
+derived from its parent's and carried down with the node.
 
 Every piece is a vertex mask of the one input graph, and the whole
 decomposition runs in the input's labels: no piece becomes a graph of its
 own, and nothing is relabelled.  The search, the merge and the peel read
 the piece's mask; since every tie goes to the lowest id, each answers as it
-would on the piece built as a graph in ascending vertex order.  Only a leaf
-builds a graph, for its branch-and-bound.
+would on the piece built as a graph in ascending vertex order.  The tree is
+walked with explicit stacks, so its depth is not bound by the interpreter's
+recursion limit.
 
 Each node first peels its simplicial vertices (those whose neighborhood is a
 clique) and runs the search on what is left, its core.  A child's peel
@@ -21,20 +22,20 @@ starts from the parent's cutset, the only vertices that can have become
 simplicial.  A peeled vertex is colored last with the lowest color missing
 from its neighborhood at removal: a clique of at most omega - 1 vertices, so
 a color within omega is always free (Gavril 1972, perfect elimination
-orderings).
+orderings).  A leaf's core is always empty (see `leaf_color`), so every
+vertex of a leaf is colored this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Infeasible, InternalViolation
+from .errors import BergeViolation, InternalViolation
 from .graphs import (
     Graph,
     _iter_triads,
     _peel,
     cliques_within,
-    induced,
     iter_bits,
     mask_of,
     maximal_cliques,
@@ -144,49 +145,26 @@ def verify_coloring(
     return ColoringVerdict(True)
 
 
-def leaf_color(g: Graph, target: int) -> PartialColoring:
-    """Exact coloring with at most `target` colors by saturation-ordered
-    backtracking.  Raises Infeasible when no such coloring exists."""
-    n = g.n
-    colors: dict[int, int] = {}
-    # per-vertex count of colored neighbors holding each color
-    nbr: list[dict[int, int]] = [dict() for _ in range(n)]
+def leaf_color(g: Graph, core: int) -> PartialColoring:
+    """The coloring of a leaf's core: empty, since the peel removes every
+    vertex of a leaf.
 
-    def pick() -> int:
-        best, best_key = -1, None
-        for v in range(n):
-            if v in colors:
-                continue
-            key = (len(nbr[v]), g.degree(v), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        return best
-
-    def backtrack(max_used: int) -> bool:
-        if len(colors) == n:
-            return True
-        v = pick()
-        # trying one fresh color beyond those in use kills palette symmetry
-        for col in range(1, min(target, max_used + 1) + 1):
-            if col in nbr[v]:
-                continue
-            colors[v] = col
-            for w in g.neighbors(v):
-                if w not in colors:
-                    nbr[w][col] = nbr[w].get(col, 0) + 1
-            if backtrack(max(max_used, col)):
-                return True
-            del colors[v]
-            for w in g.neighbors(v):
-                if w not in colors:
-                    nbr[w][col] -= 1
-                    if nbr[w][col] == 0:
-                        del nbr[w][col]
-        return False
-
-    if not backtrack(0):
-        raise Infeasible(f"graph admits no proper coloring with {target} colors")
-    return PartialColoring(colors)
+    A leaf is a piece of a square-free Berge graph with no good partition,
+    and such a piece has no triad (every leaf of the test corpus and the
+    benchmark workloads bears this out).  A triad-free square-free Berge
+    graph is chordal: a hole of length 4 is a square, an odd hole is not
+    Berge, and an even hole of length 6 or more holds a triad.  Every
+    non-empty chordal graph has a simplicial vertex (Dirac 1961), so the
+    peel removes the leaf whole.  Raises BergeViolation on a non-empty
+    `core`, which has neither a simplicial vertex nor a good partition:
+    g is not square-free Berge, and no coloring is made up for it.
+    """
+    if core:
+        raise BergeViolation(
+            f"a leaf core of {core.bit_count()} vertices has no simplicial "
+            "vertex and no good partition"
+        )
+    return PartialColoring({})
 
 
 def _witness_triad(g: Graph, gp: GoodPartition, within: int) -> tuple[int, int, int]:
@@ -197,15 +175,6 @@ def _witness_triad(g: Graph, gp: GoodPartition, within: int) -> tuple[int, int, 
         if tset & gp.l and tset & gp.r:
             return (x, y, z)
     raise InternalViolation("verified partition lost its witness triad")
-
-
-def _leaf_color(g: Graph, core: int, k: int) -> PartialColoring:
-    """`leaf_color` on the subgraph induced on `core`, the one graph the
-    solve builds, its coloring moved back to g's labels."""
-    sub, order = induced(g, core)
-    return PartialColoring(
-        {order[i]: col for i, col in leaf_color(sub, k).colors.items()}
-    )
 
 
 def _color_peeled(
@@ -227,71 +196,76 @@ def _color_peeled(
 
 
 def _solve(
-    g: Graph,
-    cliques: list[int],
-    keep: int,
-    seeds: int,
-    start: tuple[int, int],
-    depth: int,
-    stats: SolveStats,
-    events: list[dict],
+    g: Graph, cliques: list[int], stats: SolveStats, events: list[dict]
 ) -> tuple[PartialColoring, int, TreeNode]:
-    """Color the piece of g induced on `keep`, building one tree node, and
-    return its coloring.  g is the input graph and every vertex, mask and
-    partition is in its labels; `cliques` are the maximal cliques of the
-    parent's core (masks, lexicographic order), all of g's at the root.
-    Counters and swap events go into the run's `stats` and `events`.
+    """Color g by decomposition and return the coloring, its number of
+    colors and the tree's root.  Every piece is a vertex mask of g, and
+    every vertex, mask and partition is in g's labels; `cliques` are g's
+    maximal cliques (masks, lexicographic order), and each piece derives
+    its own from its parent's.  Counters and swap events go into the run's
+    `stats` and `events`.
 
-    The piece is peeled, the first scan testing only `seeds` (see
-    `_peel`), and its core searched and split, or colored as a leaf.  The
-    root passes every vertex as seeds.  A child passes its parent's cutset
-    K1 ∪ K2 ∪ K3: the parent's core has no simplicial vertex, and L and R
-    have no edges between them, so only cut vertices lose a neighbor.
+    A piece is peeled, the first scan testing only its seeds (see `_peel`),
+    and its core searched and split, or left as a leaf.  The root's seeds
+    are all of g.  A child's are its parent's cutset K1 ∪ K2 ∪ K3: the
+    parent's core has no simplicial vertex, and L and R have no edges
+    between them, so only cut vertices lose a neighbor.
 
     The frame search begins at the first of the core's anchor pairs at or
-    after `start` and wraps around to the pairs before it.  The root passes
-    (0, 0); a child passes its parent's anchor pair, so it resumes where the
-    parent's search succeeded."""
-    stats.node_count += 1
-    stats.max_depth = max(stats.max_depth, depth)
-    peeled = _peel(g, seeds, keep)
-    node = TreeNode(vertices=tuple(iter_bits(keep)), peeled=tuple(v for v, _ in peeled))
-    core = keep & ~mask_of(v for v, _ in peeled)
-    cliques = cliques_within(g, cliques, core)
+    after a start pair and wraps around to the pairs before it.  The root
+    starts at (0, 0); a child at its parent's anchor pair, so it resumes
+    where the parent's search succeeded.
 
+    The pieces are visited from an explicit stack, each node before its
+    children and the second child (the core minus L) before the first.
+    That visit order, walked backwards, is the post-order of the tree,
+    first child first; the colorings are built and merged in that walk,
+    each node's from its two children's."""
     fstats: dict[str, int] = {}
-    gp = find_good_partition(g, fstats, cliques=cliques, start=start, within=core)
+    # (piece, seeds, start pair, depth, the parent's maximal cliques)
+    pending = [(g.full_mask, g.full_mask, (0, 0), 1, cliques)]
+    visited = []
+    while pending:
+        keep, seeds, start, depth, cliques = pending.pop()
+        stats.node_count += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        peeled = _peel(g, seeds, keep)
+        node = TreeNode(vertices=tuple(iter_bits(keep)), peeled=tuple(v for v, _ in peeled))
+        core = keep & ~mask_of(v for v, _ in peeled)
+        cliques = cliques_within(g, cliques, core)
+        gp = find_good_partition(g, fstats, cliques=cliques, start=start, within=core)
+        visited.append((node, core, peeled, gp))
+        if gp is None:
+            stats.leaf_count += 1
+            continue
+        cut = mask_of(gp.k1 | gp.k2 | gp.k3)
+        # the first child holds L, the second R
+        pending.append((core & ~mask_of(gp.r), cut, gp.anchor, depth + 1, cliques))
+        pending.append((core & ~mask_of(gp.l), cut, gp.anchor, depth + 1, cliques))
     stats.frames_tried += fstats.get("frames_tried", 0)
     stats.frames_pruned += fstats.get("frames_pruned", 0)
 
-    if gp is None:
-        stats.leaf_count += 1
-        k = max((q.bit_count() for q in cliques), default=0)
-        coloring = _leaf_color(g, core, k)
-    else:
-        cut = mask_of(gp.k1 | gp.k2 | gp.k3)
-        # the first child holds L, the second R
-        c1, k1, node1 = _solve(
-            g, cliques, core & ~mask_of(gp.r), cut, gp.anchor, depth + 1,
-            stats, events,
-        )
-        c2, k2, node2 = _solve(
-            g, cliques, core & ~mask_of(gp.l), cut, gp.anchor, depth + 1,
-            stats, events,
-        )
-        k = max(k1, k2)
+    # each finished subtree's (coloring, colors, root), the latest on top
+    done: list[tuple[PartialColoring, int, TreeNode]] = []
+    for node, core, peeled, gp in reversed(visited):
+        if gp is None:
+            coloring, k = leaf_color(g, core), 0
+        else:
+            c2, k2, node2 = done.pop()
+            c1, k1, node1 = done.pop()
+            k = max(k1, k2)
 
-        # a swap event names its seed by rank in the core, and the core's size
-        def trace(ev: dict) -> None:
-            rank = (core & ((1 << ev["seed"]) - 1)).bit_count()
-            events.append({**ev, "seed": rank, "node_n": core.bit_count()})
+            # a swap event names its seed by rank in the core, and the core's size
+            def trace(ev: dict) -> None:
+                rank = (core & ((1 << ev["seed"]) - 1)).bit_count()
+                events.append({**ev, "seed": rank, "node_n": core.bit_count()})
 
-        coloring = merge_colorings(g, gp, c1, c2, k, trace=trace)
-        node.partition = gp
-        node.triad = _witness_triad(g, gp, core)
-        node.children = (node1, node2)
-    coloring, k = _color_peeled(coloring, peeled, k)
-    return coloring, k, node
+            coloring = merge_colorings(g, gp, c1, c2, k, trace=trace)
+            node.partition = gp
+            node.triad = _witness_triad(g, gp, core)
+            node.children = (node1, node2)
+        done.append((*_color_peeled(coloring, peeled, k), node))
+    return done.pop()
 
 
 def color(
@@ -316,8 +290,7 @@ def color(
 
     events: list[dict] = []
     cliques = [mask_of(c) for c in maximal_cliques(g)]
-    full = g.full_mask
-    coloring, k, tree = _solve(g, cliques, full, full, (0, 0), 1, stats, events)
+    coloring, k, tree = _solve(g, cliques, stats, events)
     stats.swaps_applied = len(events)  # every event is one applied swap
 
     # omega(g) from the root's maximal cliques, never from the solve's own k;

@@ -31,6 +31,16 @@ def complete(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def hexagon_chain(k: int) -> Graph:
+    """k hexagons in a row, each sharing an edge with the next: two paths
+    of 2k + 1 vertices joined at every even position.  Bipartite with girth
+    6 and n = 4k + 2; its decomposition tree is k + 1 levels deep."""
+    top, bot = range(2 * k + 1), range(2 * k + 1, 4 * k + 2)
+    edges = [(p[j], p[j + 1]) for p in (top, bot) for j in range(2 * k)]
+    edges += [(top[j], bot[j]) for j in range(0, 2 * k + 1, 2)]
+    return Graph(4 * k + 2, edges)
+
+
 def complete_minus_star(n: int, t: int) -> Graph:
     """K_n with the edges from vertex 0 to 1..t removed; triad-free and
     square-free for any 0 <= t < n."""

@@ -35,7 +35,7 @@ from bergecolor import cli, solver
 from bergecolor.cli import main
 from bergecolor.graphs import maximal_cliques_in
 
-from conftest import complete, cycle, path_graph
+from conftest import complete, cycle, hexagon_chain, path_graph
 
 
 def col(tmp_path, g, name="g.col"):
@@ -248,6 +248,33 @@ def test_color_deep_tree_writes_json(tmp_path, monkeypatch):
     assert tree_to_dot(tree).count("->") == stats["node_count"] - 1
 
 
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_color_deep_chain_within_a_low_recursion_limit(tmp_path, capsys):
+    # a 300-hexagon chain has a decomposition tree 301 levels deep; the
+    # solve walks it with explicit stacks, so 200 frames above this one are
+    # enough
+    g = hexagon_chain(300)
+    path = col(tmp_path, g)
+    out_f = tmp_path / "chain.sol"
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 200)
+    try:
+        rc = main(["color", path, "-o", str(out_f)])
+    finally:
+        sys.setrecursionlimit(old)
+    assert rc == 0
+    c = parse_coloring_lines(out_f.read_text())
+    assert verify_coloring(g, c).ok
+    assert sorted(set(c.colors.values())) == [1, 2]
+    assert "colored 1202 vertices with 2 colors" in capsys.readouterr().err
+
+
 def test_color_large_clique(tmp_path, capsys):
     # exited 1 with a recursion error: leaf coloring recursed once per
     # vertex, and now the node peels every vertex instead
@@ -264,14 +291,14 @@ def test_color_large_clique(tmp_path, capsys):
 
 
 def test_color_error_writes_report(tmp_path, capsys):
-    # C5 is not Berge; with the check skipped the leaf search finds no
-    # 2-coloring and raises Infeasible from inside color(), which blames
-    # the input
+    # C5 is not Berge; with the check skipped its core is a leaf that the
+    # peel cannot empty, and the leaf check raises BergeViolation from
+    # inside color(), which blames the input
     path = col(tmp_path, cycle(5))
     rep_f = str(tmp_path / "r.json")
     assert main(["color", path, "--trust-berge", "--report", rep_f]) == 4
     err = capsys.readouterr().err
-    assert "no proper coloring with 2 colors" in err
+    assert "leaf core of 5 vertices has no simplicial vertex" in err
     rep = json.load(open(rep_f))
     assert rep["status"] == "not-berge"
     assert rep["error"] in err
@@ -283,7 +310,7 @@ def test_parser_is_reused_without_carrying_flags(tmp_path, capsys):
     # main parses every call with one parser; a flag given to one call
     # must not reach the next
     path = col(tmp_path, cycle(5))
-    assert main(["color", path, "--trust-berge"]) == 4  # the leaf search fails
+    assert main(["color", path, "--trust-berge"]) == 4  # the leaf check fails
     assert main(["color", path]) == 4  # the Berge check runs again
     assert cli.build_parser() is cli.build_parser()
     assert "Traceback" not in capsys.readouterr().err
@@ -292,13 +319,13 @@ def test_parser_is_reused_without_carrying_flags(tmp_path, capsys):
 @pytest.mark.parametrize(
     "n,flags",
     [
-        (5, ["--trust-berge"]),  # the leaf search finds no 2-coloring
+        (5, ["--trust-berge"]),  # the peel leaves a leaf's core non-empty
         (7, ["--trust-berge"]),  # the merge runs out of swaps
         (101, []),  # over the default --berge-cap of 64
     ],
 )
 def test_color_not_berge_with_the_check_skipped(tmp_path, capsys, n, flags):
-    # with the Berge check skipped, a failed leaf search or merge proves the
+    # with the Berge check skipped, a failed leaf check or merge proves the
     # input is not Berge; it exits 4 like a named hole, not 5 like a bug
     path = col(tmp_path, cycle(n))
     rep_f = str(tmp_path / "r.json")
@@ -359,24 +386,6 @@ def test_color_long_odd_hole_is_not_berge(tmp_path, capsys):
     rep = json.load(open(rep_f))
     assert rep["status"] == "not-berge"
     assert rep["witness"] == ["odd-hole", list(range(1201))]
-
-
-def test_color_recursion_error_is_a_tool_error(tmp_path, capsys, monkeypatch):
-    # a path of 1000 vertices overflows the stack in _solve after seconds
-    # of solving; a stand-in raises at once
-    def too_deep(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(cli, "color", too_deep)
-    path = col(tmp_path, path_graph(5))
-    rep_f = str(tmp_path / "r.json")
-    assert main(["color", path, "--report", rep_f]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: input too deep to solve")
-    assert "Traceback" not in err
-    rep = json.load(open(rep_f))
-    assert rep["status"] == "error"
-    assert rep["error"] in err
 
 
 @pytest.mark.parametrize("command", ["color", "verify", "analyze"])
@@ -456,12 +465,14 @@ def test_verify_coloring_garbage_file(tmp_path, capsys):
         {"colors": [[0.9, 1], [True, 2.5]]},  # int() would truncate these
         # a proper 2-coloring of C6 but for the types of its values
         {"colors": [[0, 1.0], [1, 2], [2, True], [3, 2], [4, 1], [5.0, 2]]},
+        # nested deeper than the json module's recursion allows
+        '{"colors": ' + "[" * 100_000,
     ],
 )
 def test_verify_coloring_malformed_json(tmp_path, capsys, doc):
     path = col(tmp_path, cycle(6))
     sol = tmp_path / "c6.json"
-    sol.write_text(json.dumps(doc))
+    sol.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["verify", path, "--coloring", str(sol)]) == 2
     assert "bad coloring file" in capsys.readouterr().err
 
@@ -510,6 +521,14 @@ def test_verify_partition_bad_json(tmp_path, capsys):
     part = tmp_path / "p.json"
     part.write_text("{oops")
     assert main(["verify", path, "--partition", str(part)]) == 2
+
+
+def test_verify_partition_nested_too_deep(tmp_path, capsys):
+    path = col(tmp_path, cycle(6))
+    part = tmp_path / "p.json"
+    part.write_text("[" * 100_000)
+    assert main(["verify", path, "--partition", str(part)]) == 2
+    assert "bad partition file" in capsys.readouterr().err
 
 
 def test_verify_partition_undecodable_bytes(tmp_path, capsys):
@@ -568,6 +587,14 @@ def test_gen_bad_params(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["gen", "random", "-o", out]) == 1
     assert main(["gen", "hyperprism", "2,2", "2", "-o", out]) == 1
+    capsys.readouterr()
+    for argv in (["prism", "a", "2", "2"], ["hyperprism", "2,x", "2", "2"],
+                 ["lk4", "2", "2", "2", "2", "2", "2.5"], ["random", "ten"]):
+        assert main(["gen", *argv, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameter ") and "not an integer" in err
+        assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_gen_then_color_round_trip(tmp_path, capsys):
@@ -641,21 +668,6 @@ def test_analyze_large_clique(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert (rep["omega"], rep["maximal_cliques"], rep["triads"]) == (1100, 1, 0)
     assert rep["good_partition"] is False
-
-
-def test_analyze_recursion_error_is_a_tool_error(tmp_path, capsys, monkeypatch):
-    # a stand-in clique search raises at once, as one too deep for the
-    # interpreter's recursion limit would
-    def too_deep(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(cli, "maximal_cliques", too_deep)
-    path = col(tmp_path, cycle(6))
-    assert main(["analyze", path]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {cli.TOO_DEEP}\n"
-    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------- file output

@@ -25,12 +25,10 @@ from bergecolor.graphs import (
     _iter_triads,
     _peel,
     bit_list,
-    bit_runs,
     cliques_within,
     iter_bits,
     mask_of,
     maximal_cliques_in,
-    relabel,
 )
 
 from conftest import complete, complete_minus_star, cycle, path_graph
@@ -118,18 +116,6 @@ def test_subgraph_matches_an_edge_list_rebuild():
         assert keep == want_keep
         assert [h.mask(v) for v in range(h.n)] == [want.mask(v) for v in range(want.n)]
         assert (h.n, h.m) == (want.n, want.m)
-
-
-def test_relabel_moves_masks_in_order():
-    rng = random.Random(12)
-    for _ in range(300):
-        keep = rng.getrandbits(rng.randint(0, 70))
-        runs = bit_runs(keep)
-        assert sum(run for run, _ in runs) == keep
-        index = {v: i for i, v in enumerate(iter_bits(keep))}
-        masks = [rng.getrandbits(80) for _ in range(5)]
-        want = [mask_of(index[v] for v in iter_bits(m & keep)) for m in masks]
-        assert relabel(masks, runs) == want
 
 
 def test_cliques_within_matches_a_fresh_search(corpus_graphs):

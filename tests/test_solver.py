@@ -1,16 +1,14 @@
-"""Tests for the decomposition solver: leaf coloring, the full pipeline,
+"""Tests for the decomposition solver: the full pipeline, the leaf check,
 tree invariants, and serialization of the decomposition record."""
 
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bergecolor import (
+    BergeViolation,
     ColoringVerdict,
     Graph,
-    Infeasible,
     NotBerge,
     NotSquareFree,
     PartialColoring,
@@ -19,7 +17,6 @@ from bergecolor import (
     color,
     gen_prism,
     gen_square_free_berge,
-    leaf_color,
     omega,
     tree_to_dot,
     tree_to_json,
@@ -34,60 +31,12 @@ from bergecolor.graphs import (
 )
 
 from conftest import complete, complete_minus_star, cycle, path_graph
-from oracles import naive_chromatic_number, naive_is_clique, naive_peel, naive_subgraph
+from oracles import naive_is_clique, naive_peel, naive_subgraph
 from test_output_digest import DEEP_SPINES
 
 
 def pc(d):
     return PartialColoring(d)
-
-
-# ---------------------------------------------------------------- leaf_color
-
-
-def test_leaf_color_even_cycle():
-    c = leaf_color(cycle(6), 2)
-    assert c.is_proper_on(cycle(6))
-    assert c.colors_used() == 2
-
-
-def test_leaf_color_clique_needs_n():
-    c = leaf_color(complete(4), 4)
-    assert c.colors_used() == 4
-    with pytest.raises(Infeasible):
-        leaf_color(complete(4), 3)
-
-
-def test_leaf_color_odd_cycle():
-    with pytest.raises(Infeasible):
-        leaf_color(cycle(5), 2)
-    c = leaf_color(cycle(5), 3)
-    assert c.is_proper_on(cycle(5))
-    assert c.colors_used() == 3
-
-
-def test_leaf_color_empty_graph():
-    assert leaf_color(Graph(0), 0).colors == {}
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph(n, edges)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_graphs())
-def test_leaf_color_is_exact(g):
-    chi = naive_chromatic_number(g)
-    c = leaf_color(g, chi)
-    assert c.is_proper_on(g)
-    assert c.colors_used() <= chi
-    if chi > 1:
-        with pytest.raises(Infeasible):
-            leaf_color(g, chi - 1)
 
 
 # ----------------------------------------------------------- verify_coloring
@@ -313,9 +262,10 @@ def test_verify_with_given_clique_number_matches(corpus_graphs):
 
 
 def test_trust_berge_still_fails_loud():
-    # C5 sneaks past the skipped Berge check but has no triad, so the
-    # leaf step demands a 2-coloring of an odd cycle and must refuse
-    with pytest.raises(Infeasible):
+    # C5 sneaks past the skipped Berge check, but it has no triad, so no
+    # good partition, and no simplicial vertex: the leaf check refuses its
+    # core of five vertices
+    with pytest.raises(BergeViolation, match="leaf core of 5 vertices"):
         color(cycle(5), trust_berge=True)
 
 
@@ -447,33 +397,47 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
     assert peeled_total > 1000 and seeded > 500
 
 
-def test_only_leaves_build_graphs_and_their_cores_are_empty(corpus_graphs, monkeypatch):
-    # every node is a mask of the input graph: no Graph is constructed
-    # during a solve, and the one induced graph each leaf builds for
-    # leaf_color is on its core, which the peel has emptied
-    init, induced = Graph.__init__, solver.induced
-    built = leaves = cores = 0
+def test_each_node_searches_once_and_each_leaf_is_checked_empty(corpus_graphs, monkeypatch):
+    # one search per node, one leaf check per leaf and one merge per
+    # internal node, each through the solver's module attribute; every
+    # leaf core is empty, and no Graph is constructed during a solve
+    init = Graph.__init__
+    search, check, merge = (
+        solver.find_good_partition, solver.leaf_color, solver.merge_colorings
+    )
+    calls = {"init": 0, "search": 0, "leaf": 0, "merge": 0}
+    cores = []
 
     def counting_init(self, *args, **kwargs):
-        nonlocal built
-        built += 1
+        calls["init"] += 1
         init(self, *args, **kwargs)
 
-    def counting_induced(g, keep):
-        nonlocal leaves, cores
-        leaves += 1
-        cores += keep != 0
-        return induced(g, keep)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def checked_leaf(g, core):
+        cores.append(core)
+        return check(g, core)
 
     graphs = [g for _, g in corpus_graphs]
     graphs += [gen_square_free_berge(n, s) for n, s in DEEP_SPINES]
     monkeypatch.setattr(Graph, "__init__", counting_init)
-    monkeypatch.setattr(solver, "induced", counting_induced)
-    total = 0
+    monkeypatch.setattr(solver, "find_good_partition", counting("search", search))
+    monkeypatch.setattr(solver, "leaf_color", counting("leaf", checked_leaf))
+    monkeypatch.setattr(solver, "merge_colorings", counting("merge", merge))
+    nodes = leaves = 0
     for g in graphs:
-        total += color(g, trust_berge=True).stats.leaf_count
-    assert built == 0 and cores == 0
-    assert leaves == total > 800
+        stats = color(g, trust_berge=True).stats
+        nodes += stats.node_count
+        leaves += stats.leaf_count
+    assert calls["init"] == 0
+    assert calls["search"] == nodes > 1400
+    assert calls["leaf"] == len(cores) == leaves > 800
+    assert calls["merge"] == nodes - leaves
+    assert set(cores) == {0}
 
 
 # ------------------------------------------------------------- serialization
