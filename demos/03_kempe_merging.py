@@ -21,26 +21,28 @@ from bergecolor import (
     merge_colorings,
     omega,
 )
+from bergecolor.graphs import bit_list
 
 # this instance is known to need a handful of swaps
 g = gen_square_free_berge(9, 3)
 part = find_good_partition(g)
 print("graph: n =", g.n, " m =", g.m, " omega =", omega(g))
-print("partition:", part)
+print("partition:", part.to_json())
 
 
 def solve_side(keep):
-    """Color the induced side and translate back to g's labels."""
-    sub, mapping = g.subgraph(sorted(keep))
+    """Color the side induced on the vertex mask `keep` and translate back
+    to g's labels."""
+    sub, mapping = g.subgraph(bit_list(keep))
     res = color(sub)
     return PartialColoring(
         {mapping[i]: c for i, c in res.coloring.colors.items()}
     )
 
 
-vall = set(range(g.n))
-c1 = solve_side(vall - part.r)  # L's side
-c2 = solve_side(vall - part.l)  # R's side
+# the partition's five sets are vertex masks
+c1 = solve_side(g.full_mask & ~part.r)  # L's side
+c2 = solve_side(g.full_mask & ~part.l)  # R's side
 print("\nside 1 (no R):", dict(sorted(c1.colors.items())))
 print("side 2 (no L):", dict(sorted(c2.colors.items())))
 

@@ -1,9 +1,10 @@
 """Exact coloring of square-free Berge graphs.
 
 The solver decomposes along good partitions (clique cutsets split into three
-pieces straddling two anticomplete sides), colors the two sides recursively,
-and reconciles the child colorings with bichromatic swaps, so the whole
-graph ends up with exactly omega colors.
+pieces straddling two anticomplete sides) until no piece has one, colors the
+pieces bottom-up in one loop over the decomposition tree, and reconciles
+each pair of sibling colorings with bichromatic swaps, so the whole graph
+ends up with exactly omega colors.
 """
 
 from .dimacs import format_col, parse_col, read_col, write_col

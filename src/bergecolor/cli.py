@@ -195,7 +195,7 @@ def cmd_verify(args) -> int:
         # malformed JSON, undecodable bytes, or arrays nested too deep
         except (ValueError, RecursionError) as e:
             return _fail(f"bad partition file: {e}", EXIT_PARSE)
-    part = GoodPartition.from_json(data)
+    part = GoodPartition.from_json(data, g.n)
     verdict = verify_good_partition(g, part)
     if verdict.ok:
         print("partition valid")

@@ -4,7 +4,7 @@
 Vertices are 0..n-1.  Neighborhoods and vertex sets are Python ints used as
 bitsets: one int holds a set of any size, and a set operation is one pass in C
 over its machine words.  No size limit is built in; the benchmark's instances
-reach n = 400 and the scale test in CI n = 800.  Scans go by ascending id,
+reach n = 400 and CI's deep-chain step colors n = 4,002.  Scans go by ascending id,
 which keeps every operation deterministic.
 """
 

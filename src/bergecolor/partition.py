@@ -1,4 +1,4 @@
-"""Good partitions: verification, frame enumeration, and frame refinement.
+"""Good partitions: verification, frame refinement, and the search.
 
 A good partition of G is a partition (K1, K2, K3, L, R) of the vertices with
 
@@ -15,6 +15,9 @@ G minus R and G minus L can be merged back (see recolor).  The search works by
 enumerating frames, coarse templates built from pairs of maximal cliques and a
 non-adjacent anchor pair (x, y), and refining each frame by deleting vertices
 from the working cutset until the partition conditions hold or the frame dies.
+
+Every vertex set here is a mask: an int with bit v set for vertex v.  Sorted
+vertex lists appear only in the JSON form of a partition.
 """
 
 from __future__ import annotations
@@ -34,57 +37,63 @@ from .graphs import (
 )
 
 
+_KEYS = ("K1", "K2", "K3", "L", "R")
+
+
 @dataclass(frozen=True)
 class GoodPartition:
-    k1: frozenset[int]
-    k2: frozenset[int]
-    k3: frozenset[int]
-    l: frozenset[int]
-    r: frozenset[int]
+    """The five sets (K1, K2, K3, L, R), each a vertex mask."""
+
+    k1: int
+    k2: int
+    k3: int
+    l: int
+    r: int
     # the anchor pair (x, y) whose frame refined to this partition, x in L
     # and y in R; None when the partition was not found by refinement
     anchor: tuple[int, int] | None = field(default=None, compare=False)
 
-    def sets(self) -> tuple[frozenset[int], ...]:
+    def sets(self) -> tuple[int, int, int, int, int]:
         return (self.k1, self.k2, self.k3, self.l, self.r)
 
     def to_json(self) -> dict:
-        return {
-            "K1": sorted(self.k1),
-            "K2": sorted(self.k2),
-            "K3": sorted(self.k3),
-            "L": sorted(self.l),
-            "R": sorted(self.r),
-        }
+        return {key: bit_list(m) for key, m in zip(_KEYS, self.sets())}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "GoodPartition":
+    def from_json(cls, obj: dict, n: int) -> "GoodPartition":
+        """The partition a JSON object lists, for a graph on vertices
+        0..n-1.  A vertex outside that range is rejected before it is
+        shifted into a mask, so a huge one costs no memory."""
         try:
-            fields = [obj[key] for key in ("K1", "K2", "K3", "L", "R")]
+            fields = [obj[key] for key in _KEYS]
         except (KeyError, TypeError) as exc:
             raise MalformedPartition(f"partition JSON needs keys K1,K2,K3,L,R: {exc}")
-        sets = []
-        for name, members in zip(("K1", "K2", "K3", "L", "R"), fields):
+        masks = []
+        for name, members in zip(_KEYS, fields):
             if not isinstance(members, list) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in members
             ):
                 raise MalformedPartition(f"{name} must be a list of integers")
-            sets.append(frozenset(members))
-        return cls(*sets)
+            for v in members:
+                if not 0 <= v < n:
+                    raise MalformedPartition(f"vertex {v} out of range 0..{n - 1}")
+            masks.append(mask_of(members))
+        return cls(*masks)
 
 
 @dataclass(frozen=True)
 class Frame:
-    """A refinement template: two maximal cliques of G minus {x, y}, the
-    anchors x, y (non-adjacent, sharing a triad), and anchor vertices C1, C3
-    (at most one each) marking how deep into Q1\\Q3 and Q3\\Q1 to cut."""
+    """A refinement template: two maximal cliques Q1, Q3 of G minus {x, y}
+    as masks, the anchors x, y (non-adjacent, sharing a triad), and anchor
+    vertices C1 in Q1\\Q3 and C3 in Q3\\Q1, or None, marking how deep into
+    each side to cut."""
 
-    q1: tuple[int, ...]
-    q3: tuple[int, ...]
+    q1: int
+    q3: int
     x: int
     y: int
-    c1: frozenset[int]
-    c3: frozenset[int]
+    c1: int | None
+    c3: int | None
 
 
 @dataclass(frozen=True)
@@ -98,26 +107,20 @@ class PartitionVerdict:
 
 
 def _partition_masks(g: Graph, p: GoodPartition) -> tuple[int, int, int, int, int]:
-    masks = []
-    total = 0
-    count = 0
-    for s in p.sets():
-        for v in s:
-            if not (0 <= v < g.n):
-                raise MalformedPartition(f"vertex {v} out of range 0..{g.n - 1}")
-        m = mask_of(s)
-        masks.append(m)
-        total |= m
-        count += len(s)
-    if count != g.n or total != g.full_mask:
-        if count > total.bit_count():
-            raise MalformedPartition("some vertex appears in two sets")
-        missing = g.full_mask & ~total
-        if missing:
-            v = (missing & -missing).bit_length() - 1
-            raise MalformedPartition(f"vertex {v} is in no set")
-        raise MalformedPartition("sets do not partition the vertex set")
-    return tuple(masks)
+    """The five masks, checked to partition V(G)."""
+    masks = p.sets()
+    total = p.k1 | p.k2 | p.k3 | p.l | p.r
+    extra = total & ~g.full_mask
+    if extra:
+        v = (extra & -extra).bit_length() - 1
+        raise MalformedPartition(f"vertex {v} out of range 0..{g.n - 1}")
+    if sum(m.bit_count() for m in masks) > total.bit_count():
+        raise MalformedPartition("some vertex appears in two sets")
+    missing = g.full_mask & ~total
+    if missing:
+        v = (missing & -missing).bit_length() - 1
+        raise MalformedPartition(f"vertex {v} is in no set")
+    return masks
 
 
 def _clique_defect(g: Graph, m: int) -> tuple[int, int] | None:
@@ -283,20 +286,20 @@ def _separate(
     return lmask, rest & ~lmask
 
 
-def nested_order(g: Graph, members, others) -> list[int]:
-    """Order `members` by decreasing neighborhood inside `others`, ties by
-    ascending id.  Both sets must be cliques; then neighborhoods are totally
-    ordered by inclusion unless the graph contains a square, in which case
-    NotSquareFree is raised with the offending 4-cycle.
+def nested_order(g: Graph, members: int, others: int) -> list[int]:
+    """The vertices of the mask `members`, ordered by decreasing
+    neighborhood inside the mask `others`, ties by ascending id.  Both sets
+    must be cliques; then neighborhoods are totally ordered by inclusion
+    unless the graph contains a square, in which case NotSquareFree is
+    raised with the offending 4-cycle.
     """
-    om = mask_of(others)
     items = sorted(
-        members, key=lambda v: (-(g.mask(v) & om).bit_count(), v)
+        iter_bits(members), key=lambda v: (-(g.mask(v) & others).bit_count(), v)
     )
     prev = None
     prev_nb = 0
     for v in items:
-        nb = g.mask(v) & om
+        nb = g.mask(v) & others
         if prev is not None and nb & ~prev_nb:
             gain = nb & ~prev_nb
             lost = prev_nb & ~nb
@@ -310,22 +313,16 @@ def nested_order(g: Graph, members, others) -> list[int]:
     return items
 
 
-def _truncated_side(g: Graph, side: int, other: int, c: frozenset[int]) -> int:
-    """Step-1 cut: empty when C is empty, else keep the anchor vertex and
-    everything at or below it in the nested ordering of the side."""
-    if not c:
+def _truncated_side(g: Graph, side: int, other: int, cv: int | None) -> int:
+    """Step-1 cut: empty when there is no anchor, else keep the anchor
+    vertex `cv` and everything at or below it in the nested ordering of the
+    side."""
+    if cv is None:
         return 0
-    cv = min(c)
-    keep = 0
-    seen = False
-    for v in nested_order(g, bit_list(side), bit_list(other)):
-        if v == cv:
-            seen = True
-        if seen:
-            keep |= 1 << v
-    if not seen:
+    if not (side >> cv) & 1:
         raise ValueError(f"anchor {cv} is not in its frame side")
-    return keep
+    order = nested_order(g, side, other)
+    return mask_of(order[order.index(cv):])
 
 
 def _emit(
@@ -340,15 +337,8 @@ def _emit(
 ) -> GoodPartition:
     """The five masks as a partition carrying the frame's anchor pair,
     verified as a good partition of the subgraph induced on `within`."""
-    cand = GoodPartition(
-        k1=frozenset(iter_bits(k1m)),
-        k2=frozenset(iter_bits(k2m)),
-        k3=frozenset(iter_bits(k3m)),
-        l=frozenset(iter_bits(lm)),
-        r=frozenset(iter_bits(rm)),
-        anchor=(frame.x, frame.y),
-    )
-    verdict = _verify_masks(g, (k1m, k2m, k3m, lm, rm), within)
+    cand = GoodPartition(k1m, k2m, k3m, lm, rm, anchor=(frame.x, frame.y))
+    verdict = _verify_masks(g, cand.sets(), within)
     if not verdict:
         raise InternalViolation(
             f"refinement emitted a bad partition: condition {verdict.condition}, "
@@ -384,7 +374,7 @@ def refine_frame(
     """
     if within is None:
         within = g.full_mask
-    q1m, q3m = mask_of(frame.q1), mask_of(frame.q3)
+    q1m, q3m = frame.q1, frame.q3
     x, y = frame.x, frame.y
     k2m = q1m & q3m
     k1m = _truncated_side(g, q1m & ~q3m, q3m & ~q1m, frame.c1)
@@ -397,7 +387,7 @@ def refine_frame(
     if k1m == 0 or k3m == 0:
         return _emit(g, frame, k1m, k2m, k3m, lm, rm, within)
 
-    c1v = min(frame.c1)
+    c1v = frame.c1
     budget = k1m.bit_count() + k3m.bit_count()
     repairs = 0
     while True:
@@ -480,9 +470,9 @@ def _frame_bases(
     pair is found.  The cliques of G minus {x, y} are derived from them."""
     # Both orders of an anchor pair are visited, so the entry the first one
     # stores is dropped once the second has taken it.
-    cache: dict[frozenset[int], list[int]] = {}
+    cache: dict[int, list[int]] = {}
     for x, y in _anchored_pairs(g, start, within):
-        key = frozenset((x, y))
+        key = 1 << x | 1 << y
         masks = cache.pop(key, None)
         if masks is None:
             if cliques is None:
@@ -556,14 +546,11 @@ def _path_hits(interiors: list[int], masks: list[int]) -> tuple[list[int], int]:
     return hits, (1 << len(interiors)) - 1
 
 
-def _frame_choices(
-    q1m: int, q3m: int
-) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
-    side1 = bit_list(q1m & ~q3m)
-    side3 = bit_list(q3m & ~q1m)
-    c1s = [frozenset()] + [frozenset((v,)) for v in side1]
-    c3s = [frozenset()] + [frozenset((v,)) for v in side3]
-    for c1 in c1s:
+def _frame_choices(q1m: int, q3m: int) -> Iterator[tuple[int | None, int | None]]:
+    """The anchor choices (C1, C3) of a clique pair: none first, then each
+    vertex of its side, ascending."""
+    c3s = [None, *iter_bits(q3m & ~q1m)]
+    for c1 in [None, *iter_bits(q1m & ~q3m)]:
         for c3 in c3s:
             yield c1, c3
 
@@ -654,10 +641,9 @@ def find_good_partition(
                 if not ok:
                     pruned += 1
                     continue
-                q1, q3 = tuple(iter_bits(q1m)), tuple(iter_bits(q3m))
                 for c1, c3 in _frame_choices(q1m, q3m):
                     tried += 1
-                    frame = Frame(q1=q1, q3=q3, x=x, y=y, c1=c1, c3=c3)
+                    frame = Frame(q1=q1m, q3=q3m, x=x, y=y, c1=c1, c3=c3)
                     gp = refine_frame(g, frame, paths, within=within)
                     if gp is not None:
                         found = gp

@@ -15,19 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BergeViolation, InternalViolation
-from .graphs import Graph, component_mask, iter_bits, mask_of
+from .graphs import Graph, bit_list, component_mask, iter_bits, mask_of
 from .partition import GoodPartition
 
 
 @dataclass
 class PartialColoring:
-    """A map from some of a graph's vertices to colors 1, 2, ...  Treat as
-    immutable; all operations hand back fresh instances."""
+    """A map from some of a graph's vertices to colors 1, 2, ...  The
+    functions of this module never change a coloring they are given:
+    aligning, swapping and merging each return a fresh one.  The solver
+    extends a coloring it has just made in place, as it colors the peeled
+    vertices of a piece."""
 
     colors: dict[int, int] = field(default_factory=dict)
-
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.colors)
 
     def max_color(self) -> int:
         return max(self.colors.values(), default=0)
@@ -121,7 +121,13 @@ def align_colorings(c1: PartialColoring, c2: PartialColoring, anchor) -> Partial
     return PartialColoring({v: mapping[col] for v, col in c2.colors.items()})
 
 
-def _bicomp_mask(g: Graph, c: PartialColoring, u: int, pair: tuple[int, int]) -> int:
+def bichromatic_component(
+    g: Graph, c: PartialColoring, u: int, pair: tuple[int, int]
+) -> int:
+    """Component of u, as a mask, in the subgraph induced by the two colors
+    of `pair`."""
+    if c.colors.get(u) not in pair:
+        raise ValueError(f"vertex {u} does not carry a color from {pair}")
     allowed = 0
     for v, col in c.colors.items():
         if col == pair[0] or col == pair[1]:
@@ -129,22 +135,13 @@ def _bicomp_mask(g: Graph, c: PartialColoring, u: int, pair: tuple[int, int]) ->
     return component_mask(g, u, allowed)
 
 
-def bichromatic_component(
-    g: Graph, c: PartialColoring, u: int, pair: tuple[int, int]
-) -> frozenset[int]:
-    """Component of u in the subgraph induced by the two colors of `pair`."""
-    if c.colors.get(u) not in pair:
-        raise ValueError(f"vertex {u} does not carry a color from {pair}")
-    return frozenset(iter_bits(_bicomp_mask(g, c, u, pair)))
-
-
 def apply_swap(
-    c: PartialColoring, component, pair: tuple[int, int]
+    c: PartialColoring, component: int, pair: tuple[int, int]
 ) -> PartialColoring:
-    """Exchange the two colors of `pair` on `component`."""
+    """Exchange the two colors of `pair` on the vertex mask `component`."""
     i, j = pair
     out = dict(c.colors)
-    for v in component:
+    for v in iter_bits(component):
         col = out[v]
         if col == i:
             out[v] = j
@@ -164,7 +161,7 @@ class SwapCandidate:
 
 
 def _bad_vertices(p: GoodPartition, c1: PartialColoring, c2: PartialColoring) -> list[int]:
-    return sorted(u for u in p.k3 if c1.colors[u] != c2.colors[u])
+    return [u for u in iter_bits(p.k3) if c1.colors[u] != c2.colors[u]]
 
 
 def find_reducing_swap(
@@ -184,16 +181,16 @@ def find_reducing_swap(
     and accepted only on strict improvement.  Returns None when nothing
     reduces, which for a genuine square-free Berge input cannot happen.
     """
-    k12m = mask_of(p.k1) | mask_of(p.k2)
+    k12m = p.k1 | p.k2
     base = len(bad)
     sides = {1: c1, 2: c2}
 
     def reduces(side: int, seed: int, pair: tuple[int, int]) -> bool:
         ch = sides[side]
-        comp = _bicomp_mask(g, ch, seed, pair)
+        comp = bichromatic_component(g, ch, seed, pair)
         if comp & k12m:
             return False
-        swapped = apply_swap(ch, iter_bits(comp), pair)
+        swapped = apply_swap(ch, comp, pair)
         a, b = (swapped, c2) if side == 1 else (c1, swapped)
         return len(_bad_vertices(p, a, b)) < base
 
@@ -204,7 +201,7 @@ def find_reducing_swap(
                 return SwapCandidate(side, u, pair, cls="free")
 
     palette = max(c1.max_color(), c2.max_color())
-    seeds = sorted(p.k3)
+    seeds = bit_list(p.k3)
     for side in (1, 2):
         ch = sides[side]
         for seed in seeds:
@@ -236,14 +233,14 @@ def merge_colorings(
     BergeViolation when the swap search is exhausted with bad vertices left.
     """
     vall = p.k1 | p.k2 | p.k3 | p.l | p.r
-    if c1.domain() != vall - p.r:
+    if mask_of(c1.colors) != vall & ~p.r:
         raise ValueError("c1 must color exactly G minus R")
-    if c2.domain() != vall - p.l:
+    if mask_of(c2.colors) != vall & ~p.l:
         raise ValueError("c2 must color exactly G minus L")
     if max(c1.max_color(), c2.max_color()) > k:
         raise ValueError(f"input colorings exceed {k} colors")
 
-    anchor = sorted(p.k1 | p.k2)
+    anchor = bit_list(p.k1 | p.k2)
     cur1, cur2 = c1, align_colorings(c1, c2, anchor)
 
     while True:
@@ -288,7 +285,7 @@ def merge_colorings(
     merged = dict(cur2.colors)
     merged.update(cur1.colors)
     out = PartialColoring(merged)
-    if out.domain() != vall:
+    if mask_of(merged) != vall:
         raise InternalViolation("merged coloring misses vertices")
     if not out.is_proper_on(g):
         raise InternalViolation("merged coloring is improper")

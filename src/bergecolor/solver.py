@@ -35,6 +35,7 @@ from .graphs import (
     Graph,
     _iter_triads,
     _peel,
+    bit_list,
     cliques_within,
     iter_bits,
     mask_of,
@@ -62,14 +63,14 @@ class SolveStats:
 class TreeNode:
     """One piece of the decomposition, in the labels of the original graph.
 
-    `vertices` lists every vertex of the piece; `peeled` those removed as
-    simplicial before the search, in removal order, and the rest form the
-    core.  Internal nodes carry the partition that split the core, a triad
+    `vertices` is the piece as a vertex mask; `peeled` lists the vertices
+    removed as simplicial before the search, in removal order, and the rest
+    form the core.  Internal nodes carry the partition that split the core, a triad
     witnessing condition (v), and exactly two children: the core minus R,
     then the core minus L.  Leaves carry neither.
     """
 
-    vertices: tuple[int, ...]
+    vertices: int
     partition: GoodPartition | None = None
     triad: tuple[int, int, int] | None = None
     children: tuple["TreeNode", "TreeNode"] | None = None
@@ -171,8 +172,8 @@ def _witness_triad(g: Graph, gp: GoodPartition, within: int) -> tuple[int, int, 
     """First triad of the subgraph induced on `within`, in ascending order,
     meeting both L and R."""
     for x, y, z in _iter_triads(g, within):
-        tset = {x, y, z}
-        if tset & gp.l and tset & gp.r:
+        t = 1 << x | 1 << y | 1 << z
+        if t & gp.l and t & gp.r:
             return (x, y, z)
     raise InternalViolation("verified partition lost its witness triad")
 
@@ -230,7 +231,7 @@ def _solve(
         stats.node_count += 1
         stats.max_depth = max(stats.max_depth, depth)
         peeled = _peel(g, seeds, keep)
-        node = TreeNode(vertices=tuple(iter_bits(keep)), peeled=tuple(v for v, _ in peeled))
+        node = TreeNode(vertices=keep, peeled=tuple(v for v, _ in peeled))
         core = keep & ~mask_of(v for v, _ in peeled)
         cliques = cliques_within(g, cliques, core)
         gp = find_good_partition(g, fstats, cliques=cliques, start=start, within=core)
@@ -238,10 +239,10 @@ def _solve(
         if gp is None:
             stats.leaf_count += 1
             continue
-        cut = mask_of(gp.k1 | gp.k2 | gp.k3)
+        cut = gp.k1 | gp.k2 | gp.k3
         # the first child holds L, the second R
-        pending.append((core & ~mask_of(gp.r), cut, gp.anchor, depth + 1, cliques))
-        pending.append((core & ~mask_of(gp.l), cut, gp.anchor, depth + 1, cliques))
+        pending.append((core & ~gp.r, cut, gp.anchor, depth + 1, cliques))
+        pending.append((core & ~gp.l, cut, gp.anchor, depth + 1, cliques))
     stats.frames_tried += fstats.get("frames_tried", 0)
     stats.frames_pruned += fstats.get("frames_pruned", 0)
 
@@ -329,7 +330,7 @@ def tree_to_json(tree: TreeNode) -> dict:
     that peeled vertices lists them in removal order."""
     nodes = []
     for node, kids in _preorder(tree):
-        out: dict = {"vertices": list(node.vertices)}
+        out: dict = {"vertices": bit_list(node.vertices)}
         if node.peeled:
             out["peeled"] = list(node.peeled)
         if kids:
@@ -347,13 +348,13 @@ def tree_to_dot(tree: TreeNode) -> str:
     ]
     for i, (node, kids) in enumerate(_preorder(tree)):
         if kids:
-            p = node.partition
+            k1, k2, k3, l, r = (m.bit_count() for m in node.partition.sets())
             label = (
-                f"|K1|={len(p.k1)} |K2|={len(p.k2)} |K3|={len(p.k3)} "
-                f"|L|={len(p.l)} |R|={len(p.r)}\\ntriad={node.triad}"
+                f"|K1|={k1} |K2|={k2} |K3|={k3} |L|={l} |R|={r}"
+                f"\\ntriad={node.triad}"
             )
         else:
-            label = f"leaf |V|={len(node.vertices)}"
+            label = f"leaf |V|={node.vertices.bit_count()}"
         if node.peeled:
             label += f"\\npeeled={len(node.peeled)}"
         lines.append(f'  n{i} [label="{label}"];')

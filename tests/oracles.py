@@ -360,9 +360,10 @@ def _naive_frames_of(q1, q3, x, y):
     ascending."""
     side1 = sorted(set(q1) - set(q3))
     side3 = sorted(set(q3) - set(q1))
-    for c1 in [()] + [(v,) for v in side1]:
-        for c3 in [()] + [(v,) for v in side3]:
-            yield Frame(q1=q1, q3=q3, x=x, y=y, c1=frozenset(c1), c3=frozenset(c3))
+    m1, m3 = sum(1 << v for v in q1), sum(1 << v for v in q3)
+    for c1 in [None, *side1]:
+        for c3 in [None, *side3]:
+            yield Frame(q1=m1, q3=m3, x=x, y=y, c1=c1, c3=c3)
 
 
 def enumerate_frames(g: Graph, start: tuple[int, int] = (0, 0)):

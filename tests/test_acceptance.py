@@ -30,6 +30,7 @@ from bergecolor import (
     verify_coloring,
     verify_good_partition,
 )
+from bergecolor.graphs import bit_list, mask_of
 
 from conftest import complete, complete_minus_star, cycle
 from oracles import (
@@ -158,7 +159,7 @@ def test_criterion_3_partition_soundness_and_completeness(corpus):
 
 
 def _solve_side(g, keep):
-    sub, mapping = g.subgraph(sorted(keep))
+    sub, mapping = g.subgraph(bit_list(keep))
     result = color(sub)
     return PartialColoring(
         {mapping[i]: col for i, col in result.coloring.colors.items()}
@@ -177,13 +178,12 @@ def test_criterion_4_merge_correctness(corpus):
         gp = find_good_partition(g)
         if gp is None:
             continue
-        vall = set(range(g.n))
-        c1 = _solve_side(g, vall - gp.r)
-        c2 = _solve_side(g, vall - gp.l)
+        c1 = _solve_side(g, g.full_mask & ~gp.r)
+        c2 = _solve_side(g, g.full_mask & ~gp.l)
         k = omega(g)
         events = []
         out = merge_colorings(g, gp, c1, c2, k, trace=events.append)
-        assert out.domain() == vall, name
+        assert set(out.colors) == set(range(g.n)), name
         assert out.is_proper_on(g), name
         assert out.max_color() <= k, name
         for ev in events:
@@ -196,11 +196,11 @@ def test_criterion_4_merge_correctness(corpus):
     # 2-colored path sides cannot be reconciled, and the merge must say so
     g = cycle(7)
     part = GoodPartition(
-        k1=frozenset({0}),
-        k2=frozenset(),
-        k3=frozenset({3}),
-        l=frozenset({1, 2}),
-        r=frozenset({4, 5, 6}),
+        k1=mask_of({0}),
+        k2=mask_of(()),
+        k3=mask_of({3}),
+        l=mask_of({1, 2}),
+        r=mask_of({4, 5, 6}),
     )
     assert verify_good_partition(g, part).ok
     with pytest.raises(BergeViolation):

@@ -33,7 +33,7 @@ from bergecolor import (
 )
 from bergecolor import cli, solver
 from bergecolor.cli import main
-from bergecolor.graphs import maximal_cliques_in
+from bergecolor.graphs import mask_of, maximal_cliques_in
 
 from conftest import complete, cycle, hexagon_chain, path_graph
 
@@ -190,19 +190,19 @@ def _split_chain(n):
     each internal node cuts its lowest vertex off (R = {i}, K2 = {i + 1}),
     its first child is the rest of the chain and its second the edge
     {i, i + 1}, so the tree is n - 3 levels deep."""
-    node = TreeNode(vertices=tuple(range(n - 4, n)))
+    node = TreeNode(vertices=mask_of(range(n - 4, n)))
     for i in range(n - 5, -1, -1):
         node = TreeNode(
-            vertices=tuple(range(i, n)),
+            vertices=mask_of(range(i, n)),
             partition=GoodPartition(
-                k1=frozenset(),
-                k2=frozenset({i + 1}),
-                k3=frozenset(),
-                l=frozenset(range(i + 2, n)),
-                r=frozenset({i}),
+                k1=mask_of(()),
+                k2=mask_of({i + 1}),
+                k3=mask_of(()),
+                l=mask_of(range(i + 2, n)),
+                r=mask_of({i}),
             ),
             triad=(i, i + 2, i + 4),
-            children=(node, TreeNode(vertices=(i, i + 1))),
+            children=(node, TreeNode(vertices=mask_of((i, i + 1)))),
         )
     return node
 
@@ -514,6 +514,17 @@ def test_verify_partition_not_a_partition(tmp_path, capsys):
     }))
     assert main(["verify", path, "--partition", str(part)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_partition_vertex_out_of_range(tmp_path, capsys):
+    # rejected before it becomes a mask: 1 << 2**40 would be a 128 GiB int
+    path = col(tmp_path, cycle(6))
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps({
+        "K1": [1], "K2": [], "K3": [3, 4], "L": [0, 5], "R": [2, 2**40],
+    }))
+    assert main(["verify", path, "--partition", str(part)]) == 1
+    assert f"vertex {2**40} out of range 0..5" in capsys.readouterr().err
 
 
 def test_verify_partition_bad_json(tmp_path, capsys):

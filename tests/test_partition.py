@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from bisect import bisect_left
 from itertools import islice
 
@@ -41,11 +42,11 @@ from oracles import (
 
 def gp(k1=(), k2=(), k3=(), l=(), r=()):
     return GoodPartition(
-        k1=frozenset(k1),
-        k2=frozenset(k2),
-        k3=frozenset(k3),
-        l=frozenset(l),
-        r=frozenset(r),
+        k1=mask_of(k1),
+        k2=mask_of(k2),
+        k3=mask_of(k3),
+        l=mask_of(l),
+        r=mask_of(r),
     )
 
 
@@ -131,7 +132,7 @@ def test_verify_matches_naive_checker(g, rnd):
     parts = [
         frozenset(v for v in range(g.n) if labels[v] == i) for i in range(5)
     ]
-    p = GoodPartition(k1=parts[0], k2=parts[1], k3=parts[2], l=parts[3], r=parts[4])
+    p = gp(*parts)
     assert bool(verify_good_partition(g, p)) == naive_good_partition_check(
         g, *[set(s) for s in parts]
     )
@@ -146,19 +147,19 @@ def test_nested_order_sorts_by_reach():
         5,
         [(0, 1), (0, 2), (1, 2), (3, 4), (0, 3), (0, 4), (1, 3)],
     )
-    assert nested_order(g, [2, 0, 1], [3, 4]) == [0, 1, 2]
+    assert nested_order(g, mask_of([2, 0, 1]), mask_of([3, 4])) == [0, 1, 2]
 
 
 def test_nested_order_tie_breaks_ascending():
     g = Graph(4, [(0, 1), (2, 3)])  # neither 0 nor 1 sees {2,3}
-    assert nested_order(g, [1, 0], [2, 3]) == [0, 1]
+    assert nested_order(g, mask_of([1, 0]), mask_of([2, 3])) == [0, 1]
 
 
 def test_nested_order_raises_on_square():
     # 0 sees only 2, 1 sees only 3: neighborhoods incomparable
     g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     with pytest.raises(NotSquareFree) as exc:
-        nested_order(g, [0, 1], [2, 3])
+        nested_order(g, mask_of([0, 1]), mask_of([2, 3]))
     a, b, c, d = exc.value.witness
     assert g.adjacent(a, b) and g.adjacent(b, c) and g.adjacent(c, d)
     assert g.adjacent(d, a) and not g.adjacent(a, c) and not g.adjacent(b, d)
@@ -175,11 +176,10 @@ def _prism():
 
 def test_refine_frame_hand_worked_prism():
     p = _prism()
-    fr = Frame(q1=(1, 2), q3=(6,), x=0, y=3, c1=frozenset({1}), c3=frozenset({6}))
+    fr = Frame(q1=mask_of((1, 2)), q3=mask_of((6,)), x=0, y=3, c1=1, c3=6)
     part = refine_frame(p, fr)
     assert part is not None
-    assert part.k1 == {1, 2} and part.k2 == set() and part.k3 == {6}
-    assert part.l == {0} and part.r == {3, 4, 5, 7, 8}
+    assert part == gp(k1=[1, 2], k2=[], k3=[6], l=[0], r=[3, 4, 5, 7, 8])
     assert verify_good_partition(p, part).ok
 
 
@@ -187,7 +187,7 @@ def test_refine_frame_empty_anchor_drops_side():
     # with no anchor on the Q1 side the cutset is just {6}, which does not
     # separate 0 from 3, so the frame dies
     p = _prism()
-    fr = Frame(q1=(1, 2), q3=(6,), x=0, y=3, c1=frozenset(), c3=frozenset({6}))
+    fr = Frame(q1=mask_of((1, 2)), q3=mask_of((6,)), x=0, y=3, c1=None, c3=6)
     assert refine_frame(p, fr) is None
 
 
@@ -219,11 +219,14 @@ def test_enumerate_frames_canonical_and_counted():
     assert anchors == sorted(anchors, key=lambda t: (t[0], t[1]))
     # every frame invariant holds: cliques avoid x,y; anchors contained
     for f in frames[:60]:
-        assert f.x not in f.q1 and f.x not in f.q3
-        assert f.y not in f.q1 and f.y not in f.q3
-        assert f.c1 <= set(f.q1) - set(f.q3)
-        assert f.c3 <= set(f.q3) - set(f.q1)
-        assert len(f.c1) <= 1 and len(f.c3) <= 1
+        q1, q3 = set(bit_list(f.q1)), set(bit_list(f.q3))
+        c1 = set() if f.c1 is None else {f.c1}
+        c3 = set() if f.c3 is None else {f.c3}
+        assert f.x not in q1 and f.x not in q3
+        assert f.y not in q1 and f.y not in q3
+        assert c1 <= q1 - q3
+        assert c3 <= q3 - q1
+        assert all(c is None or isinstance(c, int) for c in (f.c1, f.c3))
 
 
 def test_no_frames_without_triads():
@@ -234,15 +237,14 @@ def test_no_frames_without_triads():
 def test_find_good_partition_c6_frozen():
     stats = {}
     part = find_good_partition(cycle(6), stats)
-    assert part.k1 == {1} and part.k2 == set() and part.k3 == {3, 4}
-    assert part.l == {0, 5} and part.r == {2}
+    assert part == gp(k1=[1], k2=[], k3=[3, 4], l=[0, 5], r=[2])
     assert stats == {"frames_tried": 5, "frames_pruned": 1}
 
 
 def test_find_good_partition_prism_frozen():
     part = find_good_partition(_prism())
-    assert part.k1 == {1, 2} and part.k3 == {6}
-    assert part.l == {0} and part.r == {3, 4, 5, 7, 8}
+    assert (part.k1, part.k3) == (mask_of([1, 2]), mask_of([6]))
+    assert (part.l, part.r) == (mask_of([0]), mask_of([3, 4, 5, 7, 8]))
 
 
 def test_find_good_partition_none_on_cliques():
@@ -409,10 +411,10 @@ def test_found_partition_carries_its_anchor_pair(corpus_graphs):
         if part is None:
             continue
         x, y = part.anchor
-        assert x in part.l and y in part.r
+        assert part.l >> x & 1 and part.r >> y & 1
         assert (x, y) in set(_anchored_pairs(g))
         # the anchor is no part of the partition's identity
-        assert part == gp(part.k1, part.k2, part.k3, part.l, part.r)
+        assert part == GoodPartition(*part.sets())
 
 
 def _small_graphs(corpus_graphs):
@@ -551,7 +553,7 @@ def test_search_within_a_mask_is_the_search_on_its_subgraph(corpus_graphs):
                 if want is None:
                     assert part is None
                     continue
-                moved = [frozenset(order[v] for v in s) for s in want.sets()]
+                moved = [mask_of(order[v] for v in bit_list(s)) for s in want.sets()]
                 assert part.sets() == tuple(moved)
                 assert part.anchor == tuple(order[v] for v in want.anchor)
                 found += 1
@@ -573,14 +575,39 @@ def test_pruned_counts_skipped_clique_pairs(corpus_graphs):
 
 def test_partition_json_round_trip():
     part = gp(k1=[1, 2], k3=[6], l=[0], r=[3, 4, 5, 7, 8])
-    assert GoodPartition.from_json(part.to_json()) == part
+    assert GoodPartition.from_json(part.to_json(), 9) == part
     assert part.to_json()["K1"] == [1, 2]  # sorted lists
 
 
 def test_partition_from_json_rejects_junk():
     with pytest.raises(MalformedPartition):
-        GoodPartition.from_json({"K1": [0]})
+        GoodPartition.from_json({"K1": [0]}, 3)
     with pytest.raises(MalformedPartition):
         GoodPartition.from_json(
-            {"K1": [0], "K2": [], "K3": "x", "L": [1], "R": [2]}
+            {"K1": [0], "K2": [], "K3": "x", "L": [1], "R": [2]}, 3
         )
+
+
+@pytest.mark.parametrize("vertex", [2**40, -1, 3, True])
+def test_partition_from_json_rejects_vertices_out_of_range(vertex):
+    # checked before the vertex is shifted into a mask: 1 << 2**40 alone
+    # would be a 128 GiB int
+    obj = {"K1": [0], "K2": [], "K3": [], "L": [1], "R": [2, vertex]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedPartition):
+            GoodPartition.from_json(obj, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_verify_rejects_masks_that_do_not_partition():
+    # a partition built from masks is checked by the verifier
+    with pytest.raises(MalformedPartition, match="vertex 3 out of range"):
+        verify_good_partition(cycle(3), gp(k1=[0], l=[1], r=[2, 3]))
+    with pytest.raises(MalformedPartition, match="two sets"):
+        verify_good_partition(cycle(3), gp(k1=[0], l=[1], r=[1, 2]))
+    with pytest.raises(MalformedPartition, match="vertex 2 is in no set"):
+        verify_good_partition(cycle(3), gp(k1=[0], l=[1]))

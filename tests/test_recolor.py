@@ -19,6 +19,7 @@ from bergecolor import (
     parse_coloring_lines,
     verify_good_partition,
 )
+from bergecolor.graphs import bit_list, mask_of
 from bergecolor.recolor import find_reducing_swap
 
 from conftest import cycle
@@ -85,7 +86,7 @@ def test_partial_coloring_helpers():
     c = pc({0: 1, 1: 2, 2: 1, 3: 2})
     assert c.is_proper_on(g)
     assert c.max_color() == 2 and c.colors_used() == 2
-    assert c.domain() == {0, 1, 2, 3}
+    assert set(c.colors) == {0, 1, 2, 3}
     bad = pc({0: 1, 1: 1, 2: 2, 3: 2})
     assert not bad.is_proper_on(g)
 
@@ -166,18 +167,18 @@ def test_bichromatic_component_c6():
     g = cycle(6)
     # vertices 3 and 5 carry color 3, cutting the pair-(1,2) subgraph in two
     c = pc({0: 1, 1: 2, 2: 1, 3: 3, 4: 1, 5: 3})
-    assert bichromatic_component(g, c, 0, (1, 2)) == {0, 1, 2}
-    assert bichromatic_component(g, c, 4, (1, 2)) == {4}
+    assert bit_list(bichromatic_component(g, c, 0, (1, 2))) == [0, 1, 2]
+    assert bit_list(bichromatic_component(g, c, 4, (1, 2))) == [4]
     with pytest.raises(ValueError):
         bichromatic_component(g, c, 3, (1, 2))
 
 
 def test_apply_swap_exchanges_pair():
     c = pc({0: 1, 1: 2, 2: 3})
-    out = apply_swap(c, [0, 1], (1, 2))
+    out = apply_swap(c, mask_of([0, 1]), (1, 2))
     assert out.colors == {0: 2, 1: 1, 2: 3}
     with pytest.raises(ValueError):
-        apply_swap(c, [2], (1, 2))
+        apply_swap(c, mask_of([2]), (1, 2))
 
 
 @given(colored_graphs())
@@ -202,9 +203,8 @@ def _split_color(g, part):
     """Color both sides of a partition independently (exact, tiny graphs)."""
     from bergecolor import color
 
-    vall = set(range(g.n))
-    keep1 = sorted(vall - part.r)
-    keep2 = sorted(vall - part.l)
+    keep1 = bit_list(g.full_mask & ~part.r)
+    keep2 = bit_list(g.full_mask & ~part.l)
     g1, m1 = g.subgraph(keep1)
     g2, m2 = g.subgraph(keep2)
     r1 = color(g1, trust_berge=True)
@@ -223,7 +223,7 @@ def test_merge_prism_yields_proper_3_coloring():
     events = []
     merged = merge_colorings(g, part, c1, c2, k, trace=events.append)
     assert merged.is_proper_on(g)
-    assert merged.domain() == set(range(g.n))
+    assert set(merged.colors) == set(range(g.n))
     assert merged.max_color() <= k
     for ev in events:
         assert ev["bad_after"] < ev["bad_before"]
@@ -247,11 +247,11 @@ def test_merge_c7_exhausts_swaps():
     # say so, not hand back a bad coloring
     g = cycle(7)
     part = GoodPartition(
-        k1=frozenset({0}),
-        k2=frozenset(),
-        k3=frozenset({3}),
-        l=frozenset({1, 2}),
-        r=frozenset({4, 5, 6}),
+        k1=mask_of({0}),
+        k2=mask_of(()),
+        k3=mask_of({3}),
+        l=mask_of({1, 2}),
+        r=mask_of({4, 5, 6}),
     )
     assert verify_good_partition(g, part).ok
     c1 = pc({0: 1, 1: 2, 2: 1, 3: 2})
@@ -266,8 +266,8 @@ def test_find_reducing_swap_classes():
     g = bc.gen_prism(bc.PrismSpec((2, 2, 2)))
     part = bc.find_good_partition(g)
     c1, c2, k = _split_color(g, part)
-    c2a = align_colorings(c1, c2, sorted(part.k1 | part.k2))
-    bad = sorted(u for u in part.k3 if c1.colors[u] != c2a.colors[u])
+    c2a = align_colorings(c1, c2, bit_list(part.k1 | part.k2))
+    bad = [u for u in bit_list(part.k3) if c1.colors[u] != c2a.colors[u]]
     if bad:
         cand = find_reducing_swap(g, part, c1, c2a, bad)
         assert cand is not None
@@ -293,7 +293,7 @@ def test_merge_inside_a_piece_is_the_merge_on_its_subgraph():
     def up(c):
         return pc({odd[v]: col for v, col in c.colors.items()})
 
-    big = GoodPartition(*(frozenset(odd[v] for v in s) for s in part.sets()))
+    big = GoodPartition(*(mask_of(odd[v] for v in bit_list(s)) for s in part.sets()))
     want_events, events = [], []
     want = merge_colorings(p, part, c1, c2, k, trace=want_events.append)
     merged = merge_colorings(g, big, up(c1), up(c2), k, trace=events.append)

@@ -92,7 +92,7 @@ def test_verdict_is_falsy_only_when_bad():
 def test_color_trivial_graphs():
     r = color(Graph(0))
     assert r.colors_used == 0
-    assert r.tree.vertices == ()
+    assert r.tree.vertices == 0
     r = color(Graph(1))
     assert r.coloring.colors == {0: 1}
 
@@ -105,14 +105,13 @@ def test_color_even_cycle_frozen():
     # C6 has no simplicial vertex, so the root searches the whole cycle
     assert r.tree.peeled == ()
     p = r.tree.partition
-    assert (p.k1, p.k2, p.k3) == ({1}, frozenset(), {3, 4})
-    assert (p.l, p.r) == ({0, 5}, {2})
+    assert [bit_list(m) for m in p.sets()] == [[1], [], [3, 4], [0, 5], [2]]
     assert r.tree.triad == (0, 2, 4)
     # both children are paths, peeled whole into leaves with an empty core
     first, second = r.tree.children
-    assert first.vertices == (0, 1, 3, 4, 5)
+    assert bit_list(first.vertices) == [0, 1, 3, 4, 5]
     assert first.peeled == (1, 3, 4, 5, 0)
-    assert second.vertices == (1, 2, 3, 4)
+    assert bit_list(second.vertices) == [1, 2, 3, 4]
     assert second.peeled == (1, 2, 3, 4)
     assert first.is_leaf() and second.is_leaf()
     assert r.stats.frames_tried == 5
@@ -281,20 +280,20 @@ def test_berge_cap_skips_check():
 
 def _check_tree(g, tree):
     for node in tree.iter_nodes():
-        vs = set(node.vertices)
+        vs = node.vertices
         assert len(set(node.peeled)) == len(node.peeled)
-        assert set(node.peeled) <= vs
+        assert mask_of(node.peeled) & ~vs == 0
         if node.is_leaf():
             assert node.partition is None and node.triad is None
         else:
             # the partition and the children cover the core exactly
-            core = vs - set(node.peeled)
+            core = vs & ~mask_of(node.peeled)
             p = node.partition
-            assert set().union(*p.sets()) == core
-            assert sum(map(len, p.sets())) == len(core)
-            assert node.children[0].vertices == tuple(sorted(core - p.r))
-            assert node.children[1].vertices == tuple(sorted(core - p.l))
-            assert set(node.triad) & p.l and set(node.triad) & p.r
+            assert p.k1 | p.k2 | p.k3 | p.l | p.r == core
+            assert sum(m.bit_count() for m in p.sets()) == core.bit_count()
+            assert node.children[0].vertices == core & ~p.r
+            assert node.children[1].vertices == core & ~p.l
+            assert mask_of(node.triad) & p.l and mask_of(node.triad) & p.r
     triads = [n.triad for n in tree.iter_nodes() if n.triad is not None]
     assert len(triads) == len(set(triads))
     assert tree.node_count() <= max(1, 3 * g.n**3)
@@ -459,7 +458,7 @@ def test_tree_to_json_shape():
     # pre-order, first child first: the first child follows its parent, and
     # the second follows the first child's whole subtree
     assert [n["vertices"] for n in nodes] == [
-        list(t.vertices) for t in r.tree.iter_nodes()
+        bit_list(t.vertices) for t in r.tree.iter_nodes()
     ]
     assert root["children"] == [1, 1 + r.tree.children[0].node_count()]
     # only a node that peeled vertices carries the key, in removal order
