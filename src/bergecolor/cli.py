@@ -47,8 +47,7 @@ from .graphs import (
     _count_triads,
     contains_square,
     is_berge,
-    mask_of,
-    maximal_cliques,
+    maximal_cliques_in,
 )
 from .partition import GoodPartition, find_good_partition, verify_good_partition
 from .recolor import (
@@ -265,13 +264,12 @@ def cmd_analyze(args) -> int:
             report["berge_witness"] = [verdict.witness[0], list(verdict.witness[1])]
     else:
         report["berge"] = None
-    cliques = maximal_cliques(g)
-    report["omega"] = max((len(c) for c in cliques), default=0)
+    cliques = maximal_cliques_in(g, g.full_mask)
+    report["omega"] = max((q.bit_count() for q in cliques), default=0)
     report["maximal_cliques"] = len(cliques)
     report["triads"] = _count_triads(g)
     if report["square_free"]:
-        masks = [mask_of(c) for c in cliques]
-        report["good_partition"] = find_good_partition(g, cliques=masks) is not None
+        report["good_partition"] = find_good_partition(g, cliques=cliques) is not None
     else:
         report["good_partition"] = None  # search needs a square-free graph
     out = _json_text(report)
@@ -325,7 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("graph", help="DIMACS .col file")
     grp = v.add_mutually_exclusive_group(required=True)
     grp.add_argument("--coloring", help="coloring file ('v i c' lines or JSON)")
-    grp.add_argument("--partition", help="partition JSON file")
+    grp.add_argument(
+        "--partition",
+        help="partition JSON file; K1, K2, K3, L and R must cover every vertex, "
+        "so a --tree node's partition, which covers only that node's core, "
+        "verifies only at a root that peeled nothing",
+    )
     v.set_defaults(func=cmd_verify)
 
     gn = sub.add_parser("gen", help="generate a test instance")

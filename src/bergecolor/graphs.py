@@ -6,6 +6,11 @@ bitsets: one int holds a set of any size, and a set operation is one pass in C
 over its machine words.  No size limit is built in; the benchmark's instances
 reach n = 400 and CI's deep-chain step colors n = 4,002.  Scans go by ascending id,
 which keeps every operation deterministic.
+
+The package passes vertex sets as masks: `maximal_cliques_in` lists the
+maximal cliques as masks, vertex by lowest vertex, and `cliques_within`
+derives a subgraph's list from them.  Only `maximal_cliques`, for callers
+of the library, turns them into sorted tuples.
 """
 
 from __future__ import annotations
@@ -200,34 +205,67 @@ def _count_triads(g: Graph) -> int:
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each a sorted tuple, lexicographically sorted."""
-    return maximal_cliques_in(g, g.full_mask)
+    return [tuple(iter_bits(q)) for q in maximal_cliques_in(g, g.full_mask)]
 
 
-def maximal_cliques_in(g: Graph, allowed: int) -> list[tuple[int, ...]]:
-    """Maximal cliques of the induced subgraph on `allowed`, in original labels."""
-    if allowed == 0:
-        return []
+def maximal_cliques_in(g: Graph, allowed: int) -> list[int]:
+    """Maximal cliques of the induced subgraph on `allowed`, in original
+    labels, as masks in the lexicographic order of their sorted vertex lists.
+
+    The cliques are listed by lowest vertex v, ascending, so each vertex's
+    group follows the last (Eppstein, Löffler & Strash 2010).  The cliques
+    whose lowest vertex is v are v with the maximal cliques of its later
+    neighbours P that no earlier neighbour extends:
+
+    - a v with no later neighbour is a clique only when it is isolated;
+    - a v with one later neighbour u gives {v, u} when no vertex of
+      `allowed` is adjacent to both;
+    - any other v runs Bron-Kerbosch with pivoting on P, its earlier
+      neighbours excluded, and its group is sorted.
+
+    The pivot is the vertex with the most neighbours in P, ties to the
+    lowest id, and a vertex complete to P ends the pivot scan.  An explicit
+    stack keeps large cliques clear of the recursion limit.
+    """
+    masks = g._masks
     out: list[int] = []
-    # Bron-Kerbosch with pivoting; an explicit stack of (R, P, X) keeps large
-    # cliques clear of the recursion limit, and the sort fixes the order.
-    stack = [(0, allowed, 0)]
-    while stack:
-        r, p, x = stack.pop()
-        if p == 0 and x == 0:
-            out.append(r)
+    rest = allowed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nv = masks[low.bit_length() - 1] & allowed
+        later = nv & rest
+        if not later:
+            if not nv:
+                out.append(low)
             continue
-        # pivot: most candidate-neighbors, ties to lowest id
-        best, best_cnt = -1, -1
-        for u in iter_bits(p | x):
-            cnt = (p & g.mask(u)).bit_count()
-            if cnt > best_cnt:
-                best, best_cnt = u, cnt
-        for v in bit_list(p & ~g.mask(best)):
-            nv = g.mask(v) & allowed
-            stack.append((r | (1 << v), p & nv, x & nv))
-            p &= ~(1 << v)
-            x |= 1 << v
-    return sorted(tuple(iter_bits(m)) for m in out)
+        if not later & (later - 1):
+            if not nv & masks[later.bit_length() - 1]:
+                out.append(low | later)
+            continue
+        group = []
+        stack = [(low, later, nv & ~later)]
+        while stack:
+            r, p, x = stack.pop()
+            if not p:
+                if not x:
+                    group.append(r)
+                continue
+            size = p.bit_count()
+            best, best_cnt = -1, -1
+            for u in iter_bits(p | x):
+                cnt = (p & masks[u]).bit_count()
+                if cnt > best_cnt:
+                    best, best_cnt = u, cnt
+                    if cnt == size - (p >> u & 1):
+                        break
+            for v in iter_bits(p & ~masks[best]):
+                nb = masks[v]
+                stack.append((r | (1 << v), p & nb, x & nb))
+                p &= ~(1 << v)
+                x |= 1 << v
+        out.extend(sorted(group, key=bit_list))
+    return out
 
 
 def cliques_within(g: Graph, cliques: list[int], keep: int) -> list[int]:
@@ -242,9 +280,14 @@ def cliques_within(g: Graph, cliques: list[int], keep: int) -> list[int]:
     difference comes first", and each trimmed clique is placed by binary
     search on that rule.
     """
-    out = [q for q in cliques if q & keep == q]
-    trimmed = {q & keep for q in cliques if q & keep != q}
-    trimmed.discard(0)
+    out = []
+    trimmed = set()
+    for q in cliques:
+        t = q & keep
+        if t == q:
+            out.append(q)
+        elif t:
+            trimmed.add(t)
     masks = g._masks
     for t in trimmed:
         common = keep
@@ -268,9 +311,7 @@ def cliques_within(g: Graph, cliques: list[int], keep: int) -> list[int]:
 
 def omega(g: Graph) -> int:
     """Clique number."""
-    if g.n == 0:
-        return 0
-    return max(len(c) for c in maximal_cliques(g))
+    return max((q.bit_count() for q in maximal_cliques_in(g, g.full_mask)), default=0)
 
 
 class BergeVerdict(NamedTuple):

@@ -133,63 +133,68 @@ def _clique_defect(g: Graph, m: int) -> tuple[int, int] | None:
     return None
 
 
+def _neighbourhood(g: Graph, s: int) -> int:
+    """The vertices with a neighbour in the mask `s`."""
+    masks = g._masks
+    out = 0
+    for v in iter_bits(s):
+        out |= masks[v]
+    return out
+
+
 def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | None:
     """Shortest chordless path breaking condition (iii), or None.
 
     Returns (u, p1, ..., pt, v) with u in K3, v in K1, interior in L, no
     interior vertex complete to K1, chordless once K1-K3 edges are ignored.
     Search: restrict L to L'' (drop K1-complete vertices), run a multi-source
-    BFS from {has a K3-neighbor} to {has a K1-neighbor}; the earliest hit,
-    lowest id first, ends a shortest violating path, and any shortest
-    L''-path plus its endpoint attachments is automatically chordless.
+    BFS by layers from {has a K3-neighbor} to {has a K1-neighbor}; the
+    earliest hit, lowest id first, ends a shortest violating path, and any
+    shortest L''-path plus its endpoint attachments is automatically
+    chordless.  The path is walked back through the layers, each step to
+    the lowest-id neighbour in the layer before.
+
+    L'' and the two end sets come from three masks over the cut, not from a
+    look at each vertex of L: the union of K1's neighbourhoods, their
+    intersection (the vertices complete to K1) and the union of K3's.
     """
     if k1m == 0 or k3m == 0:
         return None
-    l2 = 0
-    for v in iter_bits(lm):
-        if g.mask(v) & k1m != k1m:
-            l2 |= 1 << v
-    start = 0
-    bad = 0
-    for v in iter_bits(l2):
-        nb = g.mask(v)
-        if nb & k3m:
-            start |= 1 << v
-        if nb & k1m:
-            bad |= 1 << v
+    masks = g._masks
+    nk1 = 0
+    complete = -1
+    for a in iter_bits(k1m):
+        nk1 |= masks[a]
+        complete &= masks[a]
+    l2 = lm & ~complete
+    start = l2 & _neighbourhood(g, k3m)
+    bad = l2 & nk1
     if start == 0 or bad == 0:
         return None
 
-    if start & bad:
-        hit = start & bad
-        t = (hit & -hit).bit_length() - 1
-        interior = [t]
-    else:
-        parent: dict[int, int] = {}
-        seen = start
-        frontier = start
-        t = None
-        while frontier and t is None:
-            nxt = 0
-            for v in iter_bits(frontier):
-                fresh = g.mask(v) & l2 & ~seen & ~nxt
-                for w in iter_bits(fresh):
-                    parent[w] = v
-                nxt |= fresh
-            hit = nxt & bad
-            if hit:
-                t = (hit & -hit).bit_length() - 1
-            seen |= nxt
-            frontier = nxt
-        if t is None:
+    layers = [start]
+    seen = start
+    hit = start & bad
+    while not hit:
+        nxt = 0
+        for v in iter_bits(layers[-1]):
+            nxt |= masks[v]
+        nxt &= l2 & ~seen
+        if not nxt:
             return None
-        interior = [t]
-        while interior[-1] in parent:
-            interior.append(parent[interior[-1]])
-        interior.reverse()
+        seen |= nxt
+        layers.append(nxt)
+        hit = nxt & bad
+    t = (hit & -hit).bit_length() - 1
+    interior = [t]
+    for layer in reversed(layers[:-1]):
+        back = layer & masks[t]
+        t = (back & -back).bit_length() - 1
+        interior.append(t)
+    interior.reverse()
 
-    first_k3 = g.mask(interior[0]) & k3m
-    last_k1 = g.mask(interior[-1]) & k1m
+    first_k3 = masks[interior[0]] & k3m
+    last_k1 = masks[interior[-1]] & k1m
     u = (first_k3 & -first_k3).bit_length() - 1
     v = (last_k1 & -last_k1).bit_length() - 1
     return (u, *interior, v)
@@ -198,18 +203,13 @@ def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | 
 def _both_sides_vertex(g: Graph, k1m: int, k3m: int, lm: int) -> int | None:
     """Condition (iv) witness: lowest L-vertex with neighbors in K1 and K3,
     but only when a K1-K3 edge exists (otherwise (iv) holds vacuously)."""
-    edge = False
-    for a in iter_bits(k1m):
-        if g.mask(a) & k3m:
-            edge = True
-            break
-    if not edge:
+    nk1 = _neighbourhood(g, k1m)
+    if not nk1 & k3m:
         return None
-    for v in iter_bits(lm):
-        nb = g.mask(v)
-        if nb & k1m and nb & k3m:
-            return v
-    return None
+    both = lm & nk1 & _neighbourhood(g, k3m)
+    if not both:
+        return None
+    return (both & -both).bit_length() - 1
 
 
 def verify_good_partition(g: Graph, p: GoodPartition) -> PartitionVerdict:
@@ -476,7 +476,7 @@ def _frame_bases(
         masks = cache.pop(key, None)
         if masks is None:
             if cliques is None:
-                cliques = [mask_of(c) for c in maximal_cliques_in(g, within)]
+                cliques = maximal_cliques_in(g, within)
             masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
             cache[key] = masks
         yield x, y, masks
@@ -534,15 +534,12 @@ def _disjoint_paths(
 
 def _path_hits(interiors: list[int], masks: list[int]) -> tuple[list[int], int]:
     """For each vertex set in `masks`, the bitmask of the path interiors in
-    `interiors` (masks) that it meets; and the bitmask of all of them.  A set
-    that misses their union gets 0 without a look at each one."""
-    union = 0
-    for pm in interiors:
-        union |= pm
-    hits = [
-        sum(1 << j for j, pm in enumerate(interiors) if m & pm) if m & union else 0
-        for m in masks
-    ]
+    `interiors` (masks) that it meets; and the bitmask of all of them.  One
+    pass over the sets per interior sets that interior's bit."""
+    hits = [0] * len(masks)
+    for j, pm in enumerate(interiors):
+        bit = 1 << j
+        hits = [h | bit if m & pm else h for h, m in zip(hits, masks)]
     return hits, (1 << len(interiors)) - 1
 
 

@@ -39,7 +39,7 @@ from .graphs import (
     cliques_within,
     iter_bits,
     mask_of,
-    maximal_cliques,
+    maximal_cliques_in,
     omega,
     require_berge,
     require_square_free,
@@ -290,7 +290,7 @@ def color(
         stats.berge_checked = True
 
     events: list[dict] = []
-    cliques = [mask_of(c) for c in maximal_cliques(g)]
+    cliques = maximal_cliques_in(g, g.full_mask)
     coloring, k, tree = _solve(g, cliques, stats, events)
     stats.swaps_applied = len(events)  # every event is one applied swap
 

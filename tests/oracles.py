@@ -11,7 +11,7 @@ from itertools import combinations
 
 from bergecolor import DimacsError, Frame, Graph, refine_frame
 from bergecolor.dimacs import MAX_VERTICES
-from bergecolor.graphs import bit_list
+from bergecolor.graphs import bit_list, iter_bits
 
 
 def naive_is_clique(g: Graph, vs) -> bool:
@@ -323,6 +323,88 @@ def naive_good_partition_check(g: Graph, k1, k2, k3, l, r) -> bool:
     return False
 
 
+def naive_violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | None:
+    """Shortest chordless path breaking condition (iii), or None, as
+    `partition._violating_path` finds it, by scans over each vertex of L and
+    a BFS that records each vertex's parent.
+
+    Returns (u, p1, ..., pt, v) with u in K3, v in K1, interior in L, no
+    interior vertex complete to K1, chordless once K1-K3 edges are ignored.
+    Search: restrict L to L'' (drop K1-complete vertices), run a multi-source
+    BFS from {has a K3-neighbor} to {has a K1-neighbor}; the earliest hit,
+    lowest id first, ends a shortest violating path, and any shortest
+    L''-path plus its endpoint attachments is automatically chordless.
+    """
+    if k1m == 0 or k3m == 0:
+        return None
+    l2 = 0
+    for v in iter_bits(lm):
+        if g.mask(v) & k1m != k1m:
+            l2 |= 1 << v
+    start = 0
+    bad = 0
+    for v in iter_bits(l2):
+        nb = g.mask(v)
+        if nb & k3m:
+            start |= 1 << v
+        if nb & k1m:
+            bad |= 1 << v
+    if start == 0 or bad == 0:
+        return None
+
+    if start & bad:
+        hit = start & bad
+        t = (hit & -hit).bit_length() - 1
+        interior = [t]
+    else:
+        parent: dict[int, int] = {}
+        seen = start
+        frontier = start
+        t = None
+        while frontier and t is None:
+            nxt = 0
+            for v in iter_bits(frontier):
+                fresh = g.mask(v) & l2 & ~seen & ~nxt
+                for w in iter_bits(fresh):
+                    parent[w] = v
+                nxt |= fresh
+            hit = nxt & bad
+            if hit:
+                t = (hit & -hit).bit_length() - 1
+            seen |= nxt
+            frontier = nxt
+        if t is None:
+            return None
+        interior = [t]
+        while interior[-1] in parent:
+            interior.append(parent[interior[-1]])
+        interior.reverse()
+
+    first_k3 = g.mask(interior[0]) & k3m
+    last_k1 = g.mask(interior[-1]) & k1m
+    u = (first_k3 & -first_k3).bit_length() - 1
+    v = (last_k1 & -last_k1).bit_length() - 1
+    return (u, *interior, v)
+
+
+def naive_both_sides_vertex(g: Graph, k1m: int, k3m: int, lm: int) -> int | None:
+    """Condition (iv) witness as `partition._both_sides_vertex` finds it, by
+    a scan over K1 for a K1-K3 edge and one over L for the lowest vertex
+    with neighbors in K1 and K3."""
+    edge = False
+    for a in iter_bits(k1m):
+        if g.mask(a) & k3m:
+            edge = True
+            break
+    if not edge:
+        return None
+    for v in iter_bits(lm):
+        nb = g.mask(v)
+        if nb & k1m and nb & k3m:
+            return v
+    return None
+
+
 def _naive_maximal_cliques_avoiding(g: Graph, drop) -> list[tuple[int, ...]]:
     """Maximal cliques of G minus `drop`, as sorted tuples in lexicographic
     order: every clique grown one higher vertex at a time, kept when no
@@ -339,6 +421,13 @@ def _naive_maximal_cliques_avoiding(g: Graph, drop) -> list[tuple[int, ...]]:
         ):
             out.append(q)
     return sorted(out)
+
+
+def naive_maximal_cliques_in(g: Graph, allowed: int) -> list[int]:
+    """`_naive_maximal_cliques_avoiding` the vertices outside the mask
+    `allowed`, each clique as a mask, in the same order."""
+    drop = {v for v in range(g.n) if not (allowed >> v) & 1}
+    return [sum(1 << v for v in q) for q in _naive_maximal_cliques_avoiding(g, drop)]
 
 
 def _naive_anchor_pairs(g: Graph):

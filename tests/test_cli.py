@@ -641,7 +641,7 @@ def test_analyze_enumerates_maximal_cliques_once(tmp_path, capsys, monkeypatch):
         calls += 1
         return maximal_cliques_in(g, allowed)
 
-    for mod in ("bergecolor.graphs", "bergecolor.partition"):
+    for mod in ("bergecolor.cli", "bergecolor.graphs", "bergecolor.partition"):
         monkeypatch.setattr(f"{mod}.maximal_cliques_in", counted)
     path = col(tmp_path, gen_prism(PrismSpec((2, 2, 2))))
     assert main(["analyze", path]) == 0

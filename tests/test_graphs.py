@@ -36,6 +36,7 @@ from oracles import (
     naive_components,
     naive_is_berge,
     naive_maximal_cliques,
+    naive_maximal_cliques_in,
     naive_odd_hole,
     naive_omega,
     naive_peel,
@@ -133,8 +134,23 @@ def test_cliques_within_matches_a_fresh_search(corpus_graphs):
             x, y = rng.sample(range(g.n), 2)
             keeps.append(g.full_mask & ~(1 << x) & ~(1 << y))
         for keep in keeps:
-            want = [mask_of(c) for c in maximal_cliques_in(g, keep)]
+            want = maximal_cliques_in(g, keep)
             assert cliques_within(g, cliques, keep) == want
+
+
+def test_maximal_cliques_in_match_naive_within_random_masks(corpus_graphs):
+    # listed by lowest vertex, as masks: the naive list of cliques grown one
+    # higher vertex at a time, sorted, on corpus graphs and random graphs
+    # (mostly not Berge), each with random vertex subsets
+    rng = random.Random(19)
+    graphs = [g for _, g in corpus_graphs if g.n <= 40]
+    graphs += [_random_graph(rng, rng.randint(0, 12)) for _ in range(300)]
+    for g in graphs:
+        keeps = [0, g.full_mask]
+        keeps += [rng.getrandbits(g.n) for _ in range(2)]
+        keeps += [rng.getrandbits(g.n) | rng.getrandbits(g.n) for _ in range(2)]
+        for keep in keeps:
+            assert maximal_cliques_in(g, keep) == naive_maximal_cliques_in(g, keep)
 
 
 def test_complement_is_involution():
@@ -216,11 +232,27 @@ def test_maximal_cliques_examples():
     assert maximal_cliques(Graph(3)) == [(0,), (1,), (2,)]
     assert maximal_cliques(Graph(0)) == []
     assert maximal_cliques(cycle(5)) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    # as masks: empty masks, and vertices isolated in the graph or only
+    # inside the mask
+    assert maximal_cliques_in(Graph(0), 0) == []
+    assert maximal_cliques_in(cycle(5), 0) == []
+    g = Graph(5, [(1, 2), (2, 3)])
+    assert maximal_cliques_in(g, g.full_mask) == [0b1, 0b110, 0b1100, 0b10000]
+    assert maximal_cliques_in(g, 0b11011) == [0b1, 0b10, 0b1000, 0b10000]
 
 
 def test_maximal_cliques_of_a_large_clique_need_no_deep_stack():
     assert sys.getrecursionlimit() < 1100
-    assert maximal_cliques(complete(1100)) == [tuple(range(1100))]
+    k = complete(1100)
+    assert maximal_cliques(k) == [tuple(range(1100))]
+    # as masks: in a random mask, and with one edge gone
+    keep = random.Random(23).getrandbits(1100)
+    assert maximal_cliques_in(k, keep) == [keep]
+    edges = [(u, v) for u, v in k.edges() if (u, v) != (0, 1)]
+    assert maximal_cliques_in(Graph(1100, edges), k.full_mask) == [
+        k.full_mask & ~0b10,
+        k.full_mask & ~0b1,
+    ]
 
 
 @given(graphs())

@@ -36,7 +36,9 @@ from oracles import (
     naive_disjoint_paths,
     naive_good_partition_check,
     naive_skipped_pairs,
+    naive_both_sides_vertex,
     naive_subgraph,
+    naive_violating_path,
 )
 
 
@@ -208,6 +210,52 @@ def test_refine_frame_output_always_verifies(corpus_graphs):
     assert checked > 50
 
 
+def _random_cuts(g, rng, cliques):
+    """Twenty (K1, K3, L) mask triples for g: half from a frame (two
+    maximal cliques, random parts of their two sides, L random among the
+    other vertices), half from a random split of the vertices into five
+    sets, L often the largest, so K1 and K3 need not be cliques."""
+    out = []
+    for _ in range(20):
+        if cliques and rng.random() < 0.5:
+            q1, q3 = rng.choice(cliques), rng.choice(cliques)
+            k1 = q1 & ~q3 & (rng.getrandbits(g.n) | rng.getrandbits(g.n))
+            k3 = q3 & ~q1 & (rng.getrandbits(g.n) | rng.getrandbits(g.n))
+            lm = rng.getrandbits(g.n) & ~(q1 | q3)
+        else:
+            weights = [1, 1, 1, rng.randint(1, 8), 1]
+            part = rng.choices(range(5), weights, k=g.n)
+            k1, k3, lm = (
+                mask_of(v for v in range(g.n) if part[v] == s) for s in (0, 2, 3)
+            )
+        out.append((k1, k3, lm))
+    return out
+
+
+def test_cut_masks_match_the_per_vertex_scans(corpus_graphs):
+    # conditions (iii) and (iv) are tested from the cut's neighbourhoods;
+    # the witnesses are those of the scans over every vertex of L, on
+    # corpus graphs and on random graphs, most of them not Berge
+    rng = random.Random(17)
+    graphs = [g for _, g in corpus_graphs if g.n <= 40]
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(Graph(n, edges))
+    paths = long = both = 0
+    for g in graphs:
+        for k1, k3, lm in _random_cuts(g, rng, maximal_cliques_in(g, g.full_mask)):
+            path = partition._violating_path(g, k1, k3, lm)
+            assert path == naive_violating_path(g, k1, k3, lm)
+            u = partition._both_sides_vertex(g, k1, k3, lm)
+            assert u == naive_both_sides_vertex(g, k1, k3, lm)
+            paths += path is not None
+            long += path is not None and len(path) > 3
+            both += u is not None
+    assert paths > 1000 and long > 300 and both > 1000
+
+
 # --- enumeration and search --------------------------------------------------
 
 
@@ -284,11 +332,11 @@ def test_path_prune_is_sound(corpus_graphs):
 
             cliques = maximal_cliques_in(g, g.full_mask & ~(1 << x) & ~(1 << y))
             interiors = [mask_of(p) for p in paths]
-            hits, every = _path_hits(interiors, [mask_of(q) for q in cliques])
+            hits, every = _path_hits(interiors, cliques)
             assert every == (1 << len(paths)) - 1
             for q1, h1 in zip(cliques, hits):
                 for q3, h3 in zip(cliques, hits):
-                    union = set(q1) | set(q3)
+                    union = set(bit_list(q1 | q3))
                     checked += 1
                     # the mask test says whether the union meets every path
                     assert (h1 | h3 == every) == all(union & set(p) for p in paths)
@@ -391,7 +439,7 @@ def test_started_search_is_complete(corpus_graphs):
     graphs += [complete(1), complete(4), complete_minus_star(8, 5), Graph(0)]
     found = missed = 0
     for g in graphs:
-        cliques = [mask_of(q) for q in maximal_cliques_in(g, g.full_mask)]
+        cliques = maximal_cliques_in(g, g.full_mask)
         want = find_good_partition(g, cliques=cliques) is not None
         starts = [*_anchored_pairs(g), (g.n // 2, 0), (1, 2), (g.n, 0)]
         for start in starts:

@@ -231,7 +231,7 @@ def test_color_enumerates_maximal_cliques_once(corpus_graphs, monkeypatch):
         calls += 1
         return maximal_cliques_in(g, allowed)
 
-    for mod in ("bergecolor.graphs", "bergecolor.partition"):
+    for mod in ("bergecolor.solver", "bergecolor.graphs", "bergecolor.partition"):
         monkeypatch.setattr(f"{mod}.maximal_cliques_in", counted)
     for name, g in corpus_graphs:
         calls = 0
@@ -336,7 +336,7 @@ def test_carried_cliques_are_each_nodes_maximal_cliques(corpus_graphs, monkeypat
 
     def checked(g, stats=None, *, cliques=None, start=(0, 0), within=None):
         nonlocal nodes
-        assert cliques == [mask_of(c) for c in maximal_cliques_in(g, within)]
+        assert cliques == maximal_cliques_in(g, within)
         nodes += 1
         return search(g, stats, cliques=cliques, start=start, within=within)
 
