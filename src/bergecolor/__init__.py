@@ -33,11 +33,9 @@ from .generators import (
 from .graphs import (
     BergeVerdict,
     Graph,
-    components,
     contains_square,
     find_triads,
     is_berge,
-    is_clique,
     maximal_cliques,
     omega,
     require_berge,
@@ -107,7 +105,6 @@ __all__ = [
     "coloring_from_json",
     "coloring_to_json",
     "coloring_to_lines",
-    "components",
     "contains_square",
     "find_good_partition",
     "find_reducing_swap",
@@ -118,7 +115,6 @@ __all__ = [
     "gen_prism",
     "gen_square_free_berge",
     "is_berge",
-    "is_clique",
     "line_graph",
     "maximal_cliques",
     "merge_colorings",

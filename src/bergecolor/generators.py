@@ -22,12 +22,16 @@ class GeneratorWarning(UserWarning):
     """A generated instance failed a structural validation check."""
 
 
-def _validate(g: Graph, what: str, berge_cap: int = 20) -> None:
+# generated graphs up to this many vertices are Berge-checked
+_BERGE_CHECK_CAP = 20
+
+
+def _validate(g: Graph, what: str) -> None:
     sq = contains_square(g)
     if sq is not None:
         warnings.warn(f"{what} contains an induced square {sq}", GeneratorWarning)
-    elif g.n <= berge_cap:
-        verdict = is_berge(g, cap=berge_cap, square_free=True)
+    elif g.n <= _BERGE_CHECK_CAP:
+        verdict = is_berge(g, cap=_BERGE_CHECK_CAP, square_free=True)
         if not verdict.ok:
             kind, cyc = verdict.witness
             warnings.warn(f"{what} contains an {kind} {cyc}", GeneratorWarning)
@@ -255,7 +259,6 @@ def gen_square_free_berge(
     n: int,
     seed: int,
     *,
-    berge_check_cap: int = 20,
     max_attempts: int = 64,
 ) -> Graph:
     """Seeded random square-free Berge graph on exactly n vertices.
@@ -264,7 +267,7 @@ def gen_square_free_berge(
     graph, prism, hyperprism) and parameters from a generator seeded only
     with integers, so the same (n, seed) always gives the same graph, across
     processes.  Candidates are discarded if they contain a square or, up to
-    berge_check_cap vertices, fail the Berge check; in practice the
+    `_BERGE_CHECK_CAP` vertices, fail the Berge check; in practice the
     constructions are valid by design and the filter is a safety net.
     """
     if n < 0:
@@ -287,8 +290,8 @@ def gen_square_free_berge(
             continue
         if contains_square(g) is not None:
             continue
-        if g.n <= berge_check_cap and not is_berge(
-            g, cap=berge_check_cap, square_free=True
+        if g.n <= _BERGE_CHECK_CAP and not is_berge(
+            g, cap=_BERGE_CHECK_CAP, square_free=True
         ).ok:
             continue
         return g

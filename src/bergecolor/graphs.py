@@ -15,7 +15,6 @@ of the library, turns them into sorted tuples.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotBerge, NotSquareFree
@@ -139,19 +138,6 @@ def component_mask(g: Graph, start: int, allowed: int) -> int:
     return seen
 
 
-def components(g: Graph, vertices: Iterable[int] | None = None) -> list[frozenset[int]]:
-    """Connected components of the induced subgraph, sorted by smallest member."""
-    allowed = g.full_mask if vertices is None else mask_of(vertices)
-    out = []
-    rest = allowed
-    while rest:
-        start = (rest & -rest).bit_length() - 1
-        comp = component_mask(g, start, allowed)
-        out.append(frozenset(iter_bits(comp)))
-        rest &= ~comp
-    return out
-
-
 def contains_square(g: Graph) -> tuple[int, int, int, int] | None:
     """First induced 4-cycle in lexicographic order, as (a, b, c, d) with
     edges ab, bc, cd, da and non-edges ac, bd; None when square-free."""
@@ -173,12 +159,11 @@ def contains_square(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def _iter_triads(g: Graph, within: int | None = None) -> Iterator[tuple[int, int, int]]:
-    """Triads of the subgraph induced on `within` (all of g by default),
-    ascending."""
-    keep = g.full_mask if within is None else within
-    for x in iter_bits(keep):
-        nonx = keep & ~g.mask(x) & ~((1 << (x + 1)) - 1)
+def _iter_triads(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Triads of g, ascending."""
+    full = g.full_mask
+    for x in range(g.n):
+        nonx = full & ~g.mask(x) & ~((1 << (x + 1)) - 1)
         for y in iter_bits(nonx):
             zs = nonx & ~g.mask(y) & ~((1 << (y + 1)) - 1)
             for z in iter_bits(zs):
@@ -435,9 +420,7 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def is_berge(
-    g: Graph, *, cap: int = 64, force: bool = False, square_free: bool = False
-) -> BergeVerdict:
+def is_berge(g: Graph, *, cap: int = 64, square_free: bool = False) -> BergeVerdict:
     """Check for odd holes, then odd antiholes (odd holes of the complement),
     with `_find_odd_hole`: a peel and a bipartiteness test settle
     triangle-free cores at once, and an ordered search names the first hole
@@ -445,11 +428,12 @@ def is_berge(
     either (the 5-antihole is a 5-hole, and longer antiholes contain
     4-cycles), so its complement is never searched.  `square_free=True`
     says the caller has already found g square-free, so it is not checked
-    again.  Refuses n > cap unless forced, because the search on cores with
-    triangles is exponential in the worst case.
+    again.  Refuses n > cap, because the search on cores with triangles is
+    exponential in the worst case; a caller that accepts the cost passes a
+    larger cap.
     """
-    if g.n > cap and not force:
-        raise ValueError(f"is_berge refused: n={g.n} exceeds cap={cap} (use force=True)")
+    if g.n > cap:
+        raise ValueError(f"is_berge refused: n={g.n} exceeds cap={cap}")
     hole = _find_odd_hole(g)
     if hole is not None:
         return BergeVerdict(False, ("odd-hole", hole))
@@ -461,21 +445,14 @@ def is_berge(
     return BergeVerdict(True, None)
 
 
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    vs = list(vertices)
-    return all(g.adjacent(u, v) for u, v in itertools.combinations(vs, 2))
-
-
 def require_square_free(g: Graph) -> None:
     sq = contains_square(g)
     if sq is not None:
         raise NotSquareFree(f"graph contains an induced 4-cycle {sq}", witness=sq)
 
 
-def require_berge(
-    g: Graph, *, cap: int = 64, force: bool = False, square_free: bool = False
-) -> None:
-    verdict = is_berge(g, cap=cap, force=force, square_free=square_free)
+def require_berge(g: Graph, *, cap: int = 64, square_free: bool = False) -> None:
+    verdict = is_berge(g, cap=cap, square_free=square_free)
     if not verdict.ok:
         kind, cyc = verdict.witness
         raise NotBerge(f"graph contains an {kind} {cyc}", witness=verdict.witness)

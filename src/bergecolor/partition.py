@@ -50,8 +50,10 @@ class GoodPartition:
     l: int
     r: int
     # the anchor pair (x, y) whose frame refined to this partition, x in L
-    # and y in R; None when the partition was not found by refinement
+    # and y in R, and the triad, ascending, that its verification found for
+    # condition (v); both None when the partition was not found by refinement
     anchor: tuple[int, int] | None = field(default=None, compare=False)
+    triad: tuple[int, int, int] | None = field(default=None, compare=False)
 
     def sets(self) -> tuple[int, int, int, int, int]:
         return (self.k1, self.k2, self.k3, self.l, self.r)
@@ -147,12 +149,10 @@ def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | 
 
     Returns (u, p1, ..., pt, v) with u in K3, v in K1, interior in L, no
     interior vertex complete to K1, chordless once K1-K3 edges are ignored.
-    Search: restrict L to L'' (drop K1-complete vertices), run a multi-source
-    BFS by layers from {has a K3-neighbor} to {has a K1-neighbor}; the
-    earliest hit, lowest id first, ends a shortest violating path, and any
-    shortest L''-path plus its endpoint attachments is automatically
-    chordless.  The path is walked back through the layers, each step to
-    the lowest-id neighbour in the layer before.
+    Search: restrict L to L'' (drop K1-complete vertices), and take the
+    interior from `_shortest_path` in L'' from {has a K3-neighbor} to {has a
+    K1-neighbor}; any shortest L''-path plus its endpoint attachments is
+    automatically chordless.
 
     L'' and the two end sets come from three masks over the cut, not from a
     look at each vertex of L: the union of K1's neighbourhoods, their
@@ -171,27 +171,9 @@ def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | 
     bad = l2 & nk1
     if start == 0 or bad == 0:
         return None
-
-    layers = [start]
-    seen = start
-    hit = start & bad
-    while not hit:
-        nxt = 0
-        for v in iter_bits(layers[-1]):
-            nxt |= masks[v]
-        nxt &= l2 & ~seen
-        if not nxt:
-            return None
-        seen |= nxt
-        layers.append(nxt)
-        hit = nxt & bad
-    t = (hit & -hit).bit_length() - 1
-    interior = [t]
-    for layer in reversed(layers[:-1]):
-        back = layer & masks[t]
-        t = (back & -back).bit_length() - 1
-        interior.append(t)
-    interior.reverse()
+    interior = _shortest_path(g, start, bad, l2)
+    if interior is None:
+        return None
 
     first_k3 = masks[interior[0]] & k3m
     last_k1 = masks[interior[-1]] & k1m
@@ -214,6 +196,7 @@ def _both_sides_vertex(g: Graph, k1m: int, k3m: int, lm: int) -> int | None:
 
 def verify_good_partition(g: Graph, p: GoodPartition) -> PartitionVerdict:
     """Check conditions (i)-(v); report the first violated one with a witness.
+    A passing verdict's witness is the triad, ascending, that satisfies (v).
 
     Raises MalformedPartition when the five sets fail to partition V(G).
     """
@@ -225,7 +208,9 @@ def _verify_masks(
 ) -> PartitionVerdict:
     """`verify_good_partition` for the five sets given as masks that
     partition `within`, checked as a partition of the subgraph induced on
-    it; the triad of condition (v) is sought inside `within`."""
+    it; the triad of condition (v) is sought inside `within`.  It is the
+    lowest x of L, then the lowest y of R with a z, then the lowest z, and
+    a passing verdict carries it, ascending, as its witness."""
     k1m, k2m, k3m, lm, rm = masks
 
     if lm == 0:
@@ -255,7 +240,8 @@ def _verify_masks(
         for y in iter_bits(rm & ~nx):
             zs = within & ~nx & ~g.mask(y) & ~(1 << x) & ~(1 << y)
             if zs:
-                return PartitionVerdict(True)
+                z = (zs & -zs).bit_length() - 1
+                return PartitionVerdict(True, witness=tuple(sorted((x, y, z))))
     return PartitionVerdict(False, "v", None)
 
 
@@ -335,16 +321,18 @@ def _emit(
     rm: int,
     within: int,
 ) -> GoodPartition:
-    """The five masks as a partition carrying the frame's anchor pair,
-    verified as a good partition of the subgraph induced on `within`."""
-    cand = GoodPartition(k1m, k2m, k3m, lm, rm, anchor=(frame.x, frame.y))
-    verdict = _verify_masks(g, cand.sets(), within)
+    """The five masks, verified as a good partition of the subgraph induced
+    on `within`, as a partition carrying the frame's anchor pair and the
+    triad its verification found for condition (v)."""
+    verdict = _verify_masks(g, (k1m, k2m, k3m, lm, rm), within)
     if not verdict:
         raise InternalViolation(
             f"refinement emitted a bad partition: condition {verdict.condition}, "
             f"witness {verdict.witness}"
         )
-    return cand
+    return GoodPartition(
+        k1m, k2m, k3m, lm, rm, anchor=(frame.x, frame.y), triad=verdict.witness
+    )
 
 
 def refine_frame(
@@ -369,8 +357,8 @@ def refine_frame(
     `_separate`): a cutset that misses one of them kills the frame without
     a BFS, and each BFS that finds x and y connected adds one.
     The partition returned has been verified, and carries the frame's anchor
-    pair; a verification failure here means a bug, not bad input, and raises
-    InternalViolation.
+    pair and its (v) triad; a verification failure here means a bug, not
+    bad input, and raises InternalViolation.
     """
     if within is None:
         within = g.full_mask
@@ -456,42 +444,20 @@ def _anchored_pairs(
                     yield (x, y)
 
 
-def _frame_bases(
-    g: Graph,
-    cliques: list[int] | None,
-    start: tuple[int, int],
-    within: int,
-) -> Iterator[tuple[int, int, list[int]]]:
-    """Each anchor pair (x, y) of G, the subgraph induced on `within`, in
-    the rotated order of `_anchored_pairs` from `start`, with the maximal
-    cliques of G minus {x, y} as bitmasks, in lexicographic order.
-    `cliques` are the maximal cliques of G as masks, in lexicographic
-    order; when not given they are enumerated here, once the first anchor
-    pair is found.  The cliques of G minus {x, y} are derived from them."""
-    # Both orders of an anchor pair are visited, so the entry the first one
-    # stores is dropped once the second has taken it.
-    cache: dict[int, list[int]] = {}
-    for x, y in _anchored_pairs(g, start, within):
-        key = 1 << x | 1 << y
-        masks = cache.pop(key, None)
-        if masks is None:
-            if cliques is None:
-                cliques = maximal_cliques_in(g, within)
-            masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
-            cache[key] = masks
-        yield x, y, masks
-
-
-def _shortest_interior(
-    g: Graph, x: int, y: int, allowed: int
-) -> tuple[int, ...] | None:
-    """Interior, from the x end, of a shortest x-y path in the subgraph
-    induced on `allowed` (which must hold y), or None when there is none.
-    Ties go to the lowest vertex id."""
+def _shortest_path(
+    g: Graph, sources: int, targets: int, allowed: int
+) -> list[int] | None:
+    """A shortest path from the mask `sources` to the mask `targets` whose
+    vertices after the first lie in `allowed`, from its source end, or None
+    when there is none.  The BFS runs by layers from all of `sources` and
+    stops at the first layer that meets `targets`; the path ends at the
+    lowest target there and is walked back through the layers, each step to
+    the lowest-id neighbour in the layer before."""
     masks = g._masks
-    layers = [1 << x]
-    seen = 1 << x
-    while not (seen >> y) & 1:
+    layers = [sources]
+    seen = sources
+    hit = sources & targets
+    while not hit:
         nxt = 0
         for v in iter_bits(layers[-1]):
             nxt |= masks[v]
@@ -500,14 +466,25 @@ def _shortest_interior(
             return None
         seen |= nxt
         layers.append(nxt)
-    interior = []
-    v = y
-    for layer in reversed(layers[1:-1]):
-        back = layer & masks[v]
-        v = (back & -back).bit_length() - 1
-        interior.append(v)
-    interior.reverse()
-    return tuple(interior)
+        hit = nxt & targets
+    t = (hit & -hit).bit_length() - 1
+    path = [t]
+    for layer in reversed(layers[:-1]):
+        back = layer & masks[t]
+        t = (back & -back).bit_length() - 1
+        path.append(t)
+    path.reverse()
+    return path
+
+
+def _shortest_interior(
+    g: Graph, x: int, y: int, allowed: int
+) -> tuple[int, ...] | None:
+    """Interior, from the x end, of a shortest x-y path in the subgraph
+    induced on `allowed` (which must hold y), or None when there is none.
+    Ties go to the lowest vertex id."""
+    path = _shortest_path(g, 1 << x, 1 << y, allowed)
+    return None if path is None else tuple(path[1:-1])
 
 
 def _disjoint_paths(
@@ -568,7 +545,8 @@ def find_good_partition(
     the pairs before it, and the result is the first partition in that
     rotated order.  The solver starts each child where its parent's search
     succeeded, so it does not fail again on the pairs the parent passed
-    over.  The partition returned carries its anchor pair.
+    over.  The partition returned carries its anchor pair and the triad its
+    verification found for condition (v).
 
     Complete: if the graph has any good partition, some frame refines to
     one.  A rotation still visits every anchor pair, so this holds for any
@@ -608,14 +586,19 @@ def find_good_partition(
     without refinement, one per pair, a skipped row counting every pair in
     it).  `cliques`, if given, are the maximal cliques of G as masks in
     lexicographic order (the solver carries them down the decomposition);
-    otherwise they are enumerated from G.
+    otherwise they are enumerated from G up front.  Each anchor pair derives
+    the cliques of G minus {x, y} from them with `cliques_within`, the two
+    orders of a pair each their own.
     """
     if within is None:
         within = g.full_mask
+    if cliques is None:
+        cliques = maximal_cliques_in(g, within)
     tried = 0
     pruned = 0
     found = None
-    for x, y, masks in _frame_bases(g, cliques, start, within):
+    for x, y in _anchored_pairs(g, start, within):
+        masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
         # the disjoint interiors; each BFS that finds x, y connected adds one
         paths = [mask_of(p) for p in _disjoint_paths(g, x, y, within)]
         hits, every = _path_hits(paths, masks)

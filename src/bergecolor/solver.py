@@ -4,7 +4,8 @@ color() splits the graph along good partitions until no piece has one and
 merges sibling colorings bottom-up with Kempe swaps, using exactly the
 clique number of colors (which exact coloring must hit, since the inputs
 are perfect).  The decomposition is recorded as a binary tree whose
-internal nodes carry their partition and a witness triad.  The maximal
+internal nodes carry their partition and a witness triad: the triad of
+condition (v) that the partition's own verification found.  The maximal
 cliques are enumerated once, at the root; every other node's list is
 derived from its parent's and carried down with the node.
 
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from .errors import BergeViolation, InternalViolation
 from .graphs import (
     Graph,
-    _iter_triads,
     _peel,
     bit_list,
     cliques_within,
@@ -65,9 +65,11 @@ class TreeNode:
 
     `vertices` is the piece as a vertex mask; `peeled` lists the vertices
     removed as simplicial before the search, in removal order, and the rest
-    form the core.  Internal nodes carry the partition that split the core, a triad
-    witnessing condition (v), and exactly two children: the core minus R,
-    then the core minus L.  Leaves carry neither.
+    form the core.  Internal nodes carry the partition that split the core,
+    the triad, ascending, that the partition's verification found for
+    condition (v) (three pairwise non-adjacent core vertices meeting L and
+    R), and exactly two children: the core minus R, then the core minus L.
+    Leaves carry neither.
     """
 
     vertices: int
@@ -168,16 +170,6 @@ def leaf_color(g: Graph, core: int) -> PartialColoring:
     return PartialColoring({})
 
 
-def _witness_triad(g: Graph, gp: GoodPartition, within: int) -> tuple[int, int, int]:
-    """First triad of the subgraph induced on `within`, in ascending order,
-    meeting both L and R."""
-    for x, y, z in _iter_triads(g, within):
-        t = 1 << x | 1 << y | 1 << z
-        if t & gp.l and t & gp.r:
-            return (x, y, z)
-    raise InternalViolation("verified partition lost its witness triad")
-
-
 def _color_peeled(
     coloring: PartialColoring, peeled: list[tuple[int, int]], k: int
 ) -> tuple[PartialColoring, int]:
@@ -263,7 +255,7 @@ def _solve(
 
             coloring = merge_colorings(g, gp, c1, c2, k, trace=trace)
             node.partition = gp
-            node.triad = _witness_triad(g, gp, core)
+            node.triad = gp.triad
             node.children = (node1, node2)
         done.append((*_color_peeled(coloring, peeled, k), node))
     return done.pop()

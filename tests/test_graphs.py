@@ -9,11 +9,9 @@ from bergecolor import (
     Graph,
     NotBerge,
     NotSquareFree,
-    components,
     contains_square,
     find_triads,
     is_berge,
-    is_clique,
     maximal_cliques,
     omega,
     require_berge,
@@ -22,7 +20,6 @@ from bergecolor import (
 from bergecolor.graphs import (
     _count_triads,
     _find_odd_hole,
-    _iter_triads,
     _peel,
     bit_list,
     cliques_within,
@@ -33,7 +30,6 @@ from bergecolor.graphs import (
 
 from conftest import complete, complete_minus_star, cycle, path_graph
 from oracles import (
-    naive_components,
     naive_is_berge,
     naive_maximal_cliques,
     naive_maximal_cliques_in,
@@ -159,24 +155,6 @@ def test_complement_is_involution():
     assert g.complement().m == 7 * 6 // 2 - 7
 
 
-def test_components_on_split_graph():
-    g = Graph(6, [(0, 1), (1, 2), (4, 5)])
-    assert components(g) == [frozenset({0, 1, 2}), frozenset({3}), frozenset({4, 5})]
-    assert components(g, [0, 2, 4, 5]) == [
-        frozenset({0}),
-        frozenset({2}),
-        frozenset({4, 5}),
-    ]
-
-
-@given(graphs())
-@settings(max_examples=200, deadline=None)
-def test_components_match_naive(g):
-    got = {frozenset(c) for c in components(g)}
-    want = {frozenset(c) for c in naive_components(g, set(range(g.n)))}
-    assert got == want
-
-
 def test_contains_square_examples():
     assert contains_square(cycle(4)) == (0, 1, 2, 3)
     assert contains_square(cycle(5)) is None
@@ -216,15 +194,6 @@ def test_count_triads_matches_the_listing(corpus_graphs):
         assert _count_triads(g) == len(find_triads(g))
         counted += _count_triads(g)
     assert _count_triads(Graph(0)) == 0 and counted > 100000
-
-
-@given(graphs(), st.randoms(use_true_random=False))
-@settings(max_examples=200, deadline=None)
-def test_triads_within_a_mask_are_those_of_its_subgraph(g, rnd):
-    keep = mask_of(v for v in range(g.n) if rnd.random() < 0.7)
-    sub, order = naive_subgraph(g, bit_list(keep))
-    want = [tuple(order[v] for v in t) for t in find_triads(sub)]
-    assert list(_iter_triads(g, keep)) == want
 
 
 def test_maximal_cliques_examples():
@@ -341,15 +310,7 @@ def test_is_berge_respects_cap():
     big = cycle(65)
     with pytest.raises(ValueError):
         is_berge(big, cap=64)  # refuses rather than guessing
-    assert not is_berge(big, cap=64, force=True).ok
-
-
-def test_is_clique():
-    g = complete(4)
-    assert is_clique(g, [0, 1, 2])
-    assert is_clique(g, [])
-    assert is_clique(g, [2])
-    assert not is_clique(cycle(4), [0, 1, 2])
+    assert not is_berge(big, cap=big.n).ok
 
 
 def test_require_square_free():

@@ -293,7 +293,12 @@ def _check_tree(g, tree):
             assert sum(m.bit_count() for m in p.sets()) == core.bit_count()
             assert node.children[0].vertices == core & ~p.r
             assert node.children[1].vertices == core & ~p.l
-            assert mask_of(node.triad) & p.l and mask_of(node.triad) & p.r
+            # the triad comes from the verification of condition (v): three
+            # pairwise non-adjacent core vertices meeting L and R
+            t = mask_of(node.triad)
+            assert t.bit_count() == 3 and t & ~core == 0
+            assert all(g.mask(v) & t == 0 for v in node.triad)
+            assert t & p.l and t & p.r
     triads = [n.triad for n in tree.iter_nodes() if n.triad is not None]
     assert len(triads) == len(set(triads))
     assert tree.node_count() <= max(1, 3 * g.n**3)
