@@ -20,6 +20,7 @@ from bergecolor import (
     gen_square_free_berge,
     merge_colorings,
     omega,
+    verify_coloring,
 )
 from bergecolor.graphs import bit_list
 
@@ -57,4 +58,4 @@ for ev in events:
     )
 
 print("\nmerged:", dict(sorted(merged.colors.items())))
-print("proper:", merged.is_proper_on(g), "| colors:", merged.colors_used())
+print("valid:", verify_coloring(g, merged).ok, "| colors:", merged.colors_used())

@@ -50,12 +50,7 @@ from .graphs import (
     maximal_cliques_in,
 )
 from .partition import GoodPartition, find_good_partition, verify_good_partition
-from .recolor import (
-    PartialColoring,
-    coloring_from_json,
-    coloring_to_lines,
-    parse_coloring_lines,
-)
+from .recolor import coloring_from_json, coloring_to_lines, parse_coloring_lines
 from .solver import color, tree_to_dot, tree_to_json, verify_coloring
 
 REPORT_SCHEMA = "bergecolor-report/1"
@@ -72,7 +67,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_coloring(path: str) -> PartialColoring:
+def _load_coloring(path: str) -> dict[int, int]:
+    """The file's coloring as an untrusted `{vertex: color}` dict, for
+    `verify_coloring` to check."""
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
@@ -178,13 +175,13 @@ def cmd_verify(args) -> int:
     g = read_col(args.graph)
     if args.coloring:
         try:
-            p = _load_coloring(args.coloring)
+            colors = _load_coloring(args.coloring)
         # json raises RecursionError on arrays nested too deep
         except (ValueError, RecursionError) as e:
             return _fail(f"bad coloring file: {e}", EXIT_PARSE)
-        verdict = verify_coloring(g, p)
+        verdict = verify_coloring(g, colors)
         if verdict.ok:
-            print(f"coloring valid: {len(set(p.colors.values()))} colors")
+            print(f"coloring valid: {len(set(colors.values()))} colors")
             return EXIT_OK
         print(f"coloring invalid: {verdict.reason} {verdict.witness}")
         return EXIT_INVALID

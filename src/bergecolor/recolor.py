@@ -8,51 +8,122 @@ and for square-free Berge inputs some such swap always shrinks the bad set,
 so the loop below terminates with a proper coloring of all of G.  Running out
 of reducing swaps is therefore a proof that the input was not square-free
 Berge, reported as BergeViolation.
+
+A coloring is one vertex mask per color, so the merge is set algebra on at
+most k masks: a two-colored component is a search inside the union of two
+classes, a swap moves it between them, aligning permutes the class list and
+the merge ORs the two sides class by class.  The merge checks its own steps,
+each where it can go wrong: after a swap, only the swapped vertices can meet
+their new class, since the side was proper before it; and two proper sides
+that agree on the cut join into a proper coloring, since L and R have no
+edges between them.
+
+A coloring read from a file is untrusted.  `parse_coloring_lines` and
+`coloring_from_json` return it as a `{vertex: color}` dict, which
+`solver.verify_coloring` checks against a graph; no mask is built from it
+until a vertex or color has passed that check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import BergeViolation, InternalViolation
-from .graphs import Graph, bit_list, component_mask, iter_bits, mask_of
+from .graphs import Graph, bit_list, component_mask, iter_bits
 from .partition import GoodPartition
 
 
-@dataclass
 class PartialColoring:
-    """A map from some of a graph's vertices to colors 1, 2, ...  The
-    functions of this module never change a coloring they are given:
-    aligning, swapping and merging each return a fresh one.  The solver
-    extends a coloring it has just made in place, as it colors the peeled
-    vertices of a piece."""
+    """A coloring of some of a graph's vertices with colors 1, 2, ..., held
+    as one vertex mask per color: `classes[i]` is the set of vertices of
+    color i + 1.  The classes are pairwise disjoint; an empty one is a color
+    that no vertex has.
 
-    colors: dict[int, int] = field(default_factory=dict)
+    `PartialColoring(colors)` builds the classes from a `{vertex: color}`
+    mapping of non-negative int vertices to positive int colors.  `colors`
+    is a view: a fresh `{vertex: color}` dict, ascending by vertex, built
+    from the classes on each access, for output and inspection; changing it
+    leaves the coloring as it was.
+
+    The functions of this module never change a coloring they are given:
+    `align_colorings`, `apply_swap` and `merge_colorings` each return a fresh
+    one.  The solver extends a coloring it has just made in place, as it
+    colors the peeled vertices of a piece."""
+
+    __slots__ = ("classes",)
+
+    def __init__(self, colors: Mapping[int, int] | None = None) -> None:
+        classes: list[int] = []
+        for v, col in (colors or {}).items():
+            if not (_is_int(v) and _is_int(col) and v >= 0 and col >= 1):
+                raise ValueError(f"vertex {v!r} cannot take color {col!r}")
+            classes.extend([0] * (col - len(classes)))
+            classes[col - 1] |= 1 << v
+        self.classes = classes
+
+    @classmethod
+    def of_classes(cls, classes: list[int]) -> PartialColoring:
+        """The coloring whose class of color i + 1 is `classes[i]`; the list
+        is taken, not copied."""
+        c = cls.__new__(cls)
+        c.classes = classes
+        return c
+
+    def __repr__(self) -> str:
+        return f"PartialColoring({self.colors!r})"
+
+    @property
+    def colors(self) -> dict[int, int]:
+        by_vertex = [0] * self.vertices().bit_length()
+        for i, m in enumerate(self.classes, 1):
+            for v in iter_bits(m):
+                by_vertex[v] = i
+        return {v: col for v, col in enumerate(by_vertex) if col}
+
+    def members(self, col: int) -> int:
+        """The class of color `col`, as a mask; 0 for a color not in use."""
+        return self.classes[col - 1] if 0 < col <= len(self.classes) else 0
+
+    def color_of(self, v: int) -> int:
+        """v's color, or 0 when v is uncolored."""
+        for i, m in enumerate(self.classes, 1):
+            if m >> v & 1:
+                return i
+        return 0
+
+    def vertices(self) -> int:
+        """The colored vertices, as a mask."""
+        out = 0
+        for m in self.classes:
+            out |= m
+        return out
 
     def max_color(self) -> int:
-        return max(self.colors.values(), default=0)
+        top = len(self.classes)
+        while top and not self.classes[top - 1]:
+            top -= 1
+        return top
 
     def colors_used(self) -> int:
-        return len(set(self.colors.values()))
+        return sum(1 for m in self.classes if m)
 
-    def is_proper_on(self, g: Graph) -> bool:
-        """No two adjacent colored vertices share a color: each vertex is
-        tested against the bitmask of its own color class."""
-        classes: dict[int, int] = {}
-        for v, cv in self.colors.items():
-            classes[cv] = classes.get(cv, 0) | 1 << v
-        for v, cv in self.colors.items():
-            if g.mask(v) & classes[cv]:
-                return False
-        return True
+
+def _is_int(value) -> bool:
+    # bool is an int subclass; neither it nor a float is a vertex or a
+    # color, and int() would truncate them silently
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def coloring_to_lines(c: PartialColoring) -> str:
     """DIMACS-solution-style text, one `v <vertex> <color>` line, 1-based."""
-    return "".join(f"v {v + 1} {c.colors[v]}\n" for v in sorted(c.colors))
+    return "".join(f"v {v + 1} {col}\n" for v, col in c.colors.items())
 
 
-def parse_coloring_lines(text: str) -> PartialColoring:
+def parse_coloring_lines(text: str) -> dict[int, int]:
+    """`v <vertex> <color>` lines, 1-based, as an untrusted 0-based
+    `{vertex: color}` dict."""
     colors: dict[int, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -69,30 +140,30 @@ def parse_coloring_lines(text: str) -> PartialColoring:
             raise ValueError(f"line {line_no}: vertex and color are 1-based")
         if colors.setdefault(v - 1, col) != col:
             raise ValueError(f"line {line_no}: vertex {v} already has color {colors[v - 1]}")
-    return PartialColoring(colors)
+    return colors
 
 
 def coloring_to_json(c: PartialColoring) -> dict:
     return {
         "schema": "bergecolor-coloring/1",
-        "colors": [[v, c.colors[v]] for v in sorted(c.colors)],
+        "colors": [[v, col] for v, col in c.colors.items()],
     }
 
 
-def coloring_from_json(obj: dict) -> PartialColoring:
+def coloring_from_json(obj: dict) -> dict[int, int]:
+    """The `"colors"` pairs of a coloring JSON document as an untrusted
+    `{vertex: color}` dict."""
     colors: dict[int, int] = {}
     try:
         for v, col in obj["colors"]:
-            # bool is an int subclass; neither it nor a float is a vertex
-            # or a color, and int() would truncate them silently
             for value in (v, col):
-                if not isinstance(value, int) or isinstance(value, bool):
+                if not _is_int(value):
                     raise ValueError(f"{value!r} is not an integer")
             if colors.setdefault(v, col) != col:
                 raise ValueError(f"vertex {v} has two colors")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f'coloring JSON needs "colors" as [vertex, color] pairs: {exc}')
-    return PartialColoring(colors)
+    return colors
 
 
 def align_colorings(c1: PartialColoring, c2: PartialColoring, anchor) -> PartialColoring:
@@ -103,22 +174,25 @@ def align_colorings(c1: PartialColoring, c2: PartialColoring, anchor) -> Partial
     mapping: dict[int, int] = {}
     taken: set[int] = set()
     for v in sorted(anchor):
-        if v not in c1.colors or v not in c2.colors:
+        s, t = c2.color_of(v), c1.color_of(v)
+        if not s or not t:
             raise ValueError(f"anchor vertex {v} is not colored by both sides")
-        s, t = c2.colors[v], c1.colors[v]
         if mapping.get(s, t) != t or (s not in mapping and t in taken):
             raise ValueError("anchor forces an inconsistent color permutation")
         mapping[s] = t
         taken.add(t)
-    for s in sorted(set(c2.colors.values())):
-        if s in mapping:
+    for s, m in enumerate(c2.classes, 1):
+        if not m or s in mapping:
             continue
         t = 1
         while t in taken:
             t += 1
         mapping[s] = t
         taken.add(t)
-    return PartialColoring({v: mapping[col] for v, col in c2.colors.items()})
+    classes = [0] * max(taken, default=0)
+    for s, t in mapping.items():
+        classes[t - 1] = c2.classes[s - 1]
+    return PartialColoring.of_classes(classes)
 
 
 def bichromatic_component(
@@ -126,12 +200,9 @@ def bichromatic_component(
 ) -> int:
     """Component of u, as a mask, in the subgraph induced by the two colors
     of `pair`."""
-    if c.colors.get(u) not in pair:
+    allowed = c.members(pair[0]) | c.members(pair[1])
+    if not allowed >> u & 1:
         raise ValueError(f"vertex {u} does not carry a color from {pair}")
-    allowed = 0
-    for v, col in c.colors.items():
-        if col == pair[0] or col == pair[1]:
-            allowed |= 1 << v
     return component_mask(g, u, allowed)
 
 
@@ -140,16 +211,16 @@ def apply_swap(
 ) -> PartialColoring:
     """Exchange the two colors of `pair` on the vertex mask `component`."""
     i, j = pair
-    out = dict(c.colors)
-    for v in iter_bits(component):
-        col = out[v]
-        if col == i:
-            out[v] = j
-        elif col == j:
-            out[v] = i
-        else:
-            raise ValueError(f"vertex {v} carries color {col}, not in {pair}")
-    return PartialColoring(out)
+    moved = component & (c.members(i) | c.members(j))
+    if moved != component:
+        v = bit_list(component & ~moved)[0]
+        raise ValueError(f"vertex {v} carries color {c.color_of(v)}, not in {pair}")
+    classes = c.classes + [0] * (max(i, j) - len(c.classes))
+    if i != j:
+        # the component leaves each class for the other
+        classes[i - 1] ^= moved
+        classes[j - 1] ^= moved
+    return PartialColoring.of_classes(classes)
 
 
 @dataclass(frozen=True)
@@ -160,8 +231,42 @@ class SwapCandidate:
     cls: str = "general"  # "free" when found in the free-vertex phase
 
 
-def _bad_vertices(p: GoodPartition, c1: PartialColoring, c2: PartialColoring) -> list[int]:
-    return [u for u in iter_bits(p.k3) if c1.colors[u] != c2.colors[u]]
+def _disagreement(c1: PartialColoring, c2: PartialColoring, within: int) -> int:
+    """The vertices of `within`, as a mask, that c1 and c2 do not give one
+    same color."""
+    agree = 0
+    for a, b in zip(c1.classes, c2.classes):
+        agree |= a & b
+    return within & ~agree
+
+
+def _proper_after_swap(g: Graph, c: PartialColoring, moved: int) -> bool:
+    """Whether c is proper, given that it was before the vertices of `moved`
+    changed class: any new conflict is an edge from a moved vertex into its
+    new class."""
+    for m in c.classes:
+        for v in iter_bits(moved & m):
+            if g.mask(v) & m:
+                return False
+    return True
+
+
+def _join(
+    p: GoodPartition, c1: PartialColoring, c2: PartialColoring, k: int
+) -> PartialColoring:
+    """The union of a proper coloring of G minus R and one of G minus L.
+    It is proper when the two agree on the cut, since L and R have no edges
+    between them; anything less is an InternalViolation."""
+    if _disagreement(c1, c2, p.k1 | p.k2 | p.k3):
+        raise InternalViolation("the merged sides disagree on the cut")
+    out = PartialColoring.of_classes(
+        [a | b for a, b in zip_longest(c1.classes, c2.classes, fillvalue=0)]
+    )
+    if out.vertices() != p.k1 | p.k2 | p.k3 | p.l | p.r:
+        raise InternalViolation("merged coloring misses vertices")
+    if out.max_color() > k:
+        raise InternalViolation(f"merged coloring exceeds {k} colors")
+    return out
 
 
 def find_reducing_swap(
@@ -192,10 +297,11 @@ def find_reducing_swap(
             return False
         swapped = apply_swap(ch, comp, pair)
         a, b = (swapped, c2) if side == 1 else (c1, swapped)
-        return len(_bad_vertices(p, a, b)) < base
+        return _disagreement(a, b, p.k3).bit_count() < base
 
     for u in bad:
-        pair = (min(c1.colors[u], c2.colors[u]), max(c1.colors[u], c2.colors[u]))
+        a, b = c1.color_of(u), c2.color_of(u)
+        pair = (min(a, b), max(a, b))
         for side in (1, 2):
             if reduces(side, u, pair):
                 return SwapCandidate(side, u, pair, cls="free")
@@ -205,7 +311,7 @@ def find_reducing_swap(
     for side in (1, 2):
         ch = sides[side]
         for seed in seeds:
-            sc = ch.colors[seed]
+            sc = ch.color_of(seed)
             for i in range(1, palette + 1):
                 for j in range(i + 1, palette + 1):
                     if sc != i and sc != j:
@@ -228,23 +334,24 @@ def merge_colorings(
 
     `p` must be a verified good partition of G, the subgraph of g induced
     on the union of its five sets (all of g, or one decomposition piece),
-    and c1/c2 proper colorings of their sides with at most k colors.
-    `trace`, if given, is called with one dict per applied swap.  Raises
-    BergeViolation when the swap search is exhausted with bad vertices left.
+    and c1/c2 proper colorings of their sides with at most k colors; the
+    merge checks what its own steps change, not that.  `trace`, if given,
+    is called with one dict per applied swap.  Raises BergeViolation when
+    the swap search is exhausted with bad vertices left.
     """
     vall = p.k1 | p.k2 | p.k3 | p.l | p.r
-    if mask_of(c1.colors) != vall & ~p.r:
+    if c1.vertices() != vall & ~p.r:
         raise ValueError("c1 must color exactly G minus R")
-    if mask_of(c2.colors) != vall & ~p.l:
+    if c2.vertices() != vall & ~p.l:
         raise ValueError("c2 must color exactly G minus L")
     if max(c1.max_color(), c2.max_color()) > k:
         raise ValueError(f"input colorings exceed {k} colors")
 
-    anchor = bit_list(p.k1 | p.k2)
-    cur1, cur2 = c1, align_colorings(c1, c2, anchor)
+    k12m = p.k1 | p.k2
+    cur1, cur2 = c1, align_colorings(c1, c2, bit_list(k12m))
 
     while True:
-        bad = _bad_vertices(p, cur1, cur2)
+        bad = bit_list(_disagreement(cur1, cur2, p.k3))
         if not bad:
             break
         cand = find_reducing_swap(g, p, cur1, cur2, bad)
@@ -262,12 +369,12 @@ def merge_colorings(
             cur2 = swapped
         # a swap may never harm: still proper, anchor agreement intact,
         # strictly fewer bad vertices
-        if not swapped.is_proper_on(g):
+        if not _proper_after_swap(g, swapped, comp):
             raise InternalViolation("swap produced an improper side coloring")
-        if any(cur1.colors[v] != cur2.colors[v] for v in anchor):
+        if _disagreement(cur1, cur2, k12m):
             raise InternalViolation("swap disturbed the K1 ∪ K2 agreement")
-        new_bad = _bad_vertices(p, cur1, cur2)
-        if len(new_bad) >= len(bad):
+        new_bad = _disagreement(cur1, cur2, p.k3).bit_count()
+        if new_bad >= len(bad):
             raise InternalViolation("accepted swap did not reduce the bad set")
         if trace is not None:
             trace(
@@ -278,17 +385,8 @@ def merge_colorings(
                     "pair": list(cand.pair),
                     "class": cand.cls,
                     "bad_before": len(bad),
-                    "bad_after": len(new_bad),
+                    "bad_after": new_bad,
                 }
             )
 
-    merged = dict(cur2.colors)
-    merged.update(cur1.colors)
-    out = PartialColoring(merged)
-    if mask_of(merged) != vall:
-        raise InternalViolation("merged coloring misses vertices")
-    if not out.is_proper_on(g):
-        raise InternalViolation("merged coloring is improper")
-    if out.max_color() > k:
-        raise InternalViolation(f"merged coloring exceeds {k} colors")
-    return out
+    return _join(p, cur1, cur2, k)

@@ -24,11 +24,15 @@ simplicial.  A peeled vertex is colored last with the lowest color missing
 from its neighborhood at removal: a clique of at most omega - 1 vertices, so
 a color within omega is always free (Gavril 1972, perfect elimination
 orderings).  A leaf's core is always empty (see `leaf_color`), so every
-vertex of a leaf is colored this way.
+vertex of a leaf is colored this way.  Colorings are lists of color-class
+masks (see `recolor.PartialColoring`): the peel extends the coloring the
+merge has just returned in place, adding each vertex to the lowest class
+that misses its neighborhood.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import BergeViolation, InternalViolation
@@ -37,7 +41,6 @@ from .graphs import (
     _peel,
     bit_list,
     cliques_within,
-    iter_bits,
     mask_of,
     maximal_cliques_in,
     omega,
@@ -65,18 +68,22 @@ class TreeNode:
 
     `vertices` is the piece as a vertex mask; `peeled` lists the vertices
     removed as simplicial before the search, in removal order, and the rest
-    form the core.  Internal nodes carry the partition that split the core,
-    the triad, ascending, that the partition's verification found for
-    condition (v) (three pairwise non-adjacent core vertices meeting L and
-    R), and exactly two children: the core minus R, then the core minus L.
+    form the core.  Internal nodes carry the partition that split the core
+    and exactly two children: the core minus R, then the core minus L.
     Leaves carry neither.
     """
 
     vertices: int
     partition: GoodPartition | None = None
-    triad: tuple[int, int, int] | None = None
     children: tuple["TreeNode", "TreeNode"] | None = None
     peeled: tuple[int, ...] = ()
+
+    @property
+    def triad(self) -> tuple[int, int, int] | None:
+        """The partition's triad, ascending, that its verification found
+        for condition (v): three pairwise non-adjacent core vertices meeting
+        L and R.  None at a leaf."""
+        return None if self.partition is None else self.partition.triad
 
     def is_leaf(self) -> bool:
         return self.children is None
@@ -124,24 +131,31 @@ class ColoringVerdict:
 
 
 def verify_coloring(
-    g: Graph, c: PartialColoring, *, clique_number: int | None = None
+    g: Graph,
+    c: PartialColoring | Mapping[int, int],
+    *,
+    clique_number: int | None = None,
 ) -> ColoringVerdict:
     """Proper, total, positive integer colors, and at most omega(g) of them.
-    `clique_number`, if given, is omega(g) as the caller has found it from
-    g's maximal cliques; otherwise it is computed here."""
-    for v in c.colors:
+    `c` is a coloring or an untrusted `{vertex: color}` mapping, such as
+    `parse_coloring_lines` returns; a mapping's entries are checked as
+    values, so a huge vertex or color costs no memory.  `clique_number`, if
+    given, is omega(g) as the caller has found it from g's maximal cliques;
+    otherwise it is computed here."""
+    colors = c.colors if isinstance(c, PartialColoring) else c
+    for v in colors:
         if not (isinstance(v, int) and 0 <= v < g.n):
             return ColoringVerdict(False, "unknown-vertex", (v,))
     for v in range(g.n):
-        if v not in c.colors:
+        if v not in colors:
             return ColoringVerdict(False, "uncolored-vertex", (v,))
-    for v, col in c.colors.items():
+    for v, col in colors.items():
         if not isinstance(col, int) or isinstance(col, bool) or col < 1:
             return ColoringVerdict(False, "bad-color-value", (v, col))
     for u, v in g.edges():
-        if c.colors[u] == c.colors[v]:
+        if colors[u] == colors[v]:
             return ColoringVerdict(False, "improper-edge", (u, v))
-    used = len(set(c.colors.values()))
+    used = len(set(colors.values()))
     w = omega(g) if clique_number is None else clique_number
     if used > w:
         return ColoringVerdict(False, "too-many-colors", (used, w))
@@ -167,7 +181,7 @@ def leaf_color(g: Graph, core: int) -> PartialColoring:
             f"a leaf core of {core.bit_count()} vertices has no simplicial "
             "vertex and no good partition"
         )
-    return PartialColoring({})
+    return PartialColoring()
 
 
 def _color_peeled(
@@ -175,15 +189,16 @@ def _color_peeled(
 ) -> tuple[PartialColoring, int]:
     """Extend the core's coloring, in place, to the peeled vertices, last
     removed first.  Each one's neighborhood at removal is then a colored
-    clique, so the lowest color missing from it is at most its size + 1;
+    clique, so the lowest class that misses it is at most its size + 1;
     the piece's k grows to the largest such clique plus v."""
-    colors = coloring.colors
+    classes = coloring.classes
     for v, nb in reversed(peeled):
-        taken = {colors[u] for u in iter_bits(nb)}
-        col = 1
-        while col in taken:
-            col += 1
-        colors[v] = col
+        for i, m in enumerate(classes):
+            if not m & nb:
+                classes[i] = m | 1 << v
+                break
+        else:
+            classes.append(1 << v)
         k = max(k, nb.bit_count() + 1)
     return coloring, k
 
@@ -255,7 +270,6 @@ def _solve(
 
             coloring = merge_colorings(g, gp, c1, c2, k, trace=trace)
             node.partition = gp
-            node.triad = gp.triad
             node.children = (node1, node2)
         done.append((*_color_peeled(coloring, peeled, k), node))
     return done.pop()

@@ -36,6 +36,34 @@ def naive_peel(g: Graph) -> list[tuple[int, frozenset[int]]]:
     return out
 
 
+def is_proper_on(g: Graph, c) -> bool:
+    """No two adjacent vertices that coloring `c` colors share a color, each
+    vertex tested against the mask of its own color class over the whole
+    coloring.  The merge once ran this on the swapped side after every swap
+    and on its result; it now checks only what each step can change."""
+    colors = c.colors
+    classes: dict[int, int] = {}
+    for v, cv in colors.items():
+        classes[cv] = classes.get(cv, 0) | 1 << v
+    return not any(g.mask(v) & classes[cv] for v, cv in colors.items())
+
+
+def naive_color_peeled(
+    colors: dict[int, int], peeled: list[tuple[int, int]], k: int
+) -> tuple[dict[int, int], int]:
+    """The peeled vertices colored on a `{vertex: color}` dict, last removed
+    first, each with the lowest color missing from its neighbourhood."""
+    colors = dict(colors)
+    for v, nb in reversed(peeled):
+        taken = {colors[u] for u in iter_bits(nb)}
+        col = 1
+        while col in taken:
+            col += 1
+        colors[v] = col
+        k = max(k, nb.bit_count() + 1)
+    return colors, k
+
+
 def naive_parse_col(text: str) -> Graph:
     """DIMACS .col text parsed one line at a time, every check made on the
     line it applies to; raises DimacsError at the first bad line."""

@@ -34,6 +34,7 @@ from bergecolor.graphs import bit_list, mask_of
 
 from conftest import complete, complete_minus_star, cycle
 from oracles import (
+    is_proper_on,
     brute_good_partition,
     brute_good_partition_exists_5n,
     naive_chromatic_number,
@@ -184,7 +185,7 @@ def test_criterion_4_merge_correctness(corpus):
         events = []
         out = merge_colorings(g, gp, c1, c2, k, trace=events.append)
         assert set(out.colors) == set(range(g.n)), name
-        assert out.is_proper_on(g), name
+        assert is_proper_on(g, out), name
         assert out.max_color() <= k, name
         for ev in events:
             assert ev["bad_after"] < ev["bad_before"], name

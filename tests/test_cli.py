@@ -9,6 +9,7 @@ import os
 import stat
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -32,7 +33,7 @@ from bergecolor import (
     write_col,
 )
 from bergecolor import cli, solver
-from bergecolor.cli import main
+from bergecolor.cli import build_parser, main
 from bergecolor.graphs import mask_of, maximal_cliques_in
 
 from conftest import complete, cycle, hexagon_chain, path_graph
@@ -200,8 +201,8 @@ def _split_chain(n):
                 k3=mask_of(()),
                 l=mask_of(range(i + 2, n)),
                 r=mask_of({i}),
+                triad=(i, i + 2, i + 4),
             ),
-            triad=(i, i + 2, i + 4),
             children=(node, TreeNode(vertices=mask_of((i, i + 1)))),
         )
     return node
@@ -271,7 +272,7 @@ def test_color_deep_chain_within_a_low_recursion_limit(tmp_path, capsys):
     assert rc == 0
     c = parse_coloring_lines(out_f.read_text())
     assert verify_coloring(g, c).ok
-    assert sorted(set(c.colors.values())) == [1, 2]
+    assert sorted(set(c.values())) == [1, 2]
     assert "colored 1202 vertices with 2 colors" in capsys.readouterr().err
 
 
@@ -283,7 +284,7 @@ def test_color_large_clique(tmp_path, capsys):
     out_f = tmp_path / "k.sol"
     assert main(["color", path, "-o", str(out_f), "--report", str(rep_f)]) == 0
     c = parse_coloring_lines(out_f.read_text())
-    assert sorted(c.colors.values()) == list(range(1, 1101))
+    assert sorted(c.values()) == list(range(1, 1101))
     rep = json.load(open(rep_f))
     assert rep["omega"] == rep["colors_used"] == 1100
     assert rep["stats"]["node_count"] == 1
@@ -483,6 +484,45 @@ def test_verify_coloring_conflicting_duplicate_line(tmp_path, capsys):
     sol.write_text("v 1 1\nv 2 1\nv 2 2\nv 3 1\nv 4 2\nv 5 1\nv 6 2\n")
     assert main(["verify", path, "--coloring", str(sol)]) == 2
     assert "line 3: vertex 2 already has color 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, code, said",
+    [
+        ('{"colors": [[0, 1], [1099511627776, 1]]}', 1, "unknown-vertex (1099511627776,)"),
+        ("v 1 1\nv 1099511627777 1\n", 1, "unknown-vertex (1099511627776,)"),
+        ('{"colors": [[0, 1], [-1, 1]]}', 1, "unknown-vertex (-1,)"),
+        ('{"colors": [[0, 0], [1, 2], [2, 1], [3, 2], [4, 1], [5, 2]]}', 1,
+         "bad-color-value (0, 0)"),
+        ('{"colors": [[0, -2], [1, 2], [2, 1], [3, 2], [4, 1], [5, 2]]}', 1,
+         "bad-color-value (0, -2)"),
+        ('{"colors": [[0, true], [1, 2]]}', 2, "True is not an integer"),
+        ('{"colors": [[0, 1000000000], [1, 2]]}', 1, "uncolored-vertex (2,)"),
+        ("v 1 1000000000\nv 2 2\n", 1, "uncolored-vertex (2,)"),
+    ],
+    ids=[
+        "json-vertex-2**40", "sol-vertex-2**40", "json-vertex--1", "json-color-0",
+        "json-color--2", "json-color-true", "json-color-10**9", "sol-color-10**9",
+    ],
+)
+def test_verify_coloring_out_of_range_values_cost_no_memory(tmp_path, capsys, text, code, said):
+    # a coloring file's vertices and colors are checked as values before
+    # any of them is shifted into a class mask: 1 << 2**40 alone would be a
+    # 128 GiB int, and a class list for color 10**9 several GB
+    path = col(tmp_path, cycle(6))
+    sol = tmp_path / "c6.sol"
+    sol.write_text(text)
+    build_parser()  # built once per process, outside the measurement
+    tracemalloc.start()
+    try:
+        rc = main(["verify", path, "--coloring", str(sol)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rc == code
+    out, err = capsys.readouterr()
+    assert said in out + err
 
 
 def test_verify_partition_valid(tmp_path, capsys):

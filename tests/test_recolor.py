@@ -8,6 +8,7 @@ from bergecolor import (
     BergeViolation,
     GoodPartition,
     Graph,
+    InternalViolation,
     PartialColoring,
     align_colorings,
     apply_swap,
@@ -15,14 +16,19 @@ from bergecolor import (
     coloring_from_json,
     coloring_to_json,
     coloring_to_lines,
+    color,
+    gen_square_free_berge,
     merge_colorings,
     parse_coloring_lines,
     verify_good_partition,
 )
+from bergecolor import recolor
 from bergecolor.graphs import bit_list, mask_of
 from bergecolor.recolor import find_reducing_swap
 
 from conftest import cycle
+from oracles import is_proper_on
+from test_output_digest import DEEP_SPINES
 
 
 def pc(mapping) -> PartialColoring:
@@ -51,7 +57,7 @@ def test_lines_round_trip():
     c = pc({0: 1, 2: 3, 1: 1})
     text = coloring_to_lines(c)
     assert text == "v 1 1\nv 2 1\nv 3 3\n"
-    assert parse_coloring_lines(text).colors == c.colors
+    assert parse_coloring_lines(text) == c.colors
 
 
 def test_parse_lines_errors():
@@ -67,7 +73,7 @@ def test_parse_lines_errors():
 
 def test_parse_duplicate_vertices():
     # a repeated line is harmless; a vertex given two colors is not
-    assert parse_coloring_lines("v 1 2\nv 1 2\n").colors == {0: 2}
+    assert parse_coloring_lines("v 1 2\nv 1 2\n") == {0: 2}
     with pytest.raises(ValueError, match="line 2"):
         parse_coloring_lines("v 1 2\nv 1 3\n")
     with pytest.raises(ValueError, match="two colors"):
@@ -78,17 +84,24 @@ def test_json_round_trip():
     c = pc({0: 1, 5: 2})
     obj = coloring_to_json(c)
     assert obj["schema"] == "bergecolor-coloring/1"
-    assert coloring_from_json(obj).colors == c.colors
+    assert coloring_from_json(obj) == c.colors
 
 
 def test_partial_coloring_helpers():
     g = cycle(4)
     c = pc({0: 1, 1: 2, 2: 1, 3: 2})
-    assert c.is_proper_on(g)
+    assert is_proper_on(g, c)
     assert c.max_color() == 2 and c.colors_used() == 2
     assert set(c.colors) == {0, 1, 2, 3}
     bad = pc({0: 1, 1: 1, 2: 2, 3: 2})
-    assert not bad.is_proper_on(g)
+    assert not is_proper_on(g, bad)
+    # one vertex mask per color; `colors` is a fresh dict on every read
+    assert c.classes == [mask_of([0, 2]), mask_of([1, 3])]
+    c.colors[0] = 2
+    assert c.colors[0] == 1 and c.color_of(0) == 1 and c.color_of(9) == 0
+    for entry in ({0: 0}, {-1: 1}, {True: 1}, {0: 1.0}, {0.0: 1}):
+        with pytest.raises(ValueError):
+            PartialColoring(entry)
 
 
 def test_is_proper_on_matches_an_edge_scan():
@@ -109,7 +122,7 @@ def test_is_proper_on_matches_an_edge_scan():
         naive = all(
             colors[u] != colors[v] for u, v in g.edges() if u in colors and v in colors
         )
-        assert pc(colors).is_proper_on(g) == naive
+        assert is_proper_on(g, pc(colors)) == naive
         verdicts.append(naive)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
@@ -149,7 +162,7 @@ def test_align_is_proper_color_permutation(a, b):
         return  # non-bijective anchors are rejected; covered elsewhere
     out = align_colorings(c1, c2, anchor)
     # a color permutation keeps properness and distinctness
-    assert out.is_proper_on(g2)
+    assert is_proper_on(g2, out)
     old = [c2.colors[v] for v in sorted(c2.colors)]
     new = [out.colors[v] for v in sorted(out.colors)]
     mapping = {}
@@ -191,7 +204,7 @@ def test_swap_is_involution_and_proper(gc):
     pair = (min(col, other), max(col, other)) if col != other else (col, col + 1)
     comp = bichromatic_component(g, c, u, pair)
     once = apply_swap(c, comp, pair)
-    assert once.is_proper_on(g)  # swapping a whole component keeps properness
+    assert is_proper_on(g, once)  # swapping a whole component keeps properness
     twice = apply_swap(once, comp, pair)
     assert twice.colors == c.colors
 
@@ -222,7 +235,7 @@ def test_merge_prism_yields_proper_3_coloring():
     c1, c2, k = _split_color(g, part)
     events = []
     merged = merge_colorings(g, part, c1, c2, k, trace=events.append)
-    assert merged.is_proper_on(g)
+    assert is_proper_on(g, merged)
     assert set(merged.colors) == set(range(g.n))
     assert merged.max_color() <= k
     for ev in events:
@@ -300,3 +313,147 @@ def test_merge_inside_a_piece_is_the_merge_on_its_subgraph():
     assert want_events  # the merge swaps
     assert merged.colors == up(want).colors
     assert events == [{**ev, "seed": odd[ev["seed"]]} for ev in want_events]
+
+
+# --- the merge's local checks against whole-coloring checks -----------------
+
+
+def _moved(c: PartialColoring, v: int, col: int) -> PartialColoring:
+    """c with vertex v moved into the class of color `col`."""
+    classes = [m & ~(1 << v) for m in c.classes]
+    classes += [0] * (col - len(classes))
+    classes[col - 1] |= 1 << v
+    return PartialColoring.of_classes(classes)
+
+
+def _joins(g, p, c1, c2, k) -> bool:
+    """The verdict of the whole-coloring checks on a merge's final sides:
+    they agree on the cut, and their union is proper with at most k colors."""
+    d1, d2 = c1.colors, c2.colors
+    if any(d1[v] != d2[v] for v in bit_list(p.k1 | p.k2 | p.k3)):
+        return False
+    union = PartialColoring({**d2, **d1})
+    return is_proper_on(g, union) and union.max_color() <= k
+
+
+def test_local_merge_checks_accept_what_whole_coloring_checks_accept(
+    corpus_graphs, monkeypatch
+):
+    # every swap and every join of the merges that color the corpus and the
+    # deep spines goes through the local checks and through the whole-
+    # coloring reference, and so do random moves from each: a random subset
+    # of two classes exchanged, a swapped vertex moved into a neighbour's
+    # class, and one vertex of a final side recolored within that side
+    rng = random.Random(17)
+    check_swap, join = recolor._proper_after_swap, recolor._join
+    swaps, verdicts, cut_moves = 0, {True: 0, False: 0}, 0
+    g = None
+
+    def checked_swap(g_, c, moved):
+        nonlocal swaps
+        assert check_swap(g_, c, moved) is is_proper_on(g_, c) is True
+        swaps += 1
+        palette = c.max_color()
+        for _ in range(4):
+            i, j = sorted(rng.sample(range(1, palette + 2), 2))
+            subset = (c.members(i) | c.members(j)) & rng.getrandbits(g_.n)
+            after = recolor.apply_swap(c, subset, (i, j))
+            ok = check_swap(g_, after, subset)
+            assert ok == is_proper_on(g_, after)
+            verdicts[ok] += 1
+        v = rng.choice(bit_list(moved))
+        others = bit_list(g_.mask(v) & c.vertices())
+        if others:
+            mutated = _moved(c, v, c.color_of(rng.choice(others)))
+            assert not check_swap(g_, mutated, moved)
+            assert not is_proper_on(g_, mutated)
+        return True
+
+    def checked_join(p, c1, c2, k):
+        nonlocal cut_moves
+        out = join(p, c1, c2, k)
+        assert _joins(g, p, c1, c2, k) and is_proper_on(g, out)
+        verdicts[True] += 1
+        for side in (1, 2):
+            c = c1 if side == 1 else c2
+            v = rng.choice(bit_list(c.vertices()))
+            free = [
+                t for t in range(1, k + 2)
+                if t != c.color_of(v) and not g.mask(v) & c.members(t)
+            ]
+            mutated = _moved(c, v, rng.choice(free))  # the side stays proper
+            m1, m2 = (mutated, c2) if side == 1 else (c1, mutated)
+            want = _joins(g, p, m1, m2, k)
+            try:
+                join(p, m1, m2, k)
+                got = True
+            except InternalViolation:
+                got = False
+            assert got == want
+            verdicts[want] += 1
+            if (p.k1 | p.k2 | p.k3) >> v & 1:
+                assert not got  # a cut vertex recolored on one side
+                cut_moves += 1
+        return out
+
+    monkeypatch.setattr(recolor, "_proper_after_swap", checked_swap)
+    monkeypatch.setattr(recolor, "_join", checked_join)
+    graphs = [h for _, h in corpus_graphs]
+    graphs += [gen_square_free_berge(n, s) for n, s in DEEP_SPINES]
+    for g in graphs:
+        color(g, trust_berge=True)
+    assert swaps > 300 and cut_moves > 400
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+
+def _prism_merge():
+    import bergecolor as bc
+
+    g = bc.gen_prism(bc.PrismSpec((3, 5, 7)))
+    part = bc.find_good_partition(g)
+    c1, c2, k = _split_color(g, part)
+    return g, part, c1, c2, k
+
+
+def test_merge_raises_on_a_swapped_vertex_moved_into_a_neighbours_class(monkeypatch):
+    # the swap the merge applies, as against those it simulates, comes after
+    # find_reducing_swap returns; one of its vertices is moved into the class
+    # of a neighbour
+    g, part, c1, c2, k = _prism_merge()
+    search, swap = recolor.find_reducing_swap, recolor.apply_swap
+    chosen = []
+
+    def searched(*args):
+        cand = search(*args)
+        chosen.append(cand)
+        return cand
+
+    def swapped(c, comp, pair):
+        out = swap(c, comp, pair)
+        if not chosen:
+            return out
+        chosen.clear()
+        v = bit_list(comp)[0]
+        u = bit_list(g.mask(v) & out.vertices())[0]
+        return _moved(out, v, out.color_of(u))
+
+    monkeypatch.setattr(recolor, "find_reducing_swap", searched)
+    monkeypatch.setattr(recolor, "apply_swap", swapped)
+    with pytest.raises(InternalViolation, match="improper side coloring"):
+        merge_colorings(g, part, c1, c2, k)
+
+
+def test_merge_raises_on_a_cut_vertex_recolored_on_one_side(monkeypatch):
+    # once c2 is aligned, a K1 ∪ K2 vertex of it takes a color that no vertex
+    # has: c2 stays proper, but the sides no longer agree on the cut
+    g, part, c1, c2, k = _prism_merge()
+    align = recolor.align_colorings
+
+    def aligned(a, b, anchor):
+        out = align(a, b, anchor)
+        return _moved(out, anchor[0], out.max_color() + 1)
+
+    monkeypatch.setattr(recolor, "align_colorings", aligned)
+    assert part.k1 | part.k2
+    with pytest.raises(InternalViolation, match="agreement|disagree on the cut"):
+        merge_colorings(g, part, c1, c2, k)

@@ -31,52 +31,53 @@ from bergecolor.graphs import (
 )
 
 from conftest import complete, complete_minus_star, cycle, path_graph
-from oracles import naive_is_clique, naive_peel, naive_subgraph
+from oracles import naive_color_peeled, naive_is_clique, naive_peel, naive_subgraph
 from test_output_digest import DEEP_SPINES
 
 
-def pc(d):
-    return PartialColoring(d)
-
-
 # ----------------------------------------------------------- verify_coloring
+#
+# A coloring read from a file reaches verify_coloring as a {vertex: color}
+# dict whose entries may be anything; most of these tests pass one.
 
 
 def test_verify_accepts_proper_optimal():
-    v = verify_coloring(cycle(6), pc({0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2}))
+    v = verify_coloring(cycle(6), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2})
     assert v.ok and bool(v)
     assert v.reason is None
 
 
 def test_verify_uncolored_vertex():
-    v = verify_coloring(cycle(6), pc({0: 1, 1: 2, 2: 1, 3: 2, 4: 1}))
+    v = verify_coloring(cycle(6), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1})
     assert not v.ok
     assert v.reason == "uncolored-vertex"
     assert v.witness == (5,)
 
 
 def test_verify_unknown_vertex():
-    v = verify_coloring(cycle(6), pc({0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1}))
+    colors = {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1}
+    v = verify_coloring(cycle(6), colors)
     assert v.reason == "unknown-vertex"
     assert v.witness == (6,)
+    assert verify_coloring(cycle(6), PartialColoring(colors)) == v
 
 
 @pytest.mark.parametrize("badval", [0, -2, True])
 def test_verify_bad_color_value(badval):
-    v = verify_coloring(cycle(6), pc({0: badval, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2}))
+    v = verify_coloring(cycle(6), {0: badval, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2})
     assert v.reason == "bad-color-value"
     assert v.witness == (0, badval)
 
 
 def test_verify_improper_edge():
-    v = verify_coloring(cycle(6), pc({0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 2}))
+    v = verify_coloring(cycle(6), {0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 2})
     assert v.reason == "improper-edge"
     assert v.witness == (0, 1)
 
 
 def test_verify_too_many_colors():
     # proper with 3 colors, but omega(C6) = 2
-    v = verify_coloring(cycle(6), pc({0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 3}))
+    v = verify_coloring(cycle(6), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 3})
     assert v.reason == "too-many-colors"
     assert v.witness == (3, 2)
 
@@ -254,8 +255,9 @@ def test_verify_with_given_clique_number_matches(corpus_graphs):
             {**c, u: w + 1, v: w + 2},  # proper, over omega
         ]
         for colors in variants:
-            want = verify_coloring(g, pc(colors))
-            assert verify_coloring(g, pc(colors), clique_number=w) == want, name
+            want = verify_coloring(g, PartialColoring(colors))
+            assert verify_coloring(g, colors) == want, name
+            assert verify_coloring(g, colors, clique_number=w) == want, name
             reasons.add(want.reason)
     assert reasons == {None, "improper-edge", "uncolored-vertex", "too-many-colors"}
 
@@ -385,9 +387,10 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
 
     def checked_extend(core, peeled, k):
         coloring, k2 = extend(core, peeled, k)
+        colors = coloring.colors
         for v, nb in peeled:
-            assert coloring.colors[v] <= nb.bit_count() + 1 <= k2
-            assert coloring.colors[v] not in {coloring.colors[u] for u in bit_list(nb)}
+            assert colors[v] <= nb.bit_count() + 1 <= k2
+            assert colors[v] not in {colors[u] for u in bit_list(nb)}
         return coloring, k2
 
     monkeypatch.setattr(solver, "_peel", checked_peel)
@@ -399,6 +402,28 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
         r = color(g, trust_berge=True)
         assert r.colors_used == omega(g)
     assert peeled_total > 1000 and seeded > 500
+
+
+def test_peel_coloring_matches_the_dict_version(corpus_graphs, monkeypatch):
+    # at every node, the class-mask peel coloring gives each peeled vertex
+    # the color, and the piece the k, that the lowest color missing from its
+    # neighbourhood's colors gives on a {vertex: color} dict
+    extend = solver._color_peeled
+    nodes = 0
+
+    def checked(coloring, peeled, k):
+        nonlocal nodes
+        want = naive_color_peeled(coloring.colors, peeled, k)
+        out, k2 = extend(coloring, peeled, k)
+        assert (out.colors, k2) == want
+        nodes += 1
+        return out, k2
+
+    monkeypatch.setattr(solver, "_color_peeled", checked)
+    total = 0
+    for _, g in corpus_graphs:
+        total += color(g, trust_berge=True).stats.node_count
+    assert nodes == total > 1000
 
 
 def test_each_node_searches_once_and_each_leaf_is_checked_empty(corpus_graphs, monkeypatch):
