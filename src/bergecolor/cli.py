@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("graph", help="DIMACS .col file")
     c.add_argument("-o", "--output", help="coloring file (default: stdout)")
     c.add_argument("--report", help="write a JSON run report here")
-    c.add_argument("--trace", help="write decomposition/swap events as JSON lines")
+    c.add_argument("--trace", help="write one JSON object per merge swap, one per line")
     c.add_argument("--tree", help="write the decomposition tree (.dot or .json)")
     c.add_argument(
         "--berge-cap",

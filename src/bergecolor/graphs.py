@@ -123,39 +123,66 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
-def component_mask(g: Graph, start: int, allowed: int) -> int:
-    """Connected component of `start` inside the induced subgraph on `allowed`."""
+def component_mask(
+    g: Graph,
+    start: int,
+    allowed: int,
+    stop: int = 0,
+    layers: list[int] | None = None,
+) -> int:
+    """Connected component of `start` inside the induced subgraph on `allowed`.
+
+    The search runs breadth-first, one layer at a time.  With a `stop` mask
+    it ends at the first layer that meets `stop`, and returns the vertices
+    seen up to and including that layer: the whole component exactly when
+    no vertex of it is in `stop`.  `layers`, if given, receives each layer
+    as a mask, `start`'s own first, so a caller can walk a shortest path
+    back from the stop layer without a second search."""
     masks = g._masks
-    seen = (1 << start) & allowed
-    frontier = seen
+    seen = frontier = (1 << start) & allowed
     while frontier:
+        if layers is not None:
+            layers.append(frontier)
+        if frontier & stop:
+            break
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= masks[v]
-        nxt &= allowed & ~seen
-        seen |= nxt
-        frontier = nxt
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
     return seen
 
 
 def contains_square(g: Graph) -> tuple[int, int, int, int] | None:
     """First induced 4-cycle in lexicographic order, as (a, b, c, d) with
-    edges ab, bc, cd, da and non-edges ac, bd; None when square-free."""
+    edges ab, bc, cd, da and non-edges ac, bd; None when square-free.
+
+    For each edge ab with a < b, the candidates d (adjacent to a, not to b,
+    above b) do not depend on c, so they are found once as the mask D, and
+    an (a, b) with D empty is skipped.  Each c (adjacent to b, not to a,
+    above a) then closes a square with the lowest vertex of D ∩ N(c)."""
     masks = g._masks
-    full = g.full_mask
     for a in range(g.n):
         na = masks[a]
-        above_a = full & ~((1 << (a + 1)) - 1)
-        for b in iter_bits(na & above_a):
-            nb = masks[b]
-            # c: adjacent to b, not to a, above a (so c != a, b)
-            for c in iter_bits(nb & ~na & above_a):
-                # d: common neighbor of a and c, above b, not adjacent to b
-                above_b = full & ~((1 << (b + 1)) - 1)
-                cand = na & masks[c] & above_b & ~nb
+        above_a = -(2 << a)
+        bs = na & above_a
+        while bs:
+            bbit = bs & -bs
+            bs ^= bbit
+            nb = masks[bbit.bit_length() - 1]
+            ds = na & ~nb & -(bbit << 1)
+            if not ds:
+                continue
+            cs = nb & ~na & above_a
+            while cs:
+                cbit = cs & -cs
+                cand = ds & masks[cbit.bit_length() - 1]
                 if cand:
-                    d = (cand & -cand).bit_length() - 1
-                    return (a, b, c, d)
+                    b, c = bbit.bit_length() - 1, cbit.bit_length() - 1
+                    return (a, b, c, (cand & -cand).bit_length() - 1)
+                cs ^= cbit
     return None
 
 

@@ -257,17 +257,33 @@ def _separate(
     connected there; G is the subgraph induced on `within`, all of g by
     default.  `paths`, if given, lists interiors of x-y paths as masks: a
     cut that misses one of them leaves x and y connected, and is answered
-    without a BFS.  A BFS that finds x and y connected appends the interior
-    of a shortest x-y path of G - cut to the list."""
+    without a BFS.
+
+    Otherwise one BFS from x answers: it stops at the first layer that
+    reaches y, so a connected x and y cost only the layers up to y's.  With
+    `paths` given, that BFS's layers then yield the interior of a shortest
+    x-y path of G - cut, walked back from y to the lowest-id neighbour in
+    each earlier layer (the tie rule of `_shortest_interior`), and it is
+    appended to the list."""
     if paths is not None:
         for pm in paths:
             if not cut & pm:
                 return None
     rest = (g.full_mask if within is None else within) & ~cut
-    lmask = component_mask(g, x, rest)
-    if (lmask >> y) & 1:
+    ybit = 1 << y
+    layers: list[int] = []
+    lmask = component_mask(g, x, rest, ybit, layers)
+    if lmask & ybit:
         if paths is not None:
-            paths.append(mask_of(_shortest_interior(g, x, y, lmask)))
+            masks = g._masks
+            interior = 0
+            t = y
+            for layer in reversed(layers[1:-1]):
+                back = layer & masks[t]
+                back &= -back
+                interior |= back
+                t = back.bit_length() - 1
+            paths.append(interior)
         return None
     return lmask, rest & ~lmask
 
@@ -459,8 +475,11 @@ def _shortest_path(
     hit = sources & targets
     while not hit:
         nxt = 0
-        for v in iter_bits(layers[-1]):
-            nxt |= masks[v]
+        frontier = layers[-1]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
         nxt &= allowed & ~seen
         if not nxt:
             return None

@@ -137,25 +137,71 @@ def verify_coloring(
     clique_number: int | None = None,
 ) -> ColoringVerdict:
     """Proper, total, positive integer colors, and at most omega(g) of them.
+
     `c` is a coloring or an untrusted `{vertex: color}` mapping, such as
-    `parse_coloring_lines` returns; a mapping's entries are checked as
-    values, so a huge vertex or color costs no memory.  `clique_number`, if
-    given, is omega(g) as the caller has found it from g's maximal cliques;
-    otherwise it is computed here."""
-    colors = c.colors if isinstance(c, PartialColoring) else c
-    for v in colors:
-        if not (isinstance(v, int) and 0 <= v < g.n):
-            return ColoringVerdict(False, "unknown-vertex", (v,))
-    for v in range(g.n):
-        if v not in colors:
+    `parse_coloring_lines` returns.  A mapping's entries are checked as
+    values first, in this order: every vertex an int in 0..n-1
+    ("unknown-vertex"), every vertex of g colored ("uncolored-vertex"),
+    every color a positive int ("bad-color-value"); so a huge vertex or
+    color costs no memory.  Only then is it grouped into class masks, one
+    per color used.  A coloring's classes are checked for a vertex outside
+    0..n-1 ("unknown-vertex", the lowest), a vertex in two classes
+    ("shared-vertex", the lowest; possible only through
+    `PartialColoring.of_classes`) and an uncolored vertex, the lowest.
+
+    Both forms then pass the same checks on the classes: each member's
+    neighbourhood must miss its own class ("improper-edge", naming the
+    lexicographically first adjacent pair (u, v), u < v, inside one class),
+    and the non-empty classes must number at most omega(g)
+    ("too-many-colors").  `clique_number`, if given, is omega(g) as the
+    caller has found it from g's maximal cliques; otherwise it is computed
+    here."""
+    if isinstance(c, PartialColoring):
+        classes = c.classes
+        full = g.full_mask
+        union = shared = 0
+        for m in classes:
+            shared |= union & m
+            union |= m
+        for reason, bad in (
+            ("unknown-vertex", union & ~full),
+            ("shared-vertex", shared),
+            ("uncolored-vertex", full & ~union),
+        ):
+            if bad:
+                return ColoringVerdict(False, reason, ((bad & -bad).bit_length() - 1,))
+    else:
+        for v in c:
+            if not (isinstance(v, int) and 0 <= v < g.n):
+                return ColoringVerdict(False, "unknown-vertex", (v,))
+        if len(c) < g.n:
+            v = next(v for v in range(g.n) if v not in c)
             return ColoringVerdict(False, "uncolored-vertex", (v,))
-    for v, col in colors.items():
-        if not isinstance(col, int) or isinstance(col, bool) or col < 1:
-            return ColoringVerdict(False, "bad-color-value", (v, col))
-    for u, v in g.edges():
-        if colors[u] == colors[v]:
-            return ColoringVerdict(False, "improper-edge", (u, v))
-    used = len(set(colors.values()))
+        for v, col in c.items():
+            if not isinstance(col, int) or isinstance(col, bool) or col < 1:
+                return ColoringVerdict(False, "bad-color-value", (v, col))
+        by_color: dict[int, int] = {}
+        for v, col in c.items():
+            by_color[col] = by_color.get(col, 0) | 1 << v
+        classes = list(by_color.values())
+    masks = g._masks
+    first = None
+    for m in classes:
+        rest = m
+        while rest:
+            low = rest & -rest
+            hit = masks[low.bit_length() - 1] & m
+            if hit:
+                # the first member with a neighbour in its class sees only
+                # later members there, so its pair is the class's first
+                pair = (low.bit_length() - 1, (hit & -hit).bit_length() - 1)
+                if first is None or pair < first:
+                    first = pair
+                break
+            rest ^= low
+    if first is not None:
+        return ColoringVerdict(False, "improper-edge", first)
+    used = sum(1 for m in classes if m)
     w = omega(g) if clique_number is None else clique_number
     if used > w:
         return ColoringVerdict(False, "too-many-colors", (used, w))

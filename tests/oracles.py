@@ -48,6 +48,30 @@ def is_proper_on(g: Graph, c) -> bool:
     return not any(g.mask(v) & classes[cv] for v, cv in colors.items())
 
 
+def naive_verify_coloring(g: Graph, colors: dict, w: int) -> tuple:
+    """(reason, witness) of a `{vertex: color}` dict's verdict, None and
+    None when it passes, from one look at each vertex and each vertex pair:
+    vertices outside 0..n-1, uncolored vertices, colors that are not
+    positive ints, the first adjacent pair u < v of one color, then more
+    than `w` colors."""
+    for v in colors:
+        if not (isinstance(v, int) and 0 <= v < g.n):
+            return "unknown-vertex", (v,)
+    for v in range(g.n):
+        if v not in colors:
+            return "uncolored-vertex", (v,)
+    for v, col in colors.items():
+        if not isinstance(col, int) or isinstance(col, bool) or col < 1:
+            return "bad-color-value", (v, col)
+    for u, v in combinations(range(g.n), 2):
+        if g.adjacent(u, v) and colors[u] == colors[v]:
+            return "improper-edge", (u, v)
+    used = len(set(colors.values()))
+    if used > w:
+        return "too-many-colors", (used, w)
+    return None, None
+
+
 def naive_color_peeled(
     colors: dict[int, int], peeled: list[tuple[int, int]], k: int
 ) -> tuple[dict[int, int], int]:

@@ -21,12 +21,13 @@ from bergecolor import (
     verify_good_partition,
 )
 from bergecolor import partition
-from bergecolor.graphs import bit_list, mask_of, maximal_cliques_in
+from bergecolor.graphs import bit_list, component_mask, mask_of, maximal_cliques_in
 from bergecolor.partition import (
     _anchored_pairs,
     _disjoint_paths,
     _path_hits,
     _separate,
+    _shortest_interior,
 )
 
 from conftest import complete, complete_minus_star, cycle
@@ -485,7 +486,8 @@ def _naive_split(g, cut, x, y, within=None):
 def _assert_learned(g, x, y, cut, interior, within=None):
     """`interior` is a non-empty mask whose vertices, with x and y, induce
     a path from x to y that is a shortest one in G - cut, G the subgraph
-    induced on `within`."""
+    induced on `within`; and it is the one `_shortest_interior` picks by
+    its tie rule, which fixes every later prune decision."""
     assert interior and not interior & (cut | 1 << x | 1 << y)
     on = interior | 1 << x | 1 << y
     degrees = {v: (g.mask(v) & on).bit_count() for v in bit_list(on)}
@@ -500,6 +502,7 @@ def _assert_learned(g, x, y, cut, interior, within=None):
         reach |= mask_of(w for v in bit_list(reach) for w in bit_list(g.mask(v) & rest))
         dist += 1
     assert interior.bit_count() == dist - 1
+    assert interior == mask_of(_shortest_interior(g, x, y, rest))
 
 
 def test_learned_paths_avoid_their_cuts(corpus_graphs, monkeypatch):
@@ -554,6 +557,14 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
                 for cut in cuts:
                     want = _naive_split(g, cut, x, y)
                     assert _separate(g, cut, x, y) == want
+                    # the BFS stops at the first layer that reaches y
+                    layers = []
+                    seen = component_mask(g, x, g.full_mask & ~cut, 1 << y, layers)
+                    assert seen == mask_of(v for m in layers for v in bit_list(m))
+                    if want is None:
+                        assert [m >> y & 1 for m in layers] == [0] * (len(layers) - 1) + [1]
+                    else:
+                        assert seen == want[0]
                     # answered by a learned path alone
                     if all(cut & pm for pm in disjoint) and any(
                         not cut & pm for pm in paths[len(disjoint):]

@@ -31,7 +31,13 @@ from bergecolor.graphs import (
 )
 
 from conftest import complete, complete_minus_star, cycle, path_graph
-from oracles import naive_color_peeled, naive_is_clique, naive_peel, naive_subgraph
+from oracles import (
+    naive_color_peeled,
+    naive_is_clique,
+    naive_peel,
+    naive_subgraph,
+    naive_verify_coloring,
+)
 from test_output_digest import DEEP_SPINES
 
 
@@ -242,24 +248,55 @@ def test_color_enumerates_maximal_cliques_once(corpus_graphs, monkeypatch):
 
 def test_verify_with_given_clique_number_matches(corpus_graphs):
     # the final check of color() passes omega(g); the verdict is the one
-    # verify_coloring reaches by computing omega itself
+    # verify_coloring reaches by computing omega itself.  Each coloring is
+    # mutated, and its dict form, its PartialColoring built from the dict
+    # and its class list taken as is all get the reference's verdict
     reasons = set()
     for name, g in corpus_graphs:
-        c = color(g, trust_berge=True).coloring.colors
+        classes = color(g, trust_berge=True).coloring.classes
+        c = PartialColoring.of_classes(classes).colors
         w = omega(g)
         u, v = g.edges()[0]
+        cu, cv = c[u] - 1, c[v] - 1
+        moved = classes[:]  # v moved into its neighbour u's class
+        moved[cv] &= ~(1 << v)
+        moved[cu] |= 1 << v
+        dropped = classes[:]  # the last vertex uncolored
+        dropped[c[g.n - 1] - 1] &= ~(1 << (g.n - 1))
+        extra = classes[:] + [1 << v]  # v alone in one extra color
+        extra[cv] &= ~(1 << v)
+        evens = mask_of(range(0, g.n, 2))
         variants = [
-            c,
-            {**c, v: c[u]},  # improper
-            {k: col for k, col in c.items() if k != g.n - 1},  # partial
-            {**c, u: w + 1, v: w + 2},  # proper, over omega
+            (c, classes),
+            ({**c, v: c[u]}, moved),
+            ({k: col for k, col in c.items() if k != g.n - 1}, dropped),
+            ({**c, v: w + 1}, extra),
+            ({**c, u: w + 1, v: w + 2}, None),  # proper, over omega
+            ({**c, g.n: 1}, [classes[0] | 1 << g.n, *classes[1:]]),  # out of range
+            # by parity: improper pairs in both classes, the first named
+            ({k: k % 2 + 1 for k in range(g.n)}, [evens, g.full_mask & ~evens]),
         ]
-        for colors in variants:
+        for colors, masks in variants:
             want = verify_coloring(g, PartialColoring(colors))
+            assert (want.reason, want.witness) == naive_verify_coloring(g, colors, w)
             assert verify_coloring(g, colors) == want, name
             assert verify_coloring(g, colors, clique_number=w) == want, name
+            if masks is not None:
+                pc = PartialColoring.of_classes(masks)
+                assert verify_coloring(g, pc, clique_number=w) == want, name
             reasons.add(want.reason)
-    assert reasons == {None, "improper-edge", "uncolored-vertex", "too-many-colors"}
+        # v kept in its own class and added to u's has no dict form
+        shared = classes[:]
+        shared[cu] |= 1 << v
+        verdict = verify_coloring(g, PartialColoring.of_classes(shared))
+        assert verdict == ColoringVerdict(False, "shared-vertex", (v,)), name
+    assert reasons == {
+        None,
+        "improper-edge",
+        "uncolored-vertex",
+        "too-many-colors",
+        "unknown-vertex",
+    }
 
 
 def test_trust_berge_still_fails_loud():
