@@ -149,10 +149,12 @@ def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | 
 
     Returns (u, p1, ..., pt, v) with u in K3, v in K1, interior in L, no
     interior vertex complete to K1, chordless once K1-K3 edges are ignored.
-    Search: restrict L to L'' (drop K1-complete vertices), and take the
-    interior from `_shortest_path` in L'' from {has a K3-neighbor} to {has a
-    K1-neighbor}; any shortest L''-path plus its endpoint attachments is
-    automatically chordless.
+    Search: restrict L to L'' (drop K1-complete vertices), and run a BFS by
+    layers in L'' from all of {has a K3-neighbor}, stopping at the first
+    layer that meets {has a K1-neighbor}.  The interior ends at the lowest
+    vertex there and is walked back through the layers, each step to the
+    lowest-id neighbour in the layer before; any shortest L''-path plus its
+    endpoint attachments is automatically chordless.
 
     L'' and the two end sets come from three masks over the cut, not from a
     look at each vertex of L: the union of K1's neighbourhoods, their
@@ -171,9 +173,29 @@ def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | 
     bad = l2 & nk1
     if start == 0 or bad == 0:
         return None
-    interior = _shortest_path(g, start, bad, l2)
-    if interior is None:
-        return None
+    layers = [start]
+    seen = start
+    hit = start & bad
+    while not hit:
+        nxt = 0
+        frontier = layers[-1]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        nxt &= l2 & ~seen
+        if not nxt:
+            return None
+        seen |= nxt
+        layers.append(nxt)
+        hit = nxt & bad
+    t = (hit & -hit).bit_length() - 1
+    interior = [t]
+    for layer in reversed(layers[:-1]):
+        back = layer & masks[t]
+        t = (back & -back).bit_length() - 1
+        interior.append(t)
+    interior.reverse()
 
     first_k3 = masks[interior[0]] & k3m
     last_k1 = masks[interior[-1]] & k1m
@@ -246,44 +268,35 @@ def _verify_masks(
 
 
 def _separate(
-    g: Graph,
-    cut: int,
-    x: int,
-    y: int,
-    paths: list[int] | None = None,
-    within: int | None = None,
+    g: Graph, cut: int, x: int, y: int, paths: list[int], within: int
 ) -> tuple[int, int] | None:
     """(x's component, the rest) of G - cut, or None when x and y are
-    connected there; G is the subgraph induced on `within`, all of g by
-    default.  `paths`, if given, lists interiors of x-y paths as masks: a
-    cut that misses one of them leaves x and y connected, and is answered
-    without a BFS.
+    connected there; G is the subgraph induced on `within`.  `paths` lists
+    interiors of x-y paths as masks: a cut that misses one of them leaves x
+    and y connected, and is answered without a BFS.
 
     Otherwise one BFS from x answers: it stops at the first layer that
-    reaches y, so a connected x and y cost only the layers up to y's.  With
-    `paths` given, that BFS's layers then yield the interior of a shortest
-    x-y path of G - cut, walked back from y to the lowest-id neighbour in
-    each earlier layer (the tie rule of `_shortest_interior`), and it is
-    appended to the list."""
-    if paths is not None:
-        for pm in paths:
-            if not cut & pm:
-                return None
-    rest = (g.full_mask if within is None else within) & ~cut
+    reaches y, so a connected x and y cost only the layers up to y's.  Its
+    layers then yield the interior of a shortest x-y path of G - cut,
+    walked back from y to the lowest-id neighbour in each earlier layer,
+    and it is appended to `paths`."""
+    for pm in paths:
+        if not cut & pm:
+            return None
+    rest = within & ~cut
     ybit = 1 << y
     layers: list[int] = []
     lmask = component_mask(g, x, rest, ybit, layers)
     if lmask & ybit:
-        if paths is not None:
-            masks = g._masks
-            interior = 0
-            t = y
-            for layer in reversed(layers[1:-1]):
-                back = layer & masks[t]
-                back &= -back
-                interior |= back
-                t = back.bit_length() - 1
-            paths.append(interior)
+        masks = g._masks
+        interior = 0
+        t = y
+        for layer in reversed(layers[1:-1]):
+            back = layer & masks[t]
+            back &= -back
+            interior |= back
+            t = back.bit_length() - 1
+        paths.append(interior)
         return None
     return lmask, rest & ~lmask
 
@@ -363,12 +376,14 @@ def refine_frame(
     cliques and anchors must be.
 
     Step 1 cuts each side of the frame down to its anchored tail and drops
-    sides with no anchor.  Then two repair loops alternate: condition (iii)
-    violations shrink K'1 around the last interior vertex of a shortest
-    violating path, condition (iv) violations shrink K'3 away from the
-    neighborhood of an L-vertex seeing both sides.  Every repair strictly
-    shrinks the working cutset, and every change reruns the connectivity
-    split; the frame dies the moment x and y fall into one component.
+    sides with no anchor.  Then one loop runs the connectivity split, which
+    kills the frame the moment x and y fall into one component, and makes
+    one repair: a condition (iii) violation shrinks K'1 around the last
+    interior vertex of a shortest violating path; failing that, a condition
+    (iv) violation shrinks K'3 away from the neighborhood of an L-vertex
+    seeing both sides; failing both, the partition is emitted.  With K'1 or
+    K'3 empty neither condition can fail.  Every repair strictly shrinks the
+    working cutset.
     `paths`, if given, is the search's list of x-y path interiors (see
     `_separate`): a cutset that misses one of them kills the frame without
     a BFS, and each BFS that finds x and y connected adds one.
@@ -378,57 +393,41 @@ def refine_frame(
     """
     if within is None:
         within = g.full_mask
+    if paths is None:
+        paths = []
     q1m, q3m = frame.q1, frame.q3
     x, y = frame.x, frame.y
+    c1v = frame.c1
     k2m = q1m & q3m
-    k1m = _truncated_side(g, q1m & ~q3m, q3m & ~q1m, frame.c1)
+    k1m = _truncated_side(g, q1m & ~q3m, q3m & ~q1m, c1v)
     k3m = _truncated_side(g, q3m & ~q1m, q1m & ~q3m, frame.c3)
 
-    sep = _separate(g, k1m | k2m | k3m, x, y, paths, within)
-    if sep is None:
-        return None
-    lm, rm = sep
-    if k1m == 0 or k3m == 0:
-        return _emit(g, frame, k1m, k2m, k3m, lm, rm, within)
-
-    c1v = frame.c1
     budget = k1m.bit_count() + k3m.bit_count()
     repairs = 0
     while True:
-        # condition (iii) repairs
-        while True:
-            path = _violating_path(g, k1m, k3m, lm)
-            if path is None:
-                break
-            vp = path[-2]
-            nv = g.mask(vp)
-            new_k1 = k1m & nv if (nv >> c1v) & 1 else k1m & ~nv
-            if new_k1 == k1m or not (new_k1 >> c1v) & 1:
-                raise InternalViolation("condition (iii) repair did not shrink K'1")
-            k1m = new_k1
-            repairs += 1
-            if repairs > budget:
-                raise InternalViolation("refinement exceeded its shrink budget")
-            sep = _separate(g, k1m | k2m | k3m, x, y, paths, within)
-            if sep is None:
-                return None
-            lm, rm = sep
-
-        # condition (iv) repairs; any shrink can enlarge L', so recheck (iii)
-        u = _both_sides_vertex(g, k1m, k3m, lm)
-        if u is None:
-            return _emit(g, frame, k1m, k2m, k3m, lm, rm, within)
-        new_k3 = k3m & ~g.mask(u)
-        if new_k3 == k3m:
-            raise InternalViolation("condition (iv) repair did not shrink K'3")
-        k3m = new_k3
-        repairs += 1
-        if repairs > budget:
-            raise InternalViolation("refinement exceeded its shrink budget")
         sep = _separate(g, k1m | k2m | k3m, x, y, paths, within)
         if sep is None:
             return None
         lm, rm = sep
+        path = _violating_path(g, k1m, k3m, lm)
+        if path is not None:
+            nv = g.mask(path[-2])
+            new_k1 = k1m & nv if (nv >> c1v) & 1 else k1m & ~nv
+            if new_k1 == k1m or not (new_k1 >> c1v) & 1:
+                raise InternalViolation("condition (iii) repair did not shrink K'1")
+            k1m = new_k1
+        else:
+            # any shrink of K'3 can enlarge L', so (iii) is tested again
+            u = _both_sides_vertex(g, k1m, k3m, lm)
+            if u is None:
+                return _emit(g, frame, k1m, k2m, k3m, lm, rm, within)
+            new_k3 = k3m & ~g.mask(u)
+            if new_k3 == k3m:
+                raise InternalViolation("condition (iv) repair did not shrink K'3")
+            k3m = new_k3
+        repairs += 1
+        if repairs > budget:
+            raise InternalViolation("refinement exceeded its shrink budget")
 
 
 def _anchored_pairs(
@@ -460,71 +459,22 @@ def _anchored_pairs(
                     yield (x, y)
 
 
-def _shortest_path(
-    g: Graph, sources: int, targets: int, allowed: int
-) -> list[int] | None:
-    """A shortest path from the mask `sources` to the mask `targets` whose
-    vertices after the first lie in `allowed`, from its source end, or None
-    when there is none.  The BFS runs by layers from all of `sources` and
-    stops at the first layer that meets `targets`; the path ends at the
-    lowest target there and is walked back through the layers, each step to
-    the lowest-id neighbour in the layer before."""
-    masks = g._masks
-    layers = [sources]
-    seen = sources
-    hit = sources & targets
-    while not hit:
-        nxt = 0
-        frontier = layers[-1]
-        while frontier:
-            low = frontier & -frontier
-            nxt |= masks[low.bit_length() - 1]
-            frontier ^= low
-        nxt &= allowed & ~seen
-        if not nxt:
-            return None
-        seen |= nxt
-        layers.append(nxt)
-        hit = nxt & targets
-    t = (hit & -hit).bit_length() - 1
-    path = [t]
-    for layer in reversed(layers[:-1]):
-        back = layer & masks[t]
-        t = (back & -back).bit_length() - 1
-        path.append(t)
-    path.reverse()
-    return path
-
-
-def _shortest_interior(
-    g: Graph, x: int, y: int, allowed: int
-) -> tuple[int, ...] | None:
-    """Interior, from the x end, of a shortest x-y path in the subgraph
-    induced on `allowed` (which must hold y), or None when there is none.
-    Ties go to the lowest vertex id."""
-    path = _shortest_path(g, 1 << x, 1 << y, allowed)
-    return None if path is None else tuple(path[1:-1])
-
-
-def _disjoint_paths(
-    g: Graph, x: int, y: int, within: int | None = None
-) -> list[tuple[int, ...]]:
-    """Internally disjoint x-y paths in the subgraph induced on `within`
-    (all of g by default), found greedily: a shortest path, then a shortest
-    path avoiding the interiors found so far, until y is cut off.
-    Each path is given by its interior, from the x end; x and y must be
-    distinct and non-adjacent, so no interior is empty.  Every x-y path
-    leaves x and enters y through a neighbour, so once the interiors cover
-    all of x's or all of y's neighbours the search stops without a BFS."""
-    paths: list[tuple[int, ...]] = []
-    allowed = g.full_mask if within is None else within
-    nx, ny = g._masks[x], g._masks[y]
-    while nx & allowed and ny & allowed:
-        interior = _shortest_interior(g, x, y, allowed)
-        if interior is None:
+def _disjoint_paths(g: Graph, x: int, y: int, within: int) -> list[int]:
+    """Internally disjoint x-y paths in the subgraph induced on `within`,
+    as the interiors, masks, that separation tests learn: each test cuts
+    the interiors found so far and, while x and y stay connected, learns a
+    shortest x-y path avoiding them, until the cut separates x from y.  x
+    and y must be distinct and non-adjacent, so no interior is empty.
+    Every x-y path leaves x and enters y through a neighbour, so once the
+    interiors cover all of x's or all of y's neighbours the search stops
+    without a BFS."""
+    paths: list[int] = []
+    used = 0
+    nx, ny = g._masks[x] & within, g._masks[y] & within
+    while nx & ~used and ny & ~used:
+        if _separate(g, used, x, y, paths, within) is not None:
             break
-        paths.append(interior)
-        allowed &= ~mask_of(interior)
+        used |= paths[-1]
     return paths
 
 
@@ -619,7 +569,7 @@ def find_good_partition(
     for x, y in _anchored_pairs(g, start, within):
         masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
         # the disjoint interiors; each BFS that finds x, y connected adds one
-        paths = [mask_of(p) for p in _disjoint_paths(g, x, y, within)]
+        paths = _disjoint_paths(g, x, y, within)
         hits, every = _path_hits(paths, masks)
         kinds = set(hits)
         # rows of Q1 with such a mask hold a pair that hits every path

@@ -548,34 +548,42 @@ def naive_skipped_pairs(g: Graph) -> int:
     return skipped
 
 
+def naive_shortest_interior(g: Graph, x: int, y: int, allowed) -> tuple[int, ...] | None:
+    """Interior, from the x end, of a shortest x-y path whose vertices after
+    x lie in the vertex set `allowed`, or None when there is none: breadth
+    -first layers from x, as sets; then, walking back from y, the lowest-id
+    neighbour in each earlier layer."""
+    layers = [{x}]
+    seen = {x}
+    while y not in seen:
+        nxt = {
+            w for v in layers[-1] for w in g.neighbors(v)
+            if w in allowed and w not in seen
+        }
+        if not nxt:
+            return None
+        seen |= nxt
+        layers.append(nxt)
+    interior = []
+    v = y
+    for layer in reversed(layers[1:-1]):
+        v = min(u for u in layer if g.adjacent(u, v))
+        interior.append(v)
+    interior.reverse()
+    return tuple(interior)
+
+
 def naive_disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
-    """Internally disjoint x-y paths, greedily: a shortest x-y path (breadth
-    -first layers from x; walking back from y, the lowest-id neighbour in
-    each earlier layer), then a shortest one avoiding the interiors found so
-    far, until the next search finds no path.  Each path is its interior,
-    from the x end."""
+    """Internally disjoint x-y paths, greedily: a shortest x-y path
+    (`naive_shortest_interior`), then a shortest one avoiding the interiors
+    found so far, until the next search finds no path.  Each path is its
+    interior, from the x end."""
     paths = []
     allowed = set(range(g.n))
-    while True:
-        layers = [{x}]
-        seen = {x}
-        while y not in seen:
-            nxt = {
-                w for v in layers[-1] for w in g.neighbors(v)
-                if w in allowed and w not in seen
-            }
-            if not nxt:
-                return paths
-            seen |= nxt
-            layers.append(nxt)
-        interior = []
-        v = y
-        for layer in reversed(layers[1:-1]):
-            v = min(u for u in layer if g.adjacent(u, v))
-            interior.append(v)
-        interior.reverse()
-        paths.append(tuple(interior))
+    while (interior := naive_shortest_interior(g, x, y, allowed)) is not None:
+        paths.append(interior)
         allowed -= set(interior)
+    return paths
 
 
 def brute_good_partition(g: Graph):

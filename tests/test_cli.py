@@ -648,6 +648,30 @@ def test_gen_bad_params(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        (["prism", "10000000001", "1", "1"], 10000000006),
+        (["hyperprism", "10000000001", "1", "1"], 10000000006),
+        (["lk4", "1000000", "2", "2", "2", "2", "2"], 1000010),
+        (["random", "10000000000"], 10000000000),
+    ],
+)
+def test_gen_over_the_vertex_limit_builds_nothing(tmp_path, capsys, monkeypatch, params, n):
+    # `color` refuses a file over the parser's vertex limit, so `gen` refuses
+    # to write one, from the vertex count alone; the builders are stubbed
+    # out, since building such a graph runs out of memory or time
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a graph over the vertex limit was built")
+
+    for name in ("gen_prism", "gen_hyperprism", "gen_lk4_subdivision", "gen_square_free_berge"):
+        monkeypatch.setattr(cli, name, unbuilt)
+    out = str(tmp_path / "huge.col")
+    assert main(["gen", *params, "-o", out]) == 1
+    assert capsys.readouterr().err == f"error: {n} vertices is over the limit of 1000000\n"
+    assert not os.path.exists(out) and not os.path.exists(out + ".json")
+
+
 def test_gen_then_color_round_trip(tmp_path, capsys):
     out = str(tmp_path / "p.col")
     sol = str(tmp_path / "p.sol")

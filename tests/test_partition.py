@@ -11,6 +11,7 @@ from bergecolor import (
     Frame,
     GoodPartition,
     Graph,
+    InternalViolation,
     MalformedPartition,
     NotSquareFree,
     color,
@@ -27,7 +28,6 @@ from bergecolor.partition import (
     _disjoint_paths,
     _path_hits,
     _separate,
-    _shortest_interior,
 )
 
 from conftest import complete, complete_minus_star, cycle
@@ -36,6 +36,7 @@ from oracles import (
     naive_components,
     naive_disjoint_paths,
     naive_good_partition_check,
+    naive_shortest_interior,
     naive_skipped_pairs,
     naive_both_sides_vertex,
     naive_subgraph,
@@ -194,6 +195,48 @@ def test_refine_frame_empty_anchor_drops_side():
     assert refine_frame(p, fr) is None
 
 
+# The hand-worked prism frame: K'1 = {1, 2} anchored at 1, K'3 = {6}, x = 0
+# and y = 3.  Rung i runs i - (6 + i) - (3 + i), so N(0) = {1, 2, 6} and
+# N(7) = {1, 4}.  Each guard test feeds the loop a witness that the real
+# condition tests never give.
+_HAND_WORKED = Frame(q1=mask_of((1, 2)), q3=mask_of((6,)), x=0, y=3, c1=1, c3=6)
+
+
+def test_refine_frame_iii_repair_that_keeps_k1_is_internal(monkeypatch):
+    # a path whose last interior vertex 0 sees all of K'1 leaves K'1 whole
+    monkeypatch.setattr(partition, "_violating_path", lambda g, k1, k3, lm: (6, 0, 1))
+    with pytest.raises(InternalViolation, match=r"condition \(iii\) repair did not shrink K'1"):
+        refine_frame(_prism(), _HAND_WORKED)
+
+
+def test_refine_frame_iv_repair_that_keeps_k3_is_internal(monkeypatch):
+    # vertex 7 has no neighbour in K'3, so removing N(7) keeps K'3 whole
+    monkeypatch.setattr(partition, "_both_sides_vertex", lambda g, k1, k3, lm: 7)
+    with pytest.raises(InternalViolation, match=r"condition \(iv\) repair did not shrink K'3"):
+        refine_frame(_prism(), _HAND_WORKED)
+
+
+class _Uncounted(int):
+    """A mask whose size reads as zero."""
+
+    def bit_count(self):
+        return 0
+
+
+def test_refine_frame_repair_past_its_budget_is_internal(monkeypatch):
+    # a repair that passes its guard strictly shrinks K'1 or K'3, so the
+    # repairs stay within |K'1| + |K'3| by themselves; with both sides'
+    # sizes read as zero, one legitimate repair (a path ending in 7 shrinks
+    # K'1 to {1}) is over the budget
+    truncated = partition._truncated_side
+    monkeypatch.setattr(
+        partition, "_truncated_side", lambda *args: _Uncounted(truncated(*args))
+    )
+    monkeypatch.setattr(partition, "_violating_path", lambda g, k1, k3, lm: (6, 7, 1))
+    with pytest.raises(InternalViolation, match="refinement exceeded its shrink budget"):
+        refine_frame(_prism(), _HAND_WORKED)
+
+
 def test_refine_frame_output_always_verifies(corpus_graphs):
     # every partition a refinement emits must pass the checker (it re-verifies
     # internally; this guards the guard)
@@ -319,28 +362,26 @@ def test_path_prune_is_sound(corpus_graphs):
     checked = skipped = 0
     for g, pairs in _prune_cases(corpus_graphs):
         for x, y in pairs:
-            paths = _disjoint_paths(g, x, y)
-            used: set[int] = set()
+            paths = _disjoint_paths(g, x, y, g.full_mask)
+            used = 0
             for interior in paths:
-                walk = (x, *interior, y)
-                assert interior and len(set(walk)) == len(walk)
-                assert all(g.adjacent(a, b) for a, b in zip(walk, walk[1:]))
-                assert used.isdisjoint(interior)
-                used |= set(interior)
+                _assert_x_y_path(g, x, y, interior)
+                assert not used & interior
+                used |= interior
             # the greedy search stops only once the paths cut y off from x
-            rest = set(range(g.n)) - used
+            rest = set(range(g.n)) - set(bit_list(used))
             assert not any({x, y} <= c for c in naive_components(g, rest))
 
             cliques = maximal_cliques_in(g, g.full_mask & ~(1 << x) & ~(1 << y))
-            interiors = [mask_of(p) for p in paths]
-            hits, every = _path_hits(interiors, cliques)
+            hits, every = _path_hits(paths, cliques)
             assert every == (1 << len(paths)) - 1
+            path_sets = [set(bit_list(p)) for p in paths]
             for q1, h1 in zip(cliques, hits):
                 for q3, h3 in zip(cliques, hits):
                     union = set(bit_list(q1 | q3))
                     checked += 1
                     # the mask test says whether the union meets every path
-                    assert (h1 | h3 == every) == all(union & set(p) for p in paths)
+                    assert (h1 | h3 == every) == all(union & p for p in path_sets)
                     if h1 | h3 == every:
                         continue  # the search runs the separation BFS
                     skipped += 1
@@ -355,7 +396,8 @@ def test_disjoint_paths_match_naive(corpus_graphs):
     pairs = 0
     for g in _small_graphs(corpus_graphs):
         for x, y in _anchored_pairs(g):
-            assert _disjoint_paths(g, x, y) == naive_disjoint_paths(g, x, y)
+            want = [mask_of(p) for p in naive_disjoint_paths(g, x, y)]
+            assert _disjoint_paths(g, x, y, g.full_mask) == want
             pairs += 1
     assert pairs > 35000
 
@@ -483,26 +525,33 @@ def _naive_split(g, cut, x, y, within=None):
     return mask_of(lside), within & ~cut & ~mask_of(lside)
 
 
-def _assert_learned(g, x, y, cut, interior, within=None):
-    """`interior` is a non-empty mask whose vertices, with x and y, induce
-    a path from x to y that is a shortest one in G - cut, G the subgraph
-    induced on `within`; and it is the one `_shortest_interior` picks by
-    its tie rule, which fixes every later prune decision."""
-    assert interior and not interior & (cut | 1 << x | 1 << y)
+def _assert_x_y_path(g, x, y, interior):
+    """`interior` is a non-empty mask, without x and y, whose vertices with
+    x and y induce a path from x to y.  An induced path's vertex set fixes
+    its order, so equal masks say as much as equal vertex sequences."""
+    assert interior and not interior & (1 << x | 1 << y)
     on = interior | 1 << x | 1 << y
     degrees = {v: (g.mask(v) & on).bit_count() for v in bit_list(on)}
     assert degrees.pop(x) == degrees.pop(y) == 1
     assert set(degrees.values()) == {2}
     assert any({x, y} <= c for c in naive_components(g, set(bit_list(on))))
+
+
+def _assert_learned(g, x, y, cut, interior, within):
+    """`interior` is the interior of an induced x-y path that is a shortest
+    one in G - cut, G the subgraph induced on `within`; and it is the one
+    `oracles.naive_shortest_interior` picks by its tie rule, which fixes
+    every later prune decision."""
+    _assert_x_y_path(g, x, y, interior)
+    assert not interior & cut
     # breadth-first distance from x to y in G - cut, over vertex sets
-    within = g.full_mask if within is None else within
     assert not interior & ~within
     rest, reach, dist = within & ~cut, 1 << x, 0
     while not (reach >> y) & 1:
         reach |= mask_of(w for v in bit_list(reach) for w in bit_list(g.mask(v) & rest))
         dist += 1
     assert interior.bit_count() == dist - 1
-    assert interior == mask_of(_shortest_interior(g, x, y, rest))
+    assert interior == mask_of(naive_shortest_interior(g, x, y, set(bit_list(rest))))
 
 
 def test_learned_paths_avoid_their_cuts(corpus_graphs, monkeypatch):
@@ -511,12 +560,12 @@ def test_learned_paths_avoid_their_cuts(corpus_graphs, monkeypatch):
     separate = partition._separate
     learned = 0
 
-    def checked(g, cut, x, y, paths=None, within=None):
+    def checked(g, cut, x, y, paths, within):
         nonlocal learned
-        before = None if paths is None else len(paths)
+        before = len(paths)
         out = separate(g, cut, x, y, paths, within)
         assert out == _naive_split(g, cut, x, y, within)
-        if paths is not None and len(paths) > before:
+        if len(paths) > before:
             assert out is None and len(paths) == before + 1
             _assert_learned(g, x, y, cut, paths[-1], within)
             learned += 1
@@ -542,7 +591,7 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
     for g in _small_graphs(corpus_graphs):
         pairs = list(_anchored_pairs(g))
         for x, y in pairs[:: len(pairs) // 5 + 1]:
-            paths = [mask_of(p) for p in _disjoint_paths(g, x, y)]
+            paths = _disjoint_paths(g, x, y, g.full_mask)
             disjoint = paths[:]
             inside = [v for v in range(g.n) if v not in (x, y)]
             cuts = []
@@ -556,7 +605,7 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
             for _ in range(2):
                 for cut in cuts:
                     want = _naive_split(g, cut, x, y)
-                    assert _separate(g, cut, x, y) == want
+                    assert _separate(g, cut, x, y, [], g.full_mask) == want
                     # the BFS stops at the first layer that reaches y
                     layers = []
                     seen = component_mask(g, x, g.full_mask & ~cut, 1 << y, layers)
@@ -571,9 +620,9 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
                     ):
                         skipped_by_learned += 1
                     n_before = len(paths)
-                    assert _separate(g, cut, x, y, paths) == want
+                    assert _separate(g, cut, x, y, paths, g.full_mask) == want
                     if len(paths) > n_before:
-                        _assert_learned(g, x, y, cut, paths[-1])
+                        _assert_learned(g, x, y, cut, paths[-1], g.full_mask)
     assert skipped_by_learned > 150
 
 
