@@ -6,6 +6,10 @@ and tests can refer to vertices by number.  Every constructive generator
 validates its output (no induced square; Berge-checked up to a size cap) and
 reports departures with GeneratorWarning rather than failing, because some
 legal parameter choices, such as unit prism rungs, genuinely produce squares.
+A graph over `dimacs.MAX_VERTICES` vertices, which `read_col` could not read
+back, is refused with SpecError from its vertex count, before anything is
+built: by `PrismSpec`, `HyperprismSpec`, `gen_lk4_subdivision` and
+`gen_square_free_berge`.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
+from .dimacs import MAX_VERTICES
 from .errors import GenerationExhausted, SpecError
 from .graphs import Graph, contains_square, is_berge, iter_bits
 
@@ -24,6 +29,13 @@ class GeneratorWarning(UserWarning):
 
 # generated graphs up to this many vertices are Berge-checked
 _BERGE_CHECK_CAP = 20
+# candidate draws gen_square_free_berge makes before it gives up
+_MAX_ATTEMPTS = 64
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise SpecError(f"{n} vertices is over the limit of {MAX_VERTICES}")
 
 
 def _validate(g: Graph, what: str) -> None:
@@ -50,6 +62,7 @@ class PrismSpec:
             raise SpecError(f"prism needs three integer rung lengths >= 1, got {ls}")
         if len({x % 2 for x in ls}) != 1:
             raise SpecError(f"prism rung lengths must share parity, got {ls}")
+        _check_vertex_count(self.n)
 
     @property
     def n(self) -> int:
@@ -72,6 +85,7 @@ class HyperprismSpec:
             raise SpecError(f"rung lengths must be integers >= 1, got {self.strips}")
         if len({x % 2 for x in lengths}) != 1:
             raise SpecError(f"all rung lengths must share parity, got {self.strips}")
+        _check_vertex_count(self.n)
 
     @property
     def n(self) -> int:
@@ -125,17 +139,18 @@ def _strips_graph(strips: tuple[tuple[int, ...], ...], what: str) -> Graph:
 
 
 def line_graph(h: Graph) -> Graph:
-    """Vertices are h's edges in sorted order; adjacency is sharing an end."""
+    """Vertices are h's edges in sorted order; adjacency is sharing an end.
+    Each vertex of h lists its incident edges, and every two of them are
+    joined, so the time is linear in the size of the line graph."""
     he = h.edges()
-    n = len(he)
-    edges = []
-    for i in range(n):
-        a, b = he[i]
-        for j in range(i + 1, n):
-            c, d = he[j]
-            if a == c or a == d or b == c or b == d:
-                edges.append((i, j))
-    return Graph(n, edges)
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i, (a, b) in enumerate(he):
+        incident[a].append(i)
+        incident[b].append(i)
+    edges = [
+        (i, j) for ends in incident for k, i in enumerate(ends) for j in ends[k + 1:]
+    ]
+    return Graph(len(he), edges)
 
 
 # the four triangles of K4 in terms of edge indices 01,02,03,12,13,23
@@ -158,6 +173,7 @@ def gen_lk4_subdivision(lengths: tuple[int, ...]) -> Graph:
             raise SpecError(
                 f"triangle {t} has odd total length; the subdivision is not bipartite"
             )
+    _check_vertex_count(sum(lengths))  # one vertex per edge of the subdivided K4
     n = 4
     edges = []
     for (u, v), length in zip(_K4_EDGES, lengths):
@@ -255,12 +271,7 @@ def _random_hyperprism(rng: random.Random, n: int) -> Graph | None:
     return None
 
 
-def gen_square_free_berge(
-    n: int,
-    seed: int,
-    *,
-    max_attempts: int = 64,
-) -> Graph:
+def gen_square_free_berge(n: int, seed: int) -> Graph:
     """Seeded random square-free Berge graph on exactly n vertices.
 
     Draws a construction kind (sparse bipartite, line graph of a bipartite
@@ -272,11 +283,12 @@ def gen_square_free_berge(
     """
     if n < 0:
         raise SpecError(f"vertex count must be nonnegative, got {n}")
+    _check_vertex_count(n)
     if n == 0:
         return Graph(0)
     rng = random.Random(seed * 1_000_003 + n)
     kinds = ("bipartite", "line", "prism", "hyperprism")
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         kind = kinds[rng.randrange(len(kinds))]
         if kind == "bipartite":
             g = _random_bipartite(rng, n)
@@ -296,7 +308,7 @@ def gen_square_free_berge(
             continue
         return g
     raise GenerationExhausted(
-        f"no valid {n}-vertex graph within {max_attempts} attempts (seed {seed})"
+        f"no valid {n}-vertex graph within {_MAX_ATTEMPTS} attempts (seed {seed})"
     )
 
 

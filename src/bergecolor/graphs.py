@@ -125,21 +125,22 @@ class Graph:
 
 def component_mask(
     g: Graph,
-    start: int,
+    seeds: int,
     allowed: int,
     stop: int = 0,
     layers: list[int] | None = None,
 ) -> int:
-    """Connected component of `start` inside the induced subgraph on `allowed`.
+    """The vertices reachable from the mask `seeds` inside the induced
+    subgraph on `allowed`: with one seed, its connected component.
 
     The search runs breadth-first, one layer at a time.  With a `stop` mask
     it ends at the first layer that meets `stop`, and returns the vertices
-    seen up to and including that layer: the whole component exactly when
-    no vertex of it is in `stop`.  `layers`, if given, receives each layer
-    as a mask, `start`'s own first, so a caller can walk a shortest path
-    back from the stop layer without a second search."""
+    seen up to and including that layer: everything reachable exactly when
+    no reachable vertex is in `stop`.  `layers`, if given, receives each
+    layer as a mask, the seeds in `allowed` first, so a caller can walk a
+    shortest path back from the stop layer without a second search."""
     masks = g._masks
-    seen = frontier = (1 << start) & allowed
+    seen = frontier = seeds & allowed
     while frontier:
         if layers is not None:
             layers.append(frontier)
@@ -380,17 +381,12 @@ def _is_bipartite(g: Graph, allowed: int) -> bool:
     masks = g._masks
     rest = allowed
     while rest:
-        layer = seen = rest & -rest
-        while layer:
-            nxt = 0
+        layers: list[int] = []
+        rest &= ~component_mask(g, rest & -rest, allowed, 0, layers)
+        for layer in layers:
             for v in iter_bits(layer):
-                nb = masks[v] & allowed
-                if nb & layer:
+                if masks[v] & layer:
                     return False
-                nxt |= nb
-            layer = nxt & ~seen
-            seen |= layer
-        rest &= ~seen
     return True
 
 

@@ -149,12 +149,12 @@ def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | 
 
     Returns (u, p1, ..., pt, v) with u in K3, v in K1, interior in L, no
     interior vertex complete to K1, chordless once K1-K3 edges are ignored.
-    Search: restrict L to L'' (drop K1-complete vertices), and run a BFS by
-    layers in L'' from all of {has a K3-neighbor}, stopping at the first
+    Search: restrict L to L'' (drop K1-complete vertices), and run one BFS
+    by layers in L'' from all of {has a K3-neighbor}, stopping at the first
     layer that meets {has a K1-neighbor}.  The interior ends at the lowest
-    vertex there and is walked back through the layers, each step to the
-    lowest-id neighbour in the layer before; any shortest L''-path plus its
-    endpoint attachments is automatically chordless.
+    vertex there and is walked back through the layers (`_walk_back`); any
+    shortest L''-path plus its endpoint attachments is automatically
+    chordless.
 
     L'' and the two end sets come from three masks over the cut, not from a
     look at each vertex of L: the union of K1's neighbourhoods, their
@@ -173,29 +173,14 @@ def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | 
     bad = l2 & nk1
     if start == 0 or bad == 0:
         return None
-    layers = [start]
-    seen = start
-    hit = start & bad
-    while not hit:
-        nxt = 0
-        frontier = layers[-1]
-        while frontier:
-            low = frontier & -frontier
-            nxt |= masks[low.bit_length() - 1]
-            frontier ^= low
-        nxt &= l2 & ~seen
-        if not nxt:
-            return None
-        seen |= nxt
-        layers.append(nxt)
-        hit = nxt & bad
-    t = (hit & -hit).bit_length() - 1
-    interior = [t]
-    for layer in reversed(layers[:-1]):
-        back = layer & masks[t]
-        t = (back & -back).bit_length() - 1
-        interior.append(t)
-    interior.reverse()
+    layers: list[int] = []
+    component_mask(g, start, l2, bad, layers)
+    hit = layers[-1] & bad
+    if not hit:
+        return None
+    hit &= -hit
+    on_path = hit | _walk_back(g, layers[:-1], hit.bit_length() - 1)
+    interior = [(layer & on_path).bit_length() - 1 for layer in layers]
 
     first_k3 = masks[interior[0]] & k3m
     last_k1 = masks[interior[-1]] & k1m
@@ -267,6 +252,20 @@ def _verify_masks(
     return PartitionVerdict(False, "v", None)
 
 
+def _walk_back(g: Graph, layers: list[int], t: int) -> int:
+    """One vertex of each BFS layer in `layers`, as a mask: walking back
+    from vertex t, which lies in the layer after the last, each step goes to
+    the lowest-id neighbour, in the layer before, of the vertex reached."""
+    masks = g._masks
+    out = 0
+    for layer in reversed(layers):
+        back = layer & masks[t]
+        back &= -back
+        out |= back
+        t = back.bit_length() - 1
+    return out
+
+
 def _separate(
     g: Graph, cut: int, x: int, y: int, paths: list[int], within: int
 ) -> tuple[int, int] | None:
@@ -277,26 +276,17 @@ def _separate(
 
     Otherwise one BFS from x answers: it stops at the first layer that
     reaches y, so a connected x and y cost only the layers up to y's.  Its
-    layers then yield the interior of a shortest x-y path of G - cut,
-    walked back from y to the lowest-id neighbour in each earlier layer,
-    and it is appended to `paths`."""
+    layers between x's and y's then yield the interior of a shortest x-y
+    path of G - cut (`_walk_back` from y), which is appended to `paths`."""
     for pm in paths:
         if not cut & pm:
             return None
     rest = within & ~cut
     ybit = 1 << y
     layers: list[int] = []
-    lmask = component_mask(g, x, rest, ybit, layers)
+    lmask = component_mask(g, 1 << x, rest, ybit, layers)
     if lmask & ybit:
-        masks = g._masks
-        interior = 0
-        t = y
-        for layer in reversed(layers[1:-1]):
-            back = layer & masks[t]
-            back &= -back
-            interior |= back
-            t = back.bit_length() - 1
-        paths.append(interior)
+        paths.append(_walk_back(g, layers[1:-1], y))
         return None
     return lmask, rest & ~lmask
 

@@ -203,7 +203,7 @@ def bichromatic_component(
     allowed = c.members(pair[0]) | c.members(pair[1])
     if not allowed >> u & 1:
         raise ValueError(f"vertex {u} does not carry a color from {pair}")
-    return component_mask(g, u, allowed)
+    return component_mask(g, 1 << u, allowed)
 
 
 def apply_swap(
@@ -228,6 +228,8 @@ class SwapCandidate:
     side: int  # 1 swaps the coloring of G minus R, 2 the coloring of G minus L
     seed: int
     pair: tuple[int, int]
+    component: int  # the seed's two-colored component, as a mask
+    coloring: PartialColoring  # the side's coloring after the swap
     cls: str = "general"  # "free" when found in the free-vertex phase
 
 
@@ -283,41 +285,47 @@ def find_reducing_swap(
     pair, side 1 then 2), then every (side, seed in K3, color pair containing
     the seed's color) lexicographically.  Candidates whose two-colored
     component touches K1 ∪ K2 are discarded outright; the rest are simulated
-    and accepted only on strict improvement.  Returns None when nothing
-    reduces, which for a genuine square-free Berge input cannot happen.
+    and accepted only on strict improvement.  The candidate returned carries
+    the component and the swapped coloring of its simulation.  Returns None
+    when nothing reduces, which for a genuine square-free Berge input cannot
+    happen.
     """
     k12m = p.k1 | p.k2
     base = len(bad)
-    sides = {1: c1, 2: c2}
+    sides = ((1, c1), (2, c2))
 
-    def reduces(side: int, seed: int, pair: tuple[int, int]) -> bool:
-        ch = sides[side]
+    def simulate(
+        side: int, ch: PartialColoring, seed: int, pair: tuple[int, int], cls: str = "general"
+    ) -> SwapCandidate | None:
         comp = bichromatic_component(g, ch, seed, pair)
         if comp & k12m:
-            return False
+            return None
         swapped = apply_swap(ch, comp, pair)
         a, b = (swapped, c2) if side == 1 else (c1, swapped)
-        return _disagreement(a, b, p.k3).bit_count() < base
+        if _disagreement(a, b, p.k3).bit_count() >= base:
+            return None
+        return SwapCandidate(side, seed, pair, comp, swapped, cls)
 
     for u in bad:
         a, b = c1.color_of(u), c2.color_of(u)
         pair = (min(a, b), max(a, b))
-        for side in (1, 2):
-            if reduces(side, u, pair):
-                return SwapCandidate(side, u, pair, cls="free")
+        for side, ch in sides:
+            cand = simulate(side, ch, u, pair, "free")
+            if cand is not None:
+                return cand
 
     palette = max(c1.max_color(), c2.max_color())
     seeds = bit_list(p.k3)
-    for side in (1, 2):
-        ch = sides[side]
+    for side, ch in sides:
         for seed in seeds:
             sc = ch.color_of(seed)
             for i in range(1, palette + 1):
                 for j in range(i + 1, palette + 1):
                     if sc != i and sc != j:
                         continue
-                    if reduces(side, seed, (i, j)):
-                        return SwapCandidate(side, seed, (i, j))
+                    cand = simulate(side, ch, seed, (i, j))
+                    if cand is not None:
+                        return cand
     return None
 
 
@@ -360,16 +368,13 @@ def merge_colorings(
                 f"no swap reduces the bad set {bad}; "
                 "the input cannot be square-free Berge"
             )
-        ch = cur1 if cand.side == 1 else cur2
-        comp = bichromatic_component(g, ch, cand.seed, cand.pair)
-        swapped = apply_swap(ch, comp, cand.pair)
         if cand.side == 1:
-            cur1 = swapped
+            cur1 = cand.coloring
         else:
-            cur2 = swapped
+            cur2 = cand.coloring
         # a swap may never harm: still proper, anchor agreement intact,
         # strictly fewer bad vertices
-        if not _proper_after_swap(g, swapped, comp):
+        if not _proper_after_swap(g, cand.coloring, cand.component):
             raise InternalViolation("swap produced an improper side coloring")
         if _disagreement(cur1, cur2, k12m):
             raise InternalViolation("swap disturbed the K1 ∪ K2 agreement")

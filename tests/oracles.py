@@ -7,6 +7,7 @@ adjacency.  Keep these dumb; their only virtue is being obviously correct.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 from bergecolor import DimacsError, Frame, Graph, refine_frame
@@ -312,6 +313,60 @@ def naive_components(g: Graph, allowed: set[int]) -> list[set[int]]:
         out.append(comp)
         left -= comp
     return out
+
+
+def naive_bfs_layers(g: Graph, seeds: set[int], allowed: set[int], stop: set[int]) -> list[set[int]]:
+    """The vertices of `allowed` reachable from `seeds` inside it, grouped by
+    distance from the nearest seed, up to and including the first group
+    that meets `stop`."""
+    dist = {v: 0 for v in seeds & allowed}
+    queue = deque(sorted(dist))
+    while queue:
+        v = queue.popleft()
+        for u in g.neighbors(v):
+            if u in allowed and u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    layers = [set() for _ in range(max(dist.values(), default=-1) + 1)]
+    for v, d in dist.items():
+        layers[d].add(v)
+    for i, layer in enumerate(layers):
+        if layer & stop:
+            return layers[: i + 1]
+    return layers
+
+
+def naive_is_bipartite(g: Graph, allowed: set[int]) -> bool:
+    """Whether the subgraph induced on `allowed` has a proper 2-colouring,
+    grown by depth-first search from each uncoloured vertex."""
+    side: dict[int, int] = {}
+    for s in sorted(allowed):
+        if s in side:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u not in allowed:
+                    continue
+                if u not in side:
+                    side[u] = 1 - side[v]
+                    stack.append(u)
+                elif side[u] == side[v]:
+                    return False
+    return True
+
+
+def naive_line_graph(h: Graph) -> Graph:
+    """The line graph by comparing every pair of h's edges, sorted."""
+    he = h.edges()
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(he)), 2)
+        if set(he[i]) & set(he[j])
+    ]
+    return Graph(len(he), edges)
 
 
 def _chordless_k1_k3_paths_ok(g: Graph, k1, k3, l) -> bool:

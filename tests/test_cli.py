@@ -32,7 +32,7 @@ from bergecolor import (
     verify_coloring,
     write_col,
 )
-from bergecolor import cli, solver
+from bergecolor import cli, generators, solver
 from bergecolor.cli import build_parser, main
 from bergecolor.graphs import mask_of, maximal_cliques_in
 
@@ -659,13 +659,12 @@ def test_gen_bad_params(tmp_path, capsys):
 )
 def test_gen_over_the_vertex_limit_builds_nothing(tmp_path, capsys, monkeypatch, params, n):
     # `color` refuses a file over the parser's vertex limit, so `gen` refuses
-    # to write one, from the vertex count alone; the builders are stubbed
-    # out, since building such a graph runs out of memory or time
+    # to write one, from the vertex count alone; the generators' Graph is
+    # stubbed out, since building such a graph runs out of memory or time
     def unbuilt(*args, **kwargs):
         raise AssertionError("a graph over the vertex limit was built")
 
-    for name in ("gen_prism", "gen_hyperprism", "gen_lk4_subdivision", "gen_square_free_berge"):
-        monkeypatch.setattr(cli, name, unbuilt)
+    monkeypatch.setattr(generators, "Graph", unbuilt)
     out = str(tmp_path / "huge.col")
     assert main(["gen", *params, "-o", out]) == 1
     assert capsys.readouterr().err == f"error: {n} vertices is over the limit of 1000000\n"

@@ -1,6 +1,7 @@
 """Tests for the instance generators: parameter validation, frozen labelings,
 structural invariants, and the determinism of the seeded random family."""
 
+import random
 import warnings
 
 import pytest
@@ -22,6 +23,7 @@ from bergecolor import (
     omega,
     sidecar_metadata,
 )
+from bergecolor import generators
 
 from conftest import (
     EVEN_PRISMS,
@@ -31,7 +33,7 @@ from conftest import (
     complete,
     cycle,
 )
-from oracles import contains_induced_prism
+from oracles import contains_induced_prism, naive_line_graph
 
 
 # ------------------------------------------------------------ spec validation
@@ -78,6 +80,27 @@ def test_hyperprism_spec_vertex_count():
 def test_lk4_lengths_rejected(lengths):
     with pytest.raises(SpecError):
         gen_lk4_subdivision(lengths)
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (lambda: PrismSpec((10000000001, 1, 1)), 10000000006),
+        (lambda: HyperprismSpec(((10000000001,), (1,), (1,))), 10000000006),
+        (lambda: gen_lk4_subdivision((1000000, 2, 2, 2, 2, 2)), 1000010),
+        (lambda: gen_square_free_berge(10000000000, 0), 10000000000),
+    ],
+)
+def test_over_the_vertex_limit_is_refused_before_building(monkeypatch, build, n):
+    # a graph that read_col could not read back is refused from its vertex
+    # count; Graph is stubbed out, since building one runs out of memory
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a graph over the vertex limit was built")
+
+    monkeypatch.setattr(generators, "Graph", unbuilt)
+    with pytest.raises(SpecError) as exc:
+        build()
+    assert str(exc.value) == f"{n} vertices is over the limit of 1000000"
 
 
 # -------------------------------------------------------------------- prisms
@@ -202,6 +225,15 @@ def test_line_graph_of_edgeless():
     assert line_graph(Graph(3)).n == 0
 
 
+def test_line_graph_matches_the_pairwise_reference():
+    rng = random.Random(5)
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        h = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        assert line_graph(h) == naive_line_graph(h)
+
+
 # ----------------------------------------------------------- lk4 subdivision
 
 
@@ -281,9 +313,10 @@ def test_random_output_is_berge_when_checkable():
             assert is_berge(g).ok, (n, seed)
 
 
-def test_random_exhaustion_is_loud():
+def test_random_exhaustion_is_loud(monkeypatch):
+    monkeypatch.setattr(generators, "_MAX_ATTEMPTS", 0)
     with pytest.raises(GenerationExhausted):
-        gen_square_free_berge(10, 0, max_attempts=0)
+        gen_square_free_berge(10, 0)
 
 
 # ------------------------------------------------------------------- sidecar

@@ -20,9 +20,11 @@ from bergecolor import (
 from bergecolor.graphs import (
     _count_triads,
     _find_odd_hole,
+    _is_bipartite,
     _peel,
     bit_list,
     cliques_within,
+    component_mask,
     iter_bits,
     mask_of,
     maximal_cliques_in,
@@ -30,7 +32,9 @@ from bergecolor.graphs import (
 
 from conftest import complete, complete_minus_star, cycle, path_graph
 from oracles import (
+    naive_bfs_layers,
     naive_is_berge,
+    naive_is_bipartite,
     naive_maximal_cliques,
     naive_maximal_cliques_in,
     naive_odd_hole,
@@ -113,6 +117,42 @@ def test_subgraph_matches_an_edge_list_rebuild():
         assert keep == want_keep
         assert [h.mask(v) for v in range(h.n)] == [want.mask(v) for v in range(want.n)]
         assert (h.n, h.m) == (want.n, want.m)
+
+
+def _random_subset(rng: random.Random, n: int) -> set[int]:
+    p = rng.random()
+    return {v for v in range(n) if rng.random() < p}
+
+
+def test_component_mask_matches_a_multi_source_bfs():
+    # several seeds, some outside `allowed`, with and without a stop mask:
+    # the layers are the reference's distance groups, and the mask returned
+    # is their union
+    rng = random.Random(23)
+    for _ in range(2000):
+        n = rng.randint(0, 14)
+        g = _random_graph(rng, n)
+        seeds, allowed = _random_subset(rng, n), _random_subset(rng, n)
+        stop = _random_subset(rng, n) if rng.random() < 0.6 else set()
+        want = naive_bfs_layers(g, seeds, allowed, stop)
+        layers = []
+        seen = component_mask(g, mask_of(seeds), mask_of(allowed), mask_of(stop), layers)
+        assert layers == [mask_of(layer) for layer in want]
+        assert seen == mask_of(set().union(*want))
+        assert component_mask(g, mask_of(seeds), mask_of(allowed), mask_of(stop)) == seen
+
+
+def test_is_bipartite_matches_a_two_colouring():
+    rng = random.Random(29)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(0, 14)
+        g = _random_graph(rng, n)
+        allowed = _random_subset(rng, n)
+        want = naive_is_bipartite(g, allowed)
+        assert _is_bipartite(g, mask_of(allowed)) is want
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 300
 
 
 def test_cliques_within_matches_a_fresh_search(corpus_graphs):

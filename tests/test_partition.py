@@ -608,7 +608,7 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
                     assert _separate(g, cut, x, y, [], g.full_mask) == want
                     # the BFS stops at the first layer that reaches y
                     layers = []
-                    seen = component_mask(g, x, g.full_mask & ~cut, 1 << y, layers)
+                    seen = component_mask(g, 1 << x, g.full_mask & ~cut, 1 << y, layers)
                     assert seen == mask_of(v for m in layers for v in bit_list(m))
                     if want is None:
                         assert [m >> y & 1 for m in layers] == [0] * (len(layers) - 1) + [1]

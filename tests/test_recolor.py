@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -416,29 +417,20 @@ def _prism_merge():
 
 
 def test_merge_raises_on_a_swapped_vertex_moved_into_a_neighbours_class(monkeypatch):
-    # the swap the merge applies, as against those it simulates, comes after
-    # find_reducing_swap returns; one of its vertices is moved into the class
-    # of a neighbour
+    # the merge applies the swapped coloring that find_reducing_swap
+    # simulated; in each candidate it returns, one swapped vertex is moved
+    # into the class of a neighbour
     g, part, c1, c2, k = _prism_merge()
-    search, swap = recolor.find_reducing_swap, recolor.apply_swap
-    chosen = []
+    search = recolor.find_reducing_swap
 
     def searched(*args):
         cand = search(*args)
-        chosen.append(cand)
-        return cand
-
-    def swapped(c, comp, pair):
-        out = swap(c, comp, pair)
-        if not chosen:
-            return out
-        chosen.clear()
-        v = bit_list(comp)[0]
+        out = cand.coloring
+        v = bit_list(cand.component)[0]
         u = bit_list(g.mask(v) & out.vertices())[0]
-        return _moved(out, v, out.color_of(u))
+        return dataclasses.replace(cand, coloring=_moved(out, v, out.color_of(u)))
 
     monkeypatch.setattr(recolor, "find_reducing_swap", searched)
-    monkeypatch.setattr(recolor, "apply_swap", swapped)
     with pytest.raises(InternalViolation, match="improper side coloring"):
         merge_colorings(g, part, c1, c2, k)
 
