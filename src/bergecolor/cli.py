@@ -157,7 +157,14 @@ def cmd_color(args) -> int:
         if args.tree.endswith(".dot"):
             atomic_write(args.tree, tree_to_dot(result.tree))
         else:
-            atomic_write(args.tree, _json_text(tree_to_json(result.tree)))
+            # one compact node per line: json's C encoder runs only without
+            # indent, and the file stays diffable node by node
+            doc = tree_to_json(result.tree)
+            nodes = ",\n".join(json.dumps(node, sort_keys=True) for node in doc["nodes"])
+            atomic_write(
+                args.tree,
+                f'{{"nodes": [\n{nodes}\n], "schema": {json.dumps(doc["schema"])}}}\n',
+            )
     print(
         f"colored {g.n} vertices with {result.colors_used} colors",
         file=sys.stderr,

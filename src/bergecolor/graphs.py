@@ -395,7 +395,7 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
 
     Paths are grown from their smallest vertex, so each hole is seen with a
     canonical anchor; the search order is fixed, hence the result is
-    deterministic.  Two cheap steps come first:
+    deterministic.  Three cheap steps cut the search:
 
     - Peel: no simplicial vertex lies on a hole (a hole vertex has two
       non-adjacent neighbours on it), so every hole survives in the core
@@ -405,6 +405,12 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     - Bipartite core: a core with no odd cycle has no odd hole.  (An odd
       cycle in a triangle-free core always yields one, since a shortest
       odd cycle is chordless; the search below then names it.)
+    - Re-peel: a hole whose lowest vertex is above s lies in what is left
+      once s is removed, so after the search from s the rest is peeled
+      again.  Removing s changes only its neighbours' neighbourhoods, so
+      the peel is seeded with them.  A vertex simplicial in the rest lies on
+      no hole in it, so the later searches skip only branches that close
+      no hole, and the first hole found stays the same.
 
     The DFS keeps an explicit stack, so a long hole stays clear of the
     recursion limit.  Worst case exponential on cores with triangles.
@@ -413,8 +419,10 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     if _is_bipartite(g, core):
         return None
     masks = g._masks
-    for s in iter_bits(core):
-        above = core & ~((2 << s) - 1)
+    rest = core
+    while rest:
+        s = (rest & -rest).bit_length() - 1
+        above = rest ^ (1 << s)
         ns = masks[s] & above
         path = [s]
         # one entry per path vertex: its extensions not yet tried, the
@@ -440,6 +448,7 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
                 if closers:
                     return tuple(path) + ((closers & -closers).bit_length() - 1,)
             stack.append((nw & above & ~pathmask & ~forbid & ~ns, forbid | nw, pathmask))
+        rest = above & ~mask_of(v for v, _ in _peel(g, ns, above))
     return None
 
 

@@ -240,7 +240,13 @@ def test_color_deep_tree_writes_json(tmp_path, monkeypatch):
         doc = json.load(fh)  # at the default recursion limit
     stats = json.load(open(rep_f))["stats"]
     (tree,) = trees
-    assert tree_f.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # one compact node per line; comparing through a bool keeps pytest from
+    # diffing two multi-megabyte strings when they differ
+    want = ('{"nodes": [\n'
+            + ",\n".join(json.dumps(node, sort_keys=True) for node in doc["nodes"])
+            + '\n], "schema": "bergecolor-tree/3"}\n')
+    same = tree_f.read_text() == want
+    assert same, "the tree file is not one compact JSON node per line"
     assert doc == tree_to_json(tree)
     assert doc["nodes"][0]["vertices"] == list(range(n))
     assert len(doc["nodes"]) == stats["node_count"] == tree.node_count()

@@ -11,6 +11,7 @@ from bergecolor import (
     NotSquareFree,
     contains_square,
     find_triads,
+    gen_square_free_berge,
     is_berge,
     maximal_cliques,
     omega,
@@ -307,6 +308,39 @@ def test_odd_hole_witness_is_the_ordered_search_witness(g):
 @settings(max_examples=400, deadline=None)
 def test_odd_hole_witness_on_cycles_with_trees_and_chords(g):
     assert _find_odd_hole(g) == naive_odd_hole(g)
+
+
+def _glue_odd_hole(rng: random.Random, g: Graph) -> tuple[Graph, set[int]]:
+    """g with a C5, C7, C9 or C11 glued on along one vertex or one edge,
+    relabelled at random with the hole's lowest vertex above 0, and the
+    hole's vertices.  The glued vertex or edge is a clique cutset, so the
+    hole is the only odd hole when g is Berge."""
+    k = rng.choice((5, 7, 9, 11))
+    edges = g.edges()
+    shared = list(rng.choice(edges)) if edges and rng.random() < 0.5 else [rng.randrange(g.n)]
+    hole = shared + list(range(g.n, g.n + k - len(shared)))
+    edges += [(hole[i], hole[(i + 1) % k]) for i in range(k)]
+    n = g.n + k - len(shared)
+    label = list(range(n))
+    rng.shuffle(label)
+    zero = label.index(0)
+    if zero in hole:
+        other = rng.choice([v for v in range(n) if v not in hole])
+        label[zero], label[other] = label[other], 0
+    return Graph(n, [(label[u], label[v]) for u, v in edges]), {label[v] for v in hole}
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_odd_hole_witness_on_larger_draws(seed):
+    # at n <= 12 the re-peel after each start vertex rarely cascades; here
+    # each square-free Berge draw has 20 to 60 vertices
+    rng = random.Random(seed)
+    g, hole = _glue_odd_hole(rng, gen_square_free_berge(rng.randint(20, 60), seed))
+    found = _find_odd_hole(g)
+    assert found == naive_odd_hole(g)
+    assert set(found) == hole and min(hole) > 0
+    plain = gen_square_free_berge(rng.randint(40, 60), seed)
+    assert _find_odd_hole(plain) == naive_odd_hole(plain) is None
 
 
 @given(graphs(max_n=10), st.randoms(use_true_random=False))
