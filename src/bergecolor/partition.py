@@ -330,30 +330,6 @@ def _truncated_side(g: Graph, side: int, other: int, cv: int | None) -> int:
     return mask_of(order[order.index(cv):])
 
 
-def _emit(
-    g: Graph,
-    frame: Frame,
-    k1m: int,
-    k2m: int,
-    k3m: int,
-    lm: int,
-    rm: int,
-    within: int,
-) -> GoodPartition:
-    """The five masks, verified as a good partition of the subgraph induced
-    on `within`, as a partition carrying the frame's anchor pair and the
-    triad its verification found for condition (v)."""
-    verdict = _verify_masks(g, (k1m, k2m, k3m, lm, rm), within)
-    if not verdict:
-        raise InternalViolation(
-            f"refinement emitted a bad partition: condition {verdict.condition}, "
-            f"witness {verdict.witness}"
-        )
-    return GoodPartition(
-        k1m, k2m, k3m, lm, rm, anchor=(frame.x, frame.y), triad=verdict.witness
-    )
-
-
 def refine_frame(
     g: Graph,
     frame: Frame,
@@ -366,20 +342,22 @@ def refine_frame(
     cliques and anchors must be.
 
     Step 1 cuts each side of the frame down to its anchored tail and drops
-    sides with no anchor.  Then one loop runs the connectivity split, which
-    kills the frame the moment x and y fall into one component, and makes
-    one repair: a condition (iii) violation shrinks K'1 around the last
-    interior vertex of a shortest violating path; failing that, a condition
-    (iv) violation shrinks K'3 away from the neighborhood of an L-vertex
-    seeing both sides; failing both, the partition is emitted.  With K'1 or
-    K'3 empty neither condition can fail.  Every repair strictly shrinks the
-    working cutset.
+    sides with no anchor.  Then each turn of one loop separates, verifies,
+    and returns or repairs.  The connectivity split kills the frame the
+    moment x and y fall into one component; otherwise the five sets go to
+    the verifier (`_verify_masks`).  A passing verdict is returned, and a
+    failing one is repaired by what it names: a condition (iii) path
+    shrinks K'1 around its last interior vertex, and a condition (iv)
+    vertex, an L-vertex seeing both sides, shrinks K'3 away from its
+    neighborhood.  With K'1 or K'3 empty neither condition can fail.  Every
+    repair strictly shrinks the working cutset.
     `paths`, if given, is the search's list of x-y path interiors (see
     `_separate`): a cutset that misses one of them kills the frame without
     a BFS, and each BFS that finds x and y connected adds one.
-    The partition returned has been verified, and carries the frame's anchor
-    pair and its (v) triad; a verification failure here means a bug, not
-    bad input, and raises InternalViolation.
+    The partition returned is one the verifier passed, and carries the
+    frame's anchor pair and its (v) triad.  Any other failing condition
+    means a bug, not bad input, and raises InternalViolation; so does a
+    frame whose Q1 or Q3 is not a clique, at the first turn.
     """
     if within is None:
         within = g.full_mask
@@ -399,22 +377,28 @@ def refine_frame(
         if sep is None:
             return None
         lm, rm = sep
-        path = _violating_path(g, k1m, k3m, lm)
-        if path is not None:
-            nv = g.mask(path[-2])
+        verdict = _verify_masks(g, (k1m, k2m, k3m, lm, rm), within)
+        if verdict:
+            return GoodPartition(
+                k1m, k2m, k3m, lm, rm, anchor=(x, y), triad=verdict.witness
+            )
+        if verdict.condition == "iii":
+            nv = g.mask(verdict.witness[-2])
             new_k1 = k1m & nv if (nv >> c1v) & 1 else k1m & ~nv
             if new_k1 == k1m or not (new_k1 >> c1v) & 1:
                 raise InternalViolation("condition (iii) repair did not shrink K'1")
             k1m = new_k1
-        else:
+        elif verdict.condition == "iv":
             # any shrink of K'3 can enlarge L', so (iii) is tested again
-            u = _both_sides_vertex(g, k1m, k3m, lm)
-            if u is None:
-                return _emit(g, frame, k1m, k2m, k3m, lm, rm, within)
-            new_k3 = k3m & ~g.mask(u)
+            new_k3 = k3m & ~g.mask(verdict.witness[0])
             if new_k3 == k3m:
                 raise InternalViolation("condition (iv) repair did not shrink K'3")
             k3m = new_k3
+        else:
+            raise InternalViolation(
+                f"refinement emitted a bad partition: condition {verdict.condition}, "
+                f"witness {verdict.witness}"
+            )
         repairs += 1
         if repairs > budget:
             raise InternalViolation("refinement exceeded its shrink budget")
@@ -521,7 +505,7 @@ def find_good_partition(
       by `_disjoint_paths`.  Each clique gets a bitmask of the paths its
       vertices hit; a pair whose two masks together miss a path leaves that
       path in G - (Q1 ∪ Q3) and is skipped unseen.  Only pairs that hit
-      every path run the separation test, once per distinct union.
+      every path run the separation test.
     * Row skip.  When no clique's mask covers the paths Q1 misses, every
       pair in Q1's row fails the path prune, so the row is skipped whole.
     * Learned paths.  Each anchor pair keeps one list of x-y path
@@ -530,7 +514,10 @@ def find_good_partition(
       interior of a shortest x-y path of G minus its cutset.  A later union
       or refinement cutset that misses a listed interior leaves that path
       whole, so it is answered "connected" without a BFS (Menger's argument
-      again).  This skips BFS runs only; which pairs are skipped and which
+      again).  Learned paths answer repeated unions: one that left x and y
+      connected misses the path its first test learned, and only a union
+      that separates x from y, and whose frames all fail, runs its BFS
+      again.  This skips BFS runs only; which pairs are skipped and which
       frames are tried, and so both counters, stay as they were.
 
     `within`, a vertex mask, restricts the search to the subgraph G induced
@@ -564,20 +551,12 @@ def find_good_partition(
         kinds = set(hits)
         # rows of Q1 with such a mask hold a pair that hits every path
         open_kinds = {a for a in kinds if any(a | b == every for b in kinds)}
-        union_ok: dict[int, bool] = {}
         for q1m, h1 in zip(masks, hits):
             if h1 not in open_kinds:
                 pruned += len(masks)
                 continue
             for q3m, h3 in zip(masks, hits):
-                ok = False
-                if h1 | h3 == every:
-                    um = q1m | q3m
-                    ok = union_ok.get(um)
-                    if ok is None:
-                        ok = _separate(g, um, x, y, paths, within) is not None
-                        union_ok[um] = ok
-                if not ok:
+                if h1 | h3 != every or _separate(g, q1m | q3m, x, y, paths, within) is None:
                     pruned += 1
                     continue
                 for c1, c3 in _frame_choices(q1m, q3m):

@@ -286,7 +286,8 @@ def _solve(
         peeled = _peel(g, seeds, keep)
         node = TreeNode(vertices=keep, peeled=tuple(v for v, _ in peeled))
         core = keep & ~mask_of(v for v, _ in peeled)
-        cliques = cliques_within(g, cliques, core)
+        # an empty core, a leaf's, needs no cliques; its search finds no pair
+        cliques = cliques_within(g, cliques, core) if core else []
         gp = find_good_partition(g, fstats, cliques=cliques, start=start, within=core)
         visited.append((node, core, peeled, gp))
         if gp is None:

@@ -237,6 +237,55 @@ def test_refine_frame_repair_past_its_budget_is_internal(monkeypatch):
         refine_frame(_prism(), _HAND_WORKED)
 
 
+def test_refine_frame_never_returns_a_rejected_partition(monkeypatch):
+    # a verdict that fails on a condition no repair handles is a bug
+    monkeypatch.setattr(partition, "_clique_defect", lambda g, m: (1, 2))
+    with pytest.raises(InternalViolation, match="emitted a bad partition: condition ii"):
+        refine_frame(_prism(), _HAND_WORKED)
+
+
+# Real frames whose refinement repairs condition (iv) once, at the vertex
+# given, and then returns (K1, K2, K3, L, R) or dies.  The searches of the
+# benchmark workloads never meet such a repair.
+_IV_REPAIRS = [
+    (
+        (6, 4),
+        Frame(q1=0b11, q3=0b1100, x=4, y=5, c1=1, c3=3),
+        4,
+        ([1], [], [2], [3, 4], [0, 5]),
+    ),
+    (
+        (7, 2),
+        Frame(q1=0b110, q3=0b11000, x=0, y=6, c1=2, c3=3),
+        0,
+        ([2], [], [4], [0, 3, 5], [1, 6]),
+    ),
+    ((6, 5), Frame(q1=0b100001, q3=0b1100, x=4, y=1, c1=5, c3=3), 4, None),
+]
+
+
+@pytest.mark.parametrize("draw, frame, vertex, sets", _IV_REPAIRS)
+def test_refine_frame_repairs_condition_iv(monkeypatch, draw, frame, vertex, sets):
+    witnesses = []
+    both_sides = partition._both_sides_vertex
+
+    def spy(*args):
+        u = both_sides(*args)
+        if u is not None:
+            witnesses.append(u)
+        return u
+
+    monkeypatch.setattr(partition, "_both_sides_vertex", spy)
+    g = gen_square_free_berge(*draw)
+    part = refine_frame(g, frame)
+    assert witnesses == [vertex]
+    if sets is None:
+        assert part is None
+    else:
+        assert tuple(bit_list(m) for m in part.sets()) == sets
+        assert verify_good_partition(g, part).ok
+
+
 def test_refine_frame_output_always_verifies(corpus_graphs):
     # every partition a refinement emits must pass the checker (it re-verifies
     # internally; this guards the guard)
