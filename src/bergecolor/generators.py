@@ -2,10 +2,12 @@
 and seeded random square-free Berge graphs.
 
 Labeling is stable and documented per generator so that runs, DIMACS files,
-and tests can refer to vertices by number.  Every constructive generator
-validates its output (no induced square; Berge-checked up to a size cap) and
-reports departures with GeneratorWarning rather than failing, because some
-legal parameter choices, such as unit prism rungs, genuinely produce squares.
+and tests can refer to vertices by number.  Every named generator validates
+its output (no induced square; Berge-checked up to a size cap) and reports
+departures with GeneratorWarning rather than failing, because some legal
+parameter choices, such as unit prism rungs, genuinely produce squares.
+`gen_square_free_berge` runs the same checks once per candidate, as a
+filter.
 A graph over `dimacs.MAX_VERTICES` vertices, which `read_col` could not read
 back, is refused with SpecError from its vertex count, before anything is
 built: by `PrismSpec`, `HyperprismSpec`, `gen_lk4_subdivision` and
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .dimacs import MAX_VERTICES
 from .errors import GenerationExhausted, SpecError
-from .graphs import Graph, contains_square, is_berge, iter_bits
+from .graphs import Graph, contains_square, is_berge
 
 
 class GeneratorWarning(UserWarning):
@@ -100,7 +102,9 @@ def gen_prism(spec: PrismSpec) -> Graph:
     from i to 3+i, its interior vertices numbered consecutively from 6,
     rung by rung.
     """
-    return _strips_graph(tuple((x,) for x in spec.lengths), f"prism{spec.lengths}")
+    g = _strips_graph(tuple((x,) for x in spec.lengths))
+    _validate(g, f"prism{spec.lengths}")
+    return g
 
 
 def gen_hyperprism(spec: HyperprismSpec) -> Graph:
@@ -112,10 +116,15 @@ def gen_hyperprism(spec: HyperprismSpec) -> Graph:
     R..2R-1, and interiors follow rung by rung.  With one rung per strip this
     is gen_prism's labeling.
     """
-    return _strips_graph(spec.strips, f"hyperprism{spec.strips}")
+    g = _strips_graph(spec.strips)
+    _validate(g, f"hyperprism{spec.strips}")
+    return g
 
 
-def _strips_graph(strips: tuple[tuple[int, ...], ...], what: str) -> Graph:
+def _strips_graph(strips: tuple[tuple[int, ...], ...]) -> Graph:
+    """The hyperprism of `strips`, labeled as in gen_hyperprism, built but
+    not validated: gen_prism and gen_hyperprism validate what they return,
+    and gen_square_free_berge filters its candidates itself."""
     rungs = [
         (strip_idx, length)
         for strip_idx, strip in enumerate(strips)
@@ -133,24 +142,31 @@ def _strips_graph(strips: tuple[tuple[int, ...], ...], what: str) -> Graph:
         chain = [i] + list(range(nxt, nxt + length - 1)) + [nrungs + i]
         nxt += length - 1
         edges.extend(zip(chain, chain[1:]))
-    g = Graph(nxt, edges)
-    _validate(g, what)
-    return g
+    return Graph(nxt, edges)
 
 
 def line_graph(h: Graph) -> Graph:
     """Vertices are h's edges in sorted order; adjacency is sharing an end.
-    Each vertex of h lists its incident edges, and every two of them are
-    joined, so the time is linear in the size of the line graph."""
+    Each vertex of h keeps the mask of its incident edges, so edge i = (a, b)
+    has the neighborhood inc[a] | inc[b] without i itself: one mask
+    operation per vertex of the line graph, and no edge list."""
     he = h.edges()
-    incident: list[list[int]] = [[] for _ in range(h.n)]
+    inc = [0] * h.n
     for i, (a, b) in enumerate(he):
-        incident[a].append(i)
-        incident[b].append(i)
-    edges = [
-        (i, j) for ends in incident for k, i in enumerate(ends) for j in ends[k + 1:]
-    ]
-    return Graph(len(he), edges)
+        bit = 1 << i
+        inc[a] |= bit
+        inc[b] |= bit
+    masks = []
+    for i, (a, b) in enumerate(he):
+        ia, ib = inc[a], inc[b]
+        masks.append((ia | ib) & ~(1 << i))
+        # an end's mask is dropped after its last edge, so the incidence
+        # masks and the neighborhoods are not all held at once
+        if ia.bit_length() == i + 1:
+            inc[a] = 0
+        if ib.bit_length() == i + 1:
+            inc[b] = 0
+    return Graph._of_masks(masks)
 
 
 # the four triangles of K4 in terms of edge indices 01,02,03,12,13,23
@@ -190,23 +206,30 @@ def _grow_c4free_bipartite(
 ) -> Graph:
     """Random bipartite graph with no 4-cycle, grown edge by edge; gives up
     on an edge that would close a square and moves on."""
-    n = left + right
-    masks = [0] * n
-    edges = []
+    masks = [0] * (left + right)
+    m = 0
     budget = 6 * target_edges + 20
-    while len(edges) < target_edges and budget > 0:
+    randrange = rng.randrange
+    while m < target_edges and budget > 0:
         budget -= 1
-        u = rng.randrange(left)
-        v = left + rng.randrange(right)
-        if (masks[u] >> v) & 1:
+        u = randrange(left)
+        v = left + randrange(right)
+        nu = masks[u]
+        if (nu >> v) & 1:
             continue
-        # a second common neighborhood link would close a 4-cycle
-        if any(masks[p] & masks[u] for p in iter_bits(masks[v])):
+        # a neighbour of v that shares a neighbour with u closes a 4-cycle
+        nv = masks[v]
+        while nv:
+            low = nv & -nv
+            if masks[low.bit_length() - 1] & nu:
+                break
+            nv ^= low
+        if nv:
             continue
-        masks[u] |= 1 << v
+        masks[u] = nu | (1 << v)
         masks[v] |= 1 << u
-        edges.append((u, v))
-    return Graph(n, edges)
+        m += 1
+    return Graph._of_masks(masks)
 
 
 def _random_bipartite(rng: random.Random, n: int) -> Graph | None:
@@ -239,12 +262,13 @@ def _compose(rng: random.Random, total: int, parts: int) -> list[int]:
 def _random_prism(rng: random.Random, n: int) -> Graph | None:
     s = n - 3
     if s >= 6 and s % 2 == 0:  # three even lengths
-        halves = _compose(rng, s // 2, 3)
-        return gen_prism(PrismSpec(tuple(2 * h for h in halves)))
-    if s >= 9 and s % 2 == 1:  # three odd lengths >= 3
-        halves = _compose(rng, (s - 3) // 2, 3)
-        return gen_prism(PrismSpec(tuple(2 * h + 1 for h in halves)))
-    return None
+        lengths = tuple(2 * h for h in _compose(rng, s // 2, 3))
+    elif s >= 9 and s % 2 == 1:  # three odd lengths >= 3
+        lengths = tuple(2 * h + 1 for h in _compose(rng, (s - 3) // 2, 3))
+    else:
+        return None
+    # the spec checks the lengths; gen_square_free_berge checks the graph
+    return _strips_graph(tuple((x,) for x in PrismSpec(lengths).lengths))
 
 
 def _random_hyperprism(rng: random.Random, n: int) -> Graph | None:
@@ -267,7 +291,7 @@ def _random_hyperprism(rng: random.Random, n: int) -> Graph | None:
             continue
         fat = 1 + extra
         strips = (tuple(lengths[:fat]), (lengths[fat],), (lengths[fat + 1],))
-        return gen_hyperprism(HyperprismSpec(strips))
+        return _strips_graph(HyperprismSpec(strips).strips)
     return None
 
 
@@ -279,7 +303,9 @@ def gen_square_free_berge(n: int, seed: int) -> Graph:
     with integers, so the same (n, seed) always gives the same graph, across
     processes.  Candidates are discarded if they contain a square or, up to
     `_BERGE_CHECK_CAP` vertices, fail the Berge check; in practice the
-    constructions are valid by design and the filter is a safety net.
+    constructions are valid by design and the filter is a safety net.  It
+    is each candidate's only check: prisms and hyperprisms are built
+    unvalidated, so they raise no GeneratorWarning here.
     """
     if n < 0:
         raise SpecError(f"vertex count must be nonnegative, got {n}")

@@ -55,7 +55,18 @@ class Graph:
             masks[v] |= 1 << u
         self.n = n
         self._masks = tuple(masks)
-        self._m = sum(m.bit_count() for m in masks) // 2
+        self._m = sum(map(int.bit_count, masks)) // 2
+
+    @classmethod
+    def _of_masks(cls, masks: list[int]) -> Graph:
+        """The graph on len(masks) vertices whose neighborhood of v is
+        `masks[v]`, taken as given: the masks must be symmetric, loop-free
+        and inside the vertex range."""
+        g = cls.__new__(cls)
+        g.n = len(masks)
+        g._masks = tuple(masks)
+        g._m = sum(map(int.bit_count, g._masks)) // 2
+        return g
 
     @property
     def m(self) -> int:
@@ -80,10 +91,12 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
-        for u in range(self.n):
-            rest = self._masks[u] >> (u + 1)
-            for k in iter_bits(rest):
-                out.append((u, u + 1 + k))
+        for u, m in enumerate(self._masks):
+            rest = m >> (u + 1)
+            while rest:
+                low = rest & -rest
+                out.append((u, u + low.bit_length()))
+                rest ^= low
         return out
 
     def subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
@@ -163,12 +176,19 @@ def contains_square(g: Graph) -> tuple[int, int, int, int] | None:
     For each edge ab with a < b, the candidates d (adjacent to a, not to b,
     above b) do not depend on c, so they are found once as the mask D, and
     an (a, b) with D empty is skipped.  Each c (adjacent to b, not to a,
-    above a) then closes a square with the lowest vertex of D ∩ N(c)."""
+    above a) then closes a square with the lowest vertex of D ∩ N(c).
+
+    b and d are both neighbours of a above it, so a vertex with fewer than
+    two of them is skipped, and b stops below a's highest neighbour, which
+    has no d above it.  Only (a, b) pairs with no square are skipped, so the
+    first square found is the same."""
     masks = g._masks
-    for a in range(g.n):
-        na = masks[a]
+    for a, na in enumerate(masks):
         above_a = -(2 << a)
         bs = na & above_a
+        if not bs & (bs - 1):
+            continue
+        bs ^= 1 << (na.bit_length() - 1)
         while bs:
             bbit = bs & -bs
             bs ^= bbit

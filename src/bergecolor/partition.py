@@ -219,7 +219,17 @@ def _verify_masks(
     lowest x of L, then the lowest y of R with a z, then the lowest z, and
     a passing verdict carries it, ascending, as its witness."""
     k1m, k2m, k3m, lm, rm = masks
+    verdict = _condition_i(g, lm, rm)
+    if verdict is None:
+        verdict = _condition_ii(g, k1m, k2m, k3m)
+    if verdict is None:
+        verdict = _conditions_iii_to_v(g, k1m, k3m, lm, rm, within)
+    return verdict
 
+
+def _condition_i(g: Graph, lm: int, rm: int) -> PartitionVerdict | None:
+    """The failing verdict of condition (i), or None when it holds: L and R
+    are nonempty, with no edge between them."""
     if lm == 0:
         return PartitionVerdict(False, "i", ("L empty",))
     if rm == 0:
@@ -228,12 +238,24 @@ def _verify_masks(
         hit = g.mask(v) & rm
         if hit:
             return PartitionVerdict(False, "i", (v, (hit & -hit).bit_length() - 1))
+    return None
 
+
+def _condition_ii(g: Graph, k1m: int, k2m: int, k3m: int) -> PartitionVerdict | None:
+    """The failing verdict of condition (ii), or None when it holds: K1 ∪ K2
+    and K2 ∪ K3 are cliques."""
     for m in (k1m | k2m, k2m | k3m):
         defect = _clique_defect(g, m)
         if defect:
             return PartitionVerdict(False, "ii", defect)
+    return None
 
+
+def _conditions_iii_to_v(
+    g: Graph, k1m: int, k3m: int, lm: int, rm: int, within: int
+) -> PartitionVerdict:
+    """`_verify_masks` once (i) and (ii) hold: the verdict of (iii), (iv)
+    and (v), in that order."""
     path = _violating_path(g, k1m, k3m, lm)
     if path is not None:
         return PartitionVerdict(False, "iii", path)
@@ -345,19 +367,23 @@ def refine_frame(
     sides with no anchor.  Then each turn of one loop separates, verifies,
     and returns or repairs.  The connectivity split kills the frame the
     moment x and y fall into one component; otherwise the five sets go to
-    the verifier (`_verify_masks`).  A passing verdict is returned, and a
-    failing one is repaired by what it names: a condition (iii) path
-    shrinks K'1 around its last interior vertex, and a condition (iv)
-    vertex, an L-vertex seeing both sides, shrinks K'3 away from its
+    the verifier's checks of conditions (iii)-(v).  A passing verdict is
+    returned, and a failing one is repaired by what it names: a condition
+    (iii) path shrinks K'1 around its last interior vertex, and a condition
+    (iv) vertex, an L-vertex seeing both sides, shrinks K'3 away from its
     neighborhood.  With K'1 or K'3 empty neither condition can fail.  Every
     repair strictly shrinks the working cutset.
     `paths`, if given, is the search's list of x-y path interiors (see
     `_separate`): a cutset that misses one of them kills the frame without
     a BFS, and each BFS that finds x and y connected adds one.
-    The partition returned is one the verifier passed, and carries the
-    frame's anchor pair and its (v) triad.  Any other failing condition
-    means a bug, not bad input, and raises InternalViolation; so does a
-    frame whose Q1 or Q3 is not a clique, at the first turn.
+    Condition (ii) is checked on the first turn only, since repairs only
+    shrink K'1 and K'3, and condition (i) only on a passing partition,
+    since L is a whole component of the piece minus the cutset and R the
+    rest; so the partition returned is one the whole verifier would pass.
+    It carries the frame's anchor pair and its (v) triad.  Any other
+    failing condition means a bug, not bad input, and raises
+    InternalViolation; so does a frame whose Q1 or Q3 is not a clique, at
+    the first turn.
     """
     if within is None:
         within = g.full_mask
@@ -377,11 +403,16 @@ def refine_frame(
         if sep is None:
             return None
         lm, rm = sep
-        verdict = _verify_masks(g, (k1m, k2m, k3m, lm, rm), within)
+        verdict = _condition_ii(g, k1m, k2m, k3m) if repairs == 0 else None
+        if verdict is None:
+            verdict = _conditions_iii_to_v(g, k1m, k3m, lm, rm, within)
         if verdict:
-            return GoodPartition(
-                k1m, k2m, k3m, lm, rm, anchor=(x, y), triad=verdict.witness
-            )
+            failed = _condition_i(g, lm, rm)
+            if failed is None:
+                return GoodPartition(
+                    k1m, k2m, k3m, lm, rm, anchor=(x, y), triad=verdict.witness
+                )
+            verdict = failed
         if verdict.condition == "iii":
             nv = g.mask(verdict.witness[-2])
             new_k1 = k1m & nv if (nv >> c1v) & 1 else k1m & ~nv

@@ -670,6 +670,7 @@ def test_gen_over_the_vertex_limit_builds_nothing(tmp_path, capsys, monkeypatch,
     def unbuilt(*args, **kwargs):
         raise AssertionError("a graph over the vertex limit was built")
 
+    unbuilt._of_masks = unbuilt
     monkeypatch.setattr(generators, "Graph", unbuilt)
     out = str(tmp_path / "huge.col")
     assert main(["gen", *params, "-o", out]) == 1

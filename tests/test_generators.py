@@ -1,6 +1,7 @@
 """Tests for the instance generators: parameter validation, frozen labelings,
 structural invariants, and the determinism of the seeded random family."""
 
+import hashlib
 import random
 import warnings
 
@@ -97,6 +98,7 @@ def test_over_the_vertex_limit_is_refused_before_building(monkeypatch, build, n)
     def unbuilt(*args, **kwargs):
         raise AssertionError("a graph over the vertex limit was built")
 
+    unbuilt._of_masks = unbuilt
     monkeypatch.setattr(generators, "Graph", unbuilt)
     with pytest.raises(SpecError) as exc:
         build()
@@ -287,6 +289,21 @@ def test_random_frozen_instance():
     # parameter ranges changes this instance
     g = gen_square_free_berge(12, 7)
     assert g.edges() == [(0, 7), (1, 11), (3, 10), (6, 7), (6, 8), (6, 11)]
+
+
+# the edge lists of every draw with n <= 60 and seed 0..7, then five larger
+# ones, hashed; any change to a draw or to the order of the edges moves it
+_DRAWS_SHA256 = "fe87049a1da1875ae54525ad8346b151e30bb40b45e4dcb300154730f8f8d35e"
+
+
+def test_random_draws_are_pinned():
+    h = hashlib.sha256()
+    draws = [(n, s) for n in range(61) for s in range(8)]
+    draws += [(120, 0), (180, 7), (300, 2), (400, 6), (800, 3)]
+    for n, s in draws:
+        g = gen_square_free_berge(n, s)
+        h.update(f"{n} {s} {g.edges()}\n".encode())
+    assert h.hexdigest() == _DRAWS_SHA256
 
 
 def test_random_seeds_differ():

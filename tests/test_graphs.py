@@ -87,6 +87,21 @@ def test_graph_basics():
     assert g.edges() == [(0, 1), (1, 2)]
 
 
+@given(graphs())
+@settings(max_examples=200, deadline=None)
+def test_edges_match_a_pairwise_listing(g):
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adjacent(u, v)]
+    assert g.edges() == pairs
+
+
+@given(graphs())
+@settings(max_examples=200, deadline=None)
+def test_of_masks_rebuilds_the_graph(g):
+    h = Graph._of_masks(list(g._masks))
+    assert h == g
+    assert h.m == g.m
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
@@ -219,6 +234,15 @@ def test_contains_square_matches_naive(g):
         assert g.adjacent(c, d) and g.adjacent(d, a)
         assert not g.adjacent(a, c) and not g.adjacent(b, d)
         assert got == min(want)
+
+
+@given(sparse_graphs())
+@settings(max_examples=300, deadline=None)
+def test_contains_square_matches_naive_on_pendant_trees(g):
+    # tree vertices often have fewer than two neighbours above them, and
+    # the scan skips those
+    want = naive_squares(g)
+    assert contains_square(g) == (min(want) if want else None)
 
 
 @given(graphs())
