@@ -117,9 +117,9 @@ def cmd_color(args) -> int:
         report["checks"]["square_free"] = True
         report["error"] = str(e)
         skipped = args.trust_berge or g.n > args.berge_cap
-        # a square-free Berge input always has a reducing swap and leaves
-        # that the peel empties, so with the Berge check skipped this error
-        # blames the input, not the program
+        # a square-free Berge input always has a reducing swap, and each of
+        # its leaves is emptied by the peel or bipartite, so with the Berge
+        # check skipped this error blames the input, not the program
         if isinstance(e, BergeViolation) and skipped:
             report["checks"]["berge"] = False
             report["status"] = "not-berge"

@@ -29,11 +29,13 @@ class NotBerge(BergeColorError):
 
 
 class BergeViolation(BergeColorError):
-    """The merge step ran out of color swaps, or a leaf's core was not empty.
+    """The merge step ran out of color swaps, or a leaf's core was neither
+    empty nor bipartite.
 
-    For square-free Berge inputs a reducing swap always exists, and the
-    peel empties every leaf (see `solver.leaf_color`), so either failure
-    proves the input (or a partition handed in) was not what it claimed to be.
+    For square-free Berge inputs a reducing swap always exists, and a leaf
+    that the peel does not empty is bipartite (see `solver.leaf_color`), so
+    either failure proves the input (or a partition handed in) was not what
+    it claimed to be.
     """
 
 

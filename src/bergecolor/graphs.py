@@ -394,20 +394,29 @@ def _peel(g: Graph, seeds: int, keep: int) -> list[tuple[int, int]]:
     return peeled
 
 
-def _is_bipartite(g: Graph, allowed: int) -> bool:
-    """Whether the subgraph induced on `allowed` has no odd cycle: a BFS by
-    layers from the lowest vertex of each component, where an edge inside
-    one layer closes an odd cycle and any other edge joins adjacent layers."""
+def _bipartition(g: Graph, allowed: int) -> tuple[int, int] | None:
+    """The two sides, as masks, of the subgraph induced on `allowed`, or
+    None when it has an odd cycle.  A BFS by layers runs from the lowest
+    vertex of each component; the even layers form one side and the odd
+    layers the other.  An edge inside one layer closes an odd cycle, and
+    any other edge joins adjacent layers."""
     masks = g._masks
+    sides = [0, 0]
     rest = allowed
     while rest:
         layers: list[int] = []
         rest &= ~component_mask(g, rest & -rest, allowed, 0, layers)
-        for layer in layers:
+        for i, layer in enumerate(layers):
             for v in iter_bits(layer):
                 if masks[v] & layer:
-                    return False
-    return True
+                    return None
+            sides[i & 1] |= layer
+    return sides[0], sides[1]
+
+
+def _is_bipartite(g: Graph, allowed: int) -> bool:
+    """Whether the subgraph induced on `allowed` has no odd cycle."""
+    return _bipartition(g, allowed) is not None
 
 
 def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:

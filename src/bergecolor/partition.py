@@ -11,10 +11,12 @@ A good partition of G is a partition (K1, K2, K3, L, R) of the vertices with
         L-vertex and an R-vertex.
 
 Removing the cutset K1 ∪ K2 ∪ K3 then splits G into L and R, and colorings of
-G minus R and G minus L can be merged back (see recolor).  The search works by
-enumerating frames, coarse templates built from pairs of maximal cliques and a
-non-adjacent anchor pair (x, y), and refining each frame by deleting vertices
-from the working cutset until the partition conditions hold or the frame dies.
+G minus R and G minus L can be merged back (see recolor).  The search first
+looks for a single vertex to split off, L = {x}.  Only when none qualifies
+does it enumerate frames, coarse templates built from pairs of maximal
+cliques and a non-adjacent anchor pair (x, y), and refine each frame by
+deleting vertices from the working cutset until the partition conditions
+hold or the frame dies.
 
 Every vertex set here is a mask: an int with bit v set for vertex v.  Sorted
 vertex lists appear only in the JSON form of a partition.
@@ -503,6 +505,81 @@ def _frame_choices(q1m: int, q3m: int) -> Iterator[tuple[int | None, int | None]
             yield c1, c3
 
 
+def _vertex_partition(g: Graph, start: int, within: int) -> GoodPartition | None:
+    """The first good partition (K1, K2, K3, {x}, R) of the subgraph G
+    induced on `within`, x scanned ascending from `start` and wrapping
+    around, or None.
+
+    N is x's neighbourhood in G and R the rest of G minus x; K2 is the
+    members of N adjacent to every other member, K1 the component of
+    N - K2 that holds its lowest vertex, and K3 the rest of N - K2.  x
+    qualifies only when R, K1 and K3 are non-empty and K1 and K3 are
+    cliques: then (i), (ii) and (iv) hold by construction, and (iii)
+    because x is complete to K1.  The verifier still decides, and finds
+    the triad of (v); the anchor pair is x and the triad's lowest vertex
+    in R."""
+    masks = g._masks
+    below = within & ((1 << max(start, 0)) - 1)
+    for xs in (within & ~below, below):
+        for x in iter_bits(xs):
+            xbit = 1 << x
+            nx = masks[x] & within
+            rm = within & ~nx & ~xbit
+            if not rm:
+                continue
+            k2m = 0
+            for v in iter_bits(nx):
+                if not nx & ~masks[v] & ~(1 << v):
+                    k2m |= 1 << v
+            rest = nx & ~k2m
+            k1m = component_mask(g, rest & -rest, rest)
+            k3m = rest & ~k1m
+            if not k3m or _clique_defect(g, k1m) or _clique_defect(g, k3m):
+                continue
+            verdict = _verify_masks(g, (k1m, k2m, k3m, xbit, rm), within)
+            if verdict:
+                y = min(v for v in verdict.witness if v != x)
+                return GoodPartition(
+                    k1m, k2m, k3m, xbit, rm, anchor=(x, y), triad=verdict.witness
+                )
+    return None
+
+
+def _frame_search(
+    g: Graph, cliques: list[int] | None, start: tuple[int, int], within: int
+) -> tuple[GoodPartition | None, int, int]:
+    """The frame phase of `find_good_partition`: the first partition that
+    a frame refines to, in the canonical order rotated to `start`, with the
+    number of frames tried and of clique pairs pruned."""
+    if cliques is None:
+        cliques = maximal_cliques_in(g, within)
+    tried = 0
+    pruned = 0
+    for x, y in _anchored_pairs(g, start, within):
+        masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
+        # the disjoint interiors; each BFS that finds x, y connected adds one
+        paths = _disjoint_paths(g, x, y, within)
+        hits, every = _path_hits(paths, masks)
+        kinds = set(hits)
+        # rows of Q1 with such a mask hold a pair that hits every path
+        open_kinds = {a for a in kinds if any(a | b == every for b in kinds)}
+        for q1m, h1 in zip(masks, hits):
+            if h1 not in open_kinds:
+                pruned += len(masks)
+                continue
+            for q3m, h3 in zip(masks, hits):
+                if h1 | h3 != every or _separate(g, q1m | q3m, x, y, paths, within) is None:
+                    pruned += 1
+                    continue
+                for c1, c3 in _frame_choices(q1m, q3m):
+                    tried += 1
+                    frame = Frame(q1=q1m, q3=q3m, x=x, y=y, c1=c1, c3=c3)
+                    gp = refine_frame(g, frame, paths, within=within)
+                    if gp is not None:
+                        return gp, tried, pruned
+    return None, tried, pruned
+
+
 def find_good_partition(
     g: Graph,
     stats: dict | None = None,
@@ -511,25 +588,32 @@ def find_good_partition(
     start: tuple[int, int] = (0, 0),
     within: int | None = None,
 ) -> GoodPartition | None:
-    """First good partition reachable by refining frames in canonical order:
-    anchor pairs (x, y) ascending, then both cliques of G minus {x, y} in
-    lexicographic order, then the anchor choices C1, C3, none first.  With a
-    `start` pair the anchor pairs are rotated (see `_anchored_pairs`): the
-    scan begins at the first pair at or after `start` and wraps around to
-    the pairs before it, and the result is the first partition in that
-    rotated order.  The solver starts each child where its parent's search
-    succeeded, so it does not fail again on the pairs the parent passed
-    over.  The partition returned carries its anchor pair and the triad its
-    verification found for condition (v).
+    """A good partition of G, or None when G has none.
+
+    The vertex phase (`_vertex_partition`, from `start[0]`) looks for one
+    with L a single vertex.  Only when it finds none does the frame phase
+    run: the first good partition reachable by refining frames in
+    canonical order, anchor pairs (x, y) ascending, then both cliques of G
+    minus {x, y} in lexicographic order, then the anchor choices C1, C3,
+    none first.  With a `start` pair the anchor pairs are rotated (see
+    `_anchored_pairs`): the scan begins at the first pair at or after
+    `start` and wraps around to the pairs before it, and the result is the
+    first partition in that rotated order.  The solver starts each child
+    where its parent's search succeeded, so it does not fail again on the
+    vertices or pairs the parent passed over.  The partition returned
+    carries its anchor pair and the triad its verification found for
+    condition (v); every partition either phase returns has passed the
+    verifier.
 
     Complete: if the graph has any good partition, some frame refines to
     one.  A rotation still visits every anchor pair, so this holds for any
     `start`.
-    The scan skips a clique pair (Q1, Q3) when the union Q1 ∪ Q3 fails to
-    separate x from y: refinement only shrinks the cutset, so no anchor
-    choice of that pair can succeed.  Two prunes find most such unions
-    without a BFS, a list of learned paths spares most of the BFS runs that
-    are left, and the result is the partition the unpruned scan returns:
+    The frame scan skips a clique pair (Q1, Q3) when the union Q1 ∪ Q3
+    fails to separate x from y: refinement only shrinks the cutset, so no
+    anchor choice of that pair can succeed.  Two prunes find most such
+    unions without a BFS, a list of learned paths spares most of the BFS
+    runs that are left, and the result is the partition the unpruned scan
+    returns:
 
     * Path prune.  A set that separates x from y meets the interior of every
       x-y path, so it meets each of the internally disjoint x-y paths found
@@ -552,57 +636,28 @@ def find_good_partition(
       frames are tried, and so both counters, stay as they were.
 
     `within`, a vertex mask, restricts the search to the subgraph G induced
-    on it; by default G is all of g.  Anchor pairs, cliques, separations
-    and the partition returned are all in g's labels, and since every tie
-    goes to the lowest id, the result is the search on G built as a graph
-    of its own, relabelled back.  The solver searches each decomposition
-    node this way, as a mask of the input graph.
+    on it; by default G is all of g.  Vertices, anchor pairs, cliques,
+    separations and the partition returned are all in g's labels, and
+    since every tie goes to the lowest id, the result is the search on G
+    built as a graph of its own, relabelled back.  The solver searches each
+    decomposition node this way, as a mask of the input graph.
 
     `stats`, if given, accumulates counters under keys "frames_tried" (frames
     handed to `refine_frame`) and "frames_pruned" (clique pairs skipped
     without refinement, one per pair, a skipped row counting every pair in
-    it).  `cliques`, if given, are the maximal cliques of G as masks in
+    it); both keys are always set, and the vertex phase adds 0 to each.
+    `cliques`, if given, are the maximal cliques of G as masks in
     lexicographic order (the solver carries them down the decomposition);
-    otherwise they are enumerated from G up front.  Each anchor pair derives
-    the cliques of G minus {x, y} from them with `cliques_within`, the two
-    orders of a pair each their own.
+    otherwise the frame phase enumerates them from G up front.  Each anchor
+    pair derives the cliques of G minus {x, y} from them with
+    `cliques_within`, the two orders of a pair each their own.
     """
     if within is None:
         within = g.full_mask
-    if cliques is None:
-        cliques = maximal_cliques_in(g, within)
-    tried = 0
-    pruned = 0
-    found = None
-    for x, y in _anchored_pairs(g, start, within):
-        masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
-        # the disjoint interiors; each BFS that finds x, y connected adds one
-        paths = _disjoint_paths(g, x, y, within)
-        hits, every = _path_hits(paths, masks)
-        kinds = set(hits)
-        # rows of Q1 with such a mask hold a pair that hits every path
-        open_kinds = {a for a in kinds if any(a | b == every for b in kinds)}
-        for q1m, h1 in zip(masks, hits):
-            if h1 not in open_kinds:
-                pruned += len(masks)
-                continue
-            for q3m, h3 in zip(masks, hits):
-                if h1 | h3 != every or _separate(g, q1m | q3m, x, y, paths, within) is None:
-                    pruned += 1
-                    continue
-                for c1, c3 in _frame_choices(q1m, q3m):
-                    tried += 1
-                    frame = Frame(q1=q1m, q3=q3m, x=x, y=y, c1=c1, c3=c3)
-                    gp = refine_frame(g, frame, paths, within=within)
-                    if gp is not None:
-                        found = gp
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
+    found = _vertex_partition(g, start[0], within)
+    tried = pruned = 0
+    if found is None:
+        found, tried, pruned = _frame_search(g, cliques, start, within)
     if stats is not None:
         stats["frames_tried"] = stats.get("frames_tried", 0) + tried
         stats["frames_pruned"] = stats.get("frames_pruned", 0) + pruned

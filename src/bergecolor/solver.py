@@ -23,11 +23,11 @@ starts from the parent's cutset, the only vertices that can have become
 simplicial.  A peeled vertex is colored last with the lowest color missing
 from its neighborhood at removal: a clique of at most omega - 1 vertices, so
 a color within omega is always free (Gavril 1972, perfect elimination
-orderings).  A leaf's core is always empty (see `leaf_color`), so every
-vertex of a leaf is colored this way.  Colorings are lists of color-class
-masks (see `recolor.PartialColoring`): the peel extends the coloring the
-merge has just returned in place, adding each vertex to the lowest class
-that misses its neighborhood.
+orderings).  A leaf's core is empty unless it is bipartite, and then it is
+2-colored by BFS layer parity (see `leaf_color`).  Colorings are lists of
+color-class masks (see `recolor.PartialColoring`): the peel extends the
+coloring the merge has just returned in place, adding each vertex to the
+lowest class that misses its neighborhood.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from .errors import BergeViolation, InternalViolation
 from .graphs import (
     Graph,
+    _bipartition,
     _peel,
     bit_list,
     cliques_within,
@@ -209,25 +210,29 @@ def verify_coloring(
 
 
 def leaf_color(g: Graph, core: int) -> PartialColoring:
-    """The coloring of a leaf's core: empty, since the peel removes every
-    vertex of a leaf.
+    """The coloring of a leaf's core: empty, or its two BFS layer classes.
 
-    A leaf is a piece of a square-free Berge graph with no good partition,
-    and such a piece has no triad (every leaf of the test corpus and the
-    benchmark workloads bears this out).  A triad-free square-free Berge
-    graph is chordal: a hole of length 4 is a square, an odd hole is not
-    Berge, and an even hole of length 6 or more holds a triad.  Every
-    non-empty chordal graph has a simplicial vertex (Dirac 1961), so the
-    peel removes the leaf whole.  Raises BergeViolation on a non-empty
-    `core`, which has neither a simplicial vertex nor a good partition:
-    g is not square-free Berge, and no coloring is made up for it.
+    A leaf is a piece of a square-free Berge graph with no good partition.
+    Without a triad such a piece is chordal: a hole of length 4 is a
+    square, an odd hole is not Berge, and an even hole of length 6 or more
+    holds a triad.  Every non-empty chordal graph has a simplicial vertex
+    (Dirac 1961), so the peel removes a triad-free leaf whole and its core
+    is empty.  A leaf may hold triads, though: bipartite graphs of girth at
+    least 6 and minimum degree at least 3, such as the Heawood graph, have
+    no good partition and no simplicial vertex.  A bipartite core is
+    2-colored by the parity of its BFS layers, each component searched
+    from its lowest vertex (`graphs._bipartition`).  Raises BergeViolation
+    on any other non-empty `core`, which has neither a simplicial vertex
+    nor a good partition and is not bipartite: no coloring is made up for
+    it.
     """
-    if core:
+    sides = _bipartition(g, core)
+    if sides is None:
         raise BergeViolation(
             f"a leaf core of {core.bit_count()} vertices has no simplicial "
-            "vertex and no good partition"
+            "vertex and no good partition, and is not bipartite"
         )
-    return PartialColoring()
+    return PartialColoring.of_classes([m for m in sides if m])
 
 
 def _color_peeled(
@@ -265,8 +270,9 @@ def _solve(
     parent's core has no simplicial vertex, and L and R have no edges
     between them, so only cut vertices lose a neighbor.
 
-    The frame search begins at the first of the core's anchor pairs at or
-    after a start pair and wraps around to the pairs before it.  The root
+    The search's vertex phase begins at the first core vertex at or after
+    a start pair's first vertex, and its frame phase at the first of the
+    core's anchor pairs at or after the pair; each wraps around.  The root
     starts at (0, 0); a child at its parent's anchor pair, so it resumes
     where the parent's search succeeded.
 
@@ -304,7 +310,8 @@ def _solve(
     done: list[tuple[PartialColoring, int, TreeNode]] = []
     for node, core, peeled, gp in reversed(visited):
         if gp is None:
-            coloring, k = leaf_color(g, core), 0
+            coloring = leaf_color(g, core)
+            k = coloring.colors_used()
         else:
             c2, k2, node2 = done.pop()
             c1, k1, node1 = done.pop()

@@ -17,6 +17,7 @@ from bergecolor import (
     gen_prism,
     gen_square_free_berge,
 )
+from bergecolor import partition
 
 
 def cycle(n: int) -> Graph:
@@ -39,6 +40,36 @@ def hexagon_chain(k: int) -> Graph:
     edges = [(p[j], p[j + 1]) for p in (top, bot) for j in range(2 * k)]
     edges += [(top[j], bot[j]) for j in range(0, 2 * k + 1, 2)]
     return Graph(4 * k + 2, edges)
+
+
+def lcf_graph(n: int, shifts: tuple[int, ...]) -> Graph:
+    """The cycle 0, 1, ..., n - 1 plus a chord from each i to
+    i + shifts[i % len(shifts)] (mod n): the graph of LCF notation."""
+    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    edges |= {tuple(sorted((i, (i + shifts[i % len(shifts)]) % n))) for i in range(n)}
+    return Graph(n, sorted(edges))
+
+
+def pg23_incidence() -> Graph:
+    """The point-line incidence graph of the projective plane of order 3:
+    points 0..12, and line i (vertex 13 + i) through the points i + d for
+    d in the perfect difference set {0, 1, 3, 9} mod 13."""
+    line = (0, 1, 3, 9)
+    edges = [(p, 13 + i) for i in range(13) for p in range(13) if (p - i) % 13 in line]
+    return Graph(26, edges)
+
+
+# Bipartite graphs of girth at least 6 and minimum degree at least 3: each
+# has triads, no simplicial vertex and no good partition, so the whole
+# graph is a leaf core that the peel leaves as it is.
+NO_PARTITION_GRAPHS = {
+    "heawood": lambda: lcf_graph(14, (5, -5)),
+    "moebius-kantor": lambda: lcf_graph(16, (5, -5)),
+    "pappus": lambda: lcf_graph(18, (5, 7, -7, 7, -7, -5)),
+    "desargues": lambda: lcf_graph(20, (5, -5, 9, -9)),
+    "tutte-coxeter": lambda: lcf_graph(30, (-13, -9, 7, -7, 9, 13)),
+    "pg23-incidence": pg23_incidence,
+}
 
 
 def complete_minus_star(n: int, t: int) -> Graph:
@@ -141,3 +172,12 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_graphs(corpus):
     return [(name, make()) for name, make in corpus]
+
+
+@pytest.fixture
+def frame_phase(monkeypatch):
+    """Switch off the vertex phase of `find_good_partition`, so that every
+    search, the solver's included, runs the frame phase alone: tests of
+    frame order, pruning and merge swaps need it, since a single-vertex
+    good partition would otherwise be found first at most nodes."""
+    monkeypatch.setattr(partition, "_vertex_partition", lambda *args: None)

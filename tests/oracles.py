@@ -7,6 +7,7 @@ adjacency.  Keep these dumb; their only virtue is being obviously correct.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import combinations
 
@@ -641,6 +642,27 @@ def naive_disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
     return paths
 
 
+def naive_vertex_partition(g: Graph, x: int):
+    """The single-vertex partition of x, (K1, K2, K3, {x}, R) as sets, when
+    it is a good partition of g, else None: N is x's neighbourhood and R
+    the rest, K2 the members of N adjacent to all others, K1 the component
+    of N - K2 holding its lowest vertex and K3 the rest of N - K2, which
+    must both be non-empty cliques."""
+    nb = set(g.neighbors(x))
+    r = set(range(g.n)) - nb - {x}
+    k2 = {v for v in nb if all(g.adjacent(v, u) for u in nb - {v})}
+    rest = nb - k2
+    if not r or not rest:
+        return None
+    k1 = next(c for c in naive_components(g, rest) if min(rest) in c)
+    k3 = rest - k1
+    if not k3 or not naive_is_clique(g, k1) or not naive_is_clique(g, k3):
+        return None
+    if not naive_good_partition_check(g, k1, k2, k3, {x}, r):
+        return None
+    return (k1, k2, k3, {x}, r)
+
+
 def brute_good_partition(g: Graph):
     """Exhaustive search for any valid partition; returns one or None.
 
@@ -741,3 +763,33 @@ def contains_induced_prism(g: Graph) -> bool:
             if naive_is_prism(h):
                 return True
     return False
+
+
+def clique_gluing(parts: list[Graph], seed: int) -> Graph:
+    """The graphs `parts`, glued one after another onto what is built so
+    far, each along a clique of one or two vertices (a vertex, or an edge
+    when both sides have one, at a coin flip), then relabelled by a random
+    permutation; `seed` draws every choice.
+
+    No square, hole or antihole has a clique cutset, so gluing square-free
+    Berge graphs along cliques gives a square-free Berge graph (Tarjan 1985
+    decomposes by clique separators), and its clique number is the largest
+    of the parts'."""
+    rng = random.Random(seed)
+    n = parts[0].n
+    edges = {tuple(e) for e in parts[0].edges()}
+    for h in parts[1:]:
+        theirs = h.edges()
+        if edges and theirs and rng.random() < 0.5:
+            shared, glued = rng.choice(sorted(edges)), rng.choice(theirs)
+        else:
+            shared, glued = (rng.randrange(n),), (rng.randrange(h.n),)
+        place = dict(zip(glued, shared))
+        for v in range(h.n):
+            if v not in place:
+                place[v] = n
+                n += 1
+        edges |= {tuple(sorted((place[a], place[b]))) for a, b in theirs}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))

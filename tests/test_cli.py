@@ -36,7 +36,7 @@ from bergecolor import cli, generators, solver
 from bergecolor.cli import build_parser, main
 from bergecolor.graphs import mask_of, maximal_cliques_in
 
-from conftest import complete, cycle, hexagon_chain, path_graph
+from conftest import NO_PARTITION_GRAPHS, complete, cycle, hexagon_chain, path_graph
 
 
 def col(tmp_path, g, name="g.col"):
@@ -81,8 +81,8 @@ def test_color_writes_artifacts(tmp_path, capsys):
     assert rep["checks"] == {"square_free": True, "berge": True}
     assert rep["omega"] == 2 and rep["colors_used"] == 2
     assert rep["stats"] == {
-        "frames_tried": 5,
-        "frames_pruned": 1,
+        "frames_tried": 0,
+        "frames_pruned": 0,
         "swaps_applied": 0,
         "leaf_count": 2,
         "node_count": 3,
@@ -96,18 +96,18 @@ def test_color_writes_artifacts(tmp_path, capsys):
     assert tree["schema"] == "bergecolor-tree/3"
     assert tree["nodes"][0]["vertices"] == [0, 1, 2, 3, 4, 5]
     assert [n.get("peeled") for n in tree["nodes"]] == [
-        None, [1, 3, 4, 5, 0], [1, 2, 3, 4]
+        None, [1, 5, 0], [1, 2, 3, 4, 5]
     ]
     assert len(tree["nodes"]) == rep["stats"]["node_count"]
 
 
 def test_color_trace_lines(tmp_path):
-    g = gen_square_free_berge(25, 1)  # known to need eight merge swaps
+    g = gen_square_free_berge(25, 1)  # known to need six merge swaps
     path = col(tmp_path, g)
     tr_f = str(tmp_path / "t.trace")
     assert main(["color", path, "-o", str(tmp_path / "o"), "--trace", tr_f]) == 0
     events = [json.loads(line) for line in open(tr_f)]
-    assert len(events) == 8
+    assert len(events) == 6
     assert all(e["event"] == "swap" for e in events)
 
 
@@ -311,6 +311,18 @@ def test_color_error_writes_report(tmp_path, capsys):
     assert rep["error"] in err
     assert isinstance(rep["wall_time_s"], float)
     assert rep["checks"]["square_free"] is True
+
+
+def test_color_heawood_exits_0(tmp_path, capsys):
+    # the Heawood graph has no simplicial vertex and no good partition; its
+    # leaf core is bipartite and 2-colored, with the Berge check run or not
+    path = col(tmp_path, NO_PARTITION_GRAPHS["heawood"]())
+    sol = str(tmp_path / "h.sol")
+    for flags in ([], ["--trust-berge"]):
+        assert main(["color", path, "-o", sol, *flags]) == 0
+        assert main(["verify", path, "--coloring", sol]) == 0
+        assert max(parse_coloring_lines(open(sol).read()).values()) == 2
+    assert "error" not in capsys.readouterr().err
 
 
 def test_parser_is_reused_without_carrying_flags(tmp_path, capsys):

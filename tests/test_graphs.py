@@ -21,6 +21,7 @@ from bergecolor import (
 from bergecolor.graphs import (
     _count_triads,
     _find_odd_hole,
+    _bipartition,
     _is_bipartite,
     _peel,
     bit_list,
@@ -168,6 +169,13 @@ def test_is_bipartite_matches_a_two_colouring():
         want = naive_is_bipartite(g, allowed)
         assert _is_bipartite(g, mask_of(allowed)) is want
         verdicts[want] += 1
+        # the two sides cover the allowed vertices, each without an edge
+        sides = _bipartition(g, mask_of(allowed))
+        assert (sides is not None) is want
+        if want:
+            even, odd = sides
+            assert not even & odd and even | odd == mask_of(allowed)
+            assert not any(g.mask(v) & side for side in sides for v in bit_list(side))
     assert min(verdicts.values()) > 300
 
 

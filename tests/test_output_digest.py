@@ -21,11 +21,10 @@ STAT_FIELDS = (
     "berge_checked",
 )
 
-# Last changed when each child began to resume its anchor-pair scan where
-# its parent's search succeeded, instead of scanning from its first pair:
-# nodes may take other partitions, so trees, colorings, traces and counters
-# changed.
-EXPECTED = "5af8b5bf84946090d7507c8ed9a1888b4003ccd8820a9ed5fd94e5038f2acb85"
+# Last changed when the search began to split off a single vertex whose
+# neighbourhood is two cliques before building any frame: nodes take other
+# partitions, so trees, colorings, traces and counters changed.
+EXPECTED = "8f685a33c7c31233f9d13139829f7b6e733a20693ec26bc27874c92e08a25837"
 
 
 def corpus_digest(corpus) -> str:
@@ -48,17 +47,20 @@ def test_output_digest_on_acceptance_corpus(corpus):
     assert corpus_digest(corpus) == EXPECTED
 
 
-# omega-2 draws on which frame search skips tens of thousands of clique pairs
-# per solve: (n, seed) -> (node_count, frames_tried, frames_pruned).  With
-# every child scanning from its first anchor pair these were (33, 178,
-# 66272), (51, 179, 248132) and (39, 167, 58938).
+# omega-2 draws on which the frame search alone skips tens of thousands of
+# clique pairs per solve: (n, seed) -> (node_count, frames_tried,
+# frames_pruned).  Every node now splits off a single vertex, so no frame
+# is tried or pruned.  With the frame search alone, each child resuming its
+# parent's anchor scan, these were (35, 97, 13686), (51, 167, 76146) and
+# (39, 169, 26355); with every child scanning from its first anchor pair,
+# (33, 178, 66272), (51, 179, 248132) and (39, 167, 58938).
 PRUNE_HEAVY = {
-    (40, 3): (35, 97, 13686),
-    (80, 1): (51, 167, 76146),
-    (100, 1): (39, 169, 26355),
+    (40, 3): (33, 0, 0),
+    (80, 1): (51, 0, 0),
+    (100, 1): (39, 0, 0),
 }
 PRUNE_HEAVY_EXPECTED = (
-    "dbb2dca4282d43a9f8818aab0be39ed86c9c238f96ea69d1b115955c113824f0"
+    "6fe6ebcf7a98398ebd3ea9dc854d38ce551b427c96560884220188e6d3e76945"
 )
 
 
@@ -84,7 +86,7 @@ def test_output_digest_where_frames_are_pruned():
 # coloring, the tree, the swap events and the SolveStats counters.
 DEEP_SPINES = ((180, 0), (240, 6), (300, 2), (400, 6))
 DEEP_SPINES_EXPECTED = (
-    "6b5bdb877899b34ddb725599a29bfdad9282864d2a411b768a2566496db1aa3f"
+    "8f2bcfc5a80ed289f527f46bf488ccfda7abc2cb2d0442226b0a96894a4a20da"
 )
 
 

@@ -16,6 +16,7 @@ from bergecolor import (
     NotSquareFree,
     color,
     find_good_partition,
+    find_triads,
     gen_square_free_berge,
     nested_order,
     refine_frame,
@@ -28,10 +29,12 @@ from bergecolor.partition import (
     _disjoint_paths,
     _path_hits,
     _separate,
+    _vertex_partition,
 )
 
-from conftest import complete, complete_minus_star, cycle
+from conftest import NO_PARTITION_GRAPHS, complete, complete_minus_star, cycle
 from oracles import (
+    brute_good_partition,
     enumerate_frames,
     naive_components,
     naive_disjoint_paths,
@@ -40,6 +43,7 @@ from oracles import (
     naive_skipped_pairs,
     naive_both_sides_vertex,
     naive_subgraph,
+    naive_vertex_partition,
     naive_violating_path,
 )
 
@@ -375,11 +379,21 @@ def test_no_frames_without_triads():
     assert list(enumerate_frames(complete_minus_star(7, 3))) == []
 
 
-def test_find_good_partition_c6_frozen():
+def test_find_good_partition_c6_frozen(frame_phase):
     stats = {}
     part = find_good_partition(cycle(6), stats)
     assert part == gp(k1=[1], k2=[], k3=[3, 4], l=[0, 5], r=[2])
     assert stats == {"frames_tried": 5, "frames_pruned": 1}
+
+
+def test_find_good_partition_c6_single_vertex_frozen():
+    # vertex 0 splits off: its neighbours 1 and 5 are non-adjacent, so K2 is
+    # empty, K1 = {1} and K3 = {5}; no frame is built
+    stats = {}
+    part = find_good_partition(cycle(6), stats)
+    assert part == gp(k1=[1], k2=[], k3=[5], l=[0], r=[2, 3, 4])
+    assert part.anchor == (0, 2) and part.triad == (0, 2, 4)
+    assert stats == {"frames_tried": 0, "frames_pruned": 0}
 
 
 def test_find_good_partition_prism_frozen():
@@ -451,7 +465,7 @@ def test_disjoint_paths_match_naive(corpus_graphs):
     assert pairs > 35000
 
 
-def test_search_tries_frames_in_canonical_order(corpus_graphs, monkeypatch):
+def test_search_tries_frames_in_canonical_order(corpus_graphs, monkeypatch, frame_phase):
     # the frames handed to refine_frame are, in order, a subsequence of all
     # frames in canonical order, ending at the first that refines
     tried = []
@@ -495,7 +509,9 @@ def _start_pairs(g):
     return [*pairs[1::len(pairs) // 2 + 1], *pairs[-1:], (g.n // 2, 0)]
 
 
-def test_started_search_tries_frames_in_rotated_order(corpus_graphs, monkeypatch):
+def test_started_search_tries_frames_in_rotated_order(
+    corpus_graphs, monkeypatch, frame_phase
+):
     # with a start pair, the frames handed to refine_frame are, in order, a
     # subsequence of all frames with the anchor pairs rotated to that start,
     # ending at the first that refines; the partition carries its anchors
@@ -525,10 +541,11 @@ def test_started_search_tries_frames_in_rotated_order(corpus_graphs, monkeypatch
 
 def test_started_search_is_complete(corpus_graphs):
     # a good partition is found from every start pair or from none.  Every
-    # corpus graph has one; the graphs without are those with no triad, so
-    # no anchor pair, whatever the start
+    # corpus graph has one.  Of the graphs without, the Heawood graph has
+    # triads, so anchor pairs, whatever the start; the others have no triad
     graphs = [g for _, g in corpus_graphs if g.n <= 30]
     graphs += [complete(1), complete(4), complete_minus_star(8, 5), Graph(0)]
+    graphs.append(NO_PARTITION_GRAPHS["heawood"]())
     found = missed = 0
     for g in graphs:
         cliques = maximal_cliques_in(g, g.full_mask)
@@ -562,6 +579,82 @@ def _small_graphs(corpus_graphs):
     graphs = [g for _, g in corpus_graphs if g.n <= 30]
     draws = ((26, 5), (28, 0), (32, 2), (40, 5))  # omega 2, pairs skipped at the root
     return graphs + [gen_square_free_berge(n, s) for n, s in draws]
+
+
+def test_vertex_phase_scans_from_its_start(corpus_graphs):
+    # the partition found is the single-vertex partition of the first vertex,
+    # ascending from start[0] and wrapping around, whose partition is good;
+    # only when no vertex has one do frames run
+    found = framed = 0
+    for g in _small_graphs(corpus_graphs):
+        good = [x for x in range(g.n) if naive_vertex_partition(g, x)]
+        for s in (0, 1, g.n // 3, g.n // 2, g.n - 1, g.n + 2):
+            stats = {}
+            part = find_good_partition(g, stats, start=(s, g.n))
+            order = [x for x in good if x >= s] + [x for x in good if x < s]
+            if not order:
+                assert part is None or stats["frames_tried"] > 0
+                framed += 1
+                continue
+            want = naive_vertex_partition(g, order[0])
+            assert [set(bit_list(m)) for m in part.sets()] == list(want)
+            assert stats == {"frames_tried": 0, "frames_pruned": 0}
+            found += 1
+    assert found > 400 and framed > 0
+
+
+def test_single_vertex_partition_carries_its_anchor(corpus_graphs):
+    # x is L's one vertex and y the lowest other vertex of the triad that
+    # the verifier found, which lies in R; (x, y) is an anchor pair
+    checked = 0
+    for g in _small_graphs(corpus_graphs):
+        for s in (0, g.n // 2):
+            part = _vertex_partition(g, s, g.full_mask)
+            if part is None:
+                continue
+            x, y = part.anchor
+            assert part.l == 1 << x and part.r >> y & 1
+            assert x in part.triad and y == min(set(part.triad) - {x})
+            assert verify_good_partition(g, part).witness == part.triad
+            assert (x, y) in set(_anchored_pairs(g))
+            checked += 1
+    assert checked > 250
+
+
+def test_vertex_phase_within_a_mask_is_the_phase_on_its_subgraph(corpus_graphs):
+    # searched as a mask of g, from a start vertex in g's labels, the vertex
+    # phase answers as it does on the subgraph built apart, relabelled back
+    rng = random.Random(25)
+    found = 0
+    for g in _small_graphs(corpus_graphs):
+        for _ in range(3):
+            keep = mask_of(v for v in range(g.n) if rng.random() < 0.85)
+            sub, order = naive_subgraph(g, bit_list(keep))
+            for s in (0, g.n // 3, g.n // 2 + 1, g.n):
+                part = _vertex_partition(g, s, keep)
+                want = _vertex_partition(sub, bisect_left(order, s), sub.full_mask)
+                if want is None:
+                    assert part is None
+                    continue
+                moved = [mask_of(order[v] for v in bit_list(m)) for m in want.sets()]
+                assert part.sets() == tuple(moved)
+                assert part.anchor == tuple(order[v] for v in want.anchor)
+                assert part.triad == tuple(order[v] for v in want.triad)
+                found += 1
+    assert found > 500
+
+
+def test_bipartite_girth_6_graphs_have_no_good_partition():
+    # triads, and so anchor pairs, but no good partition: the search is
+    # complete, and a brute force over every clique pair and every L/R split
+    # of the rest agrees on the Heawood graph
+    for name, make in NO_PARTITION_GRAPHS.items():
+        g = make()
+        assert find_triads(g), name
+        assert find_good_partition(g) is None, name
+    heawood = NO_PARTITION_GRAPHS["heawood"]()
+    assert find_good_partition(heawood) is None
+    assert brute_good_partition(heawood) is None
 
 
 def _naive_split(g, cut, x, y, within=None):
@@ -603,7 +696,7 @@ def _assert_learned(g, x, y, cut, interior, within):
     assert interior == mask_of(naive_shortest_interior(g, x, y, set(bit_list(rest))))
 
 
-def test_learned_paths_avoid_their_cuts(corpus_graphs, monkeypatch):
+def test_learned_paths_avoid_their_cuts(corpus_graphs, monkeypatch, frame_phase):
     # every interior that a separation test adds, at every node of a solve,
     # is a shortest x-y path of G - cut, for the cut that test was given
     separate = partition._separate
@@ -717,7 +810,7 @@ def test_search_within_a_mask_is_the_search_on_its_subgraph(corpus_graphs):
     assert searches > 500 and found > 400
 
 
-def test_pruned_counts_skipped_clique_pairs(corpus_graphs):
+def test_pruned_counts_skipped_clique_pairs(corpus_graphs, frame_phase):
     total = 0
     for g in _small_graphs(corpus_graphs):
         stats = {}

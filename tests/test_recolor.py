@@ -289,7 +289,7 @@ def test_find_reducing_swap_classes():
         assert cand.pair[0] < cand.pair[1]
 
 
-def test_merge_inside_a_piece_is_the_merge_on_its_subgraph():
+def test_merge_inside_a_piece_is_the_merge_on_its_subgraph(frame_phase):
     # the prism's vertex i is vertex 2i + 1 of a larger graph whose other
     # vertices see every prism vertex; merged over the prism's partition,
     # in the larger graph's labels, the colorings and swaps are those of the
@@ -338,7 +338,7 @@ def _joins(g, p, c1, c2, k) -> bool:
 
 
 def test_local_merge_checks_accept_what_whole_coloring_checks_accept(
-    corpus_graphs, monkeypatch
+    corpus_graphs, monkeypatch, frame_phase
 ):
     # every swap and every join of the merges that color the corpus and the
     # deep spines goes through the local checks and through the whole-
@@ -416,7 +416,9 @@ def _prism_merge():
     return g, part, c1, c2, k
 
 
-def test_merge_raises_on_a_swapped_vertex_moved_into_a_neighbours_class(monkeypatch):
+def test_merge_raises_on_a_swapped_vertex_moved_into_a_neighbours_class(
+    monkeypatch, frame_phase
+):
     # the merge applies the swapped coloring that find_reducing_swap
     # simulated; in each candidate it returns, one swapped vertex is moved
     # into the class of a neighbour

@@ -2,6 +2,7 @@
 tree invariants, and serialization of the decomposition record."""
 
 import json
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from bergecolor import (
     color,
     gen_prism,
     gen_square_free_berge,
+    line_graph,
     omega,
     tree_to_dot,
     tree_to_json,
@@ -30,8 +32,16 @@ from bergecolor.graphs import (
     maximal_cliques_in,
 )
 
-from conftest import complete, complete_minus_star, cycle, path_graph
+from conftest import (
+    NO_PARTITION_GRAPHS,
+    complete,
+    complete_minus_star,
+    cycle,
+    path_graph,
+)
 from oracles import (
+    clique_gluing,
+    naive_chromatic_number,
     naive_color_peeled,
     naive_is_clique,
     naive_peel,
@@ -112,17 +122,18 @@ def test_color_even_cycle_frozen():
     # C6 has no simplicial vertex, so the root searches the whole cycle
     assert r.tree.peeled == ()
     p = r.tree.partition
-    assert [bit_list(m) for m in p.sets()] == [[1], [], [3, 4], [0, 5], [2]]
+    # the single-vertex partition of vertex 0: no frame is built
+    assert [bit_list(m) for m in p.sets()] == [[1], [], [5], [0], [2, 3, 4]]
     assert r.tree.triad == (0, 2, 4)
     # both children are paths, peeled whole into leaves with an empty core
     first, second = r.tree.children
-    assert bit_list(first.vertices) == [0, 1, 3, 4, 5]
-    assert first.peeled == (1, 3, 4, 5, 0)
-    assert bit_list(second.vertices) == [1, 2, 3, 4]
-    assert second.peeled == (1, 2, 3, 4)
+    assert bit_list(first.vertices) == [0, 1, 5]
+    assert first.peeled == (1, 5, 0)
+    assert bit_list(second.vertices) == [1, 2, 3, 4, 5]
+    assert second.peeled == (1, 2, 3, 4, 5)
     assert first.is_leaf() and second.is_leaf()
-    assert r.stats.frames_tried == 5
-    assert r.stats.frames_pruned == 1
+    assert r.stats.frames_tried == 0
+    assert r.stats.frames_pruned == 0
     assert r.stats.node_count == 3
     assert r.stats.leaf_count == 2
     assert r.stats.max_depth == 2
@@ -149,24 +160,90 @@ def _color_bipartite_draw(n: int, seed: int) -> SolveStats:
 
 
 # Bipartite draws whose frame search once ran for minutes; no benchmark
-# workload holds them.  Each child resumes its anchor scan where its
-# parent's search succeeded.  With every child scanning from its first
-# pair, (200, 0) took 199 nodes, 626 frames tried and 52,500,020 pruned,
-# and (400, 33) 316,643,746 pruned.
+# workload holds them.  Every node now splits off a single vertex, so no
+# frame is built.  With the frame search alone, each child resuming its
+# anchor scan where its parent's succeeded, (200, 0) took 201 nodes, 665
+# frames tried and 4,106,640 pruned, and (400, 33) 941 tried and
+# 15,222,058 pruned; with every child scanning from its first pair,
+# (200, 0) took 52,500,020 pruned and (400, 33) 316,643,746.
 
 
 def test_random_200_0_colors():
     stats = _color_bipartite_draw(200, 0)
-    assert stats.node_count == 201
-    assert stats.frames_tried == 665
-    assert stats.frames_pruned == 4_106_640
+    assert stats.node_count == 199
+    assert stats.frames_tried == 0
+    assert stats.frames_pruned == 0
 
 
 def test_random_400_33_colors():
     stats = _color_bipartite_draw(400, 33)
     assert stats.node_count == 293
-    assert stats.frames_tried == 941
-    assert stats.frames_pruned == 15_222_058
+    assert stats.frames_tried == 0
+    assert stats.frames_pruned == 0
+
+
+def test_graphs_without_good_partitions_color_with_two_colors():
+    # no simplicial vertex and no good partition: the root is a leaf whose
+    # core is the whole graph, 2-colored by BFS layer parity
+    for name, make in NO_PARTITION_GRAPHS.items():
+        g = make()
+        r = color(g)
+        assert r.colors_used == 2, name
+        assert verify_coloring(g, r.coloring).ok, name
+        assert r.tree.is_leaf() and r.tree.peeled == (), name
+        assert r.stats.frames_tried == 0 and r.stats.frames_pruned > 0, name
+
+
+def test_leaf_color_two_colors_a_bipartite_core_by_layer_parity():
+    # two Heawood graphs side by side: each component's layers alternate
+    # from its lowest vertex, so both lowest vertices take color 1
+    heawood = NO_PARTITION_GRAPHS["heawood"]()
+    edges = heawood.edges()
+    g = Graph(28, edges + [(u + 14, v + 14) for u, v in edges])
+    c = solver.leaf_color(g, g.full_mask)
+    assert c.colors_used() == 2 and c.color_of(0) == c.color_of(14) == 1
+    assert verify_coloring(g, c).ok
+    # an odd cycle in the core: no coloring is made up for it
+    with pytest.raises(BergeViolation, match="is not bipartite"):
+        solver.leaf_color(cycle(5), cycle(5).full_mask)
+    assert solver.leaf_color(g, 0).classes == []
+
+
+def _clique_gluings():
+    """80 seeded clique gluings of two or three parts: 40 of small random
+    draws, most with n <= 11, and 40 of the graphs without good partitions,
+    their line graphs and larger random draws."""
+    rng = random.Random(25)
+    bases = [make() for make in NO_PARTITION_GRAPHS.values()]
+    pool = bases + [line_graph(h) for h in bases]
+    out = []
+    for seed in range(80):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            if seed < 40:
+                parts.append(gen_square_free_berge(rng.randint(3, 6), rng.randrange(20)))
+            elif rng.random() < 0.6:
+                parts.append(rng.choice(pool))
+            else:
+                parts.append(gen_square_free_berge(rng.randint(10, 40), rng.randrange(20)))
+        out.append(clique_gluing(parts, seed))
+    return out
+
+
+def test_clique_gluings_color_with_omega_colors():
+    # square-free Berge by construction, so the Berge check is skipped; the
+    # gluings with a bipartite girth-6 part keep the frame phase at work
+    small = framed = searched = 0
+    for g in _clique_gluings():
+        r = color(g, trust_berge=True)
+        assert r.colors_used == omega(g)
+        assert verify_coloring(g, r.coloring).ok
+        if g.n <= 11:
+            assert r.colors_used == naive_chromatic_number(g)
+            small += 1
+        framed += r.stats.frames_tried > 0
+        searched += r.stats.frames_pruned > 0
+    assert small >= 30 and framed >= 5 and searched >= 20
 
 
 def test_color_clique_is_single_leaf():
@@ -358,8 +435,8 @@ def test_trace_events_record_strict_progress():
     ev = []
     g = gen_square_free_berge(25, 1)
     r = color(g, trace=ev)
-    assert r.stats.swaps_applied == 8
-    assert len(ev) == 8
+    assert r.stats.swaps_applied == 6
+    assert len(ev) == 6
     for e in ev:
         assert set(e) == {
             "event", "side", "seed", "pair", "class", "bad_before",
@@ -520,7 +597,7 @@ def test_tree_to_json_shape():
     assert len(root["children"]) == 2
     assert root["triad"] == [0, 2, 4]
     assert root["partition"] == {
-        "K1": [1], "K2": [], "K3": [3, 4], "L": [0, 5], "R": [2],
+        "K1": [1], "K2": [], "K3": [5], "L": [0], "R": [2, 3, 4],
     }
     # pre-order, first child first: the first child follows its parent, and
     # the second follows the first child's whole subtree
@@ -532,7 +609,7 @@ def test_tree_to_json_shape():
     assert "peeled" not in root
     assert [n.get("peeled") for n in nodes[1:]] == [
         list(t.peeled) for t in r.tree.iter_nodes()
-    ][1:] == [[1, 3, 4, 5, 0], [1, 2, 3, 4]]
+    ][1:] == [[1, 5, 0], [1, 2, 3, 4, 5]]
     json.dumps(doc)  # must be serializable as-is
 
 
