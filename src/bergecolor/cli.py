@@ -118,8 +118,9 @@ def cmd_color(args) -> int:
         report["error"] = str(e)
         skipped = args.trust_berge or g.n > args.berge_cap
         # a square-free Berge input always has a reducing swap, and each of
-        # its leaves is emptied by the peel or bipartite, so with the Berge
-        # check skipped this error blames the input, not the program
+        # its leaves is emptied by the peel or bipartite once true twins are
+        # merged (see leaf_color), so with the Berge check skipped this
+        # error blames the input, not the program
         if isinstance(e, BergeViolation) and skipped:
             report["checks"]["berge"] = False
             report["status"] = "not-berge"
@@ -275,7 +276,7 @@ def cmd_analyze(args) -> int:
     report["maximal_cliques"] = len(cliques)
     report["triads"] = _count_triads(g)
     if report["square_free"]:
-        report["good_partition"] = find_good_partition(g, cliques=cliques) is not None
+        report["good_partition"] = find_good_partition(g) is not None
     else:
         report["good_partition"] = None  # search needs a square-free graph
     out = _json_text(report)

@@ -30,12 +30,12 @@ class NotBerge(BergeColorError):
 
 class BergeViolation(BergeColorError):
     """The merge step ran out of color swaps, or a leaf's core was neither
-    empty nor bipartite.
+    empty nor bipartite once true twins are merged.
 
     For square-free Berge inputs a reducing swap always exists, and a leaf
-    that the peel does not empty is bipartite (see `solver.leaf_color`), so
-    either failure proves the input (or a partition handed in) was not what
-    it claimed to be.
+    that the peel does not empty is taken to be such a core (see
+    `solver.leaf_color`), so either failure is blamed on the input (or a
+    partition handed in).
     """
 
 

@@ -546,16 +546,18 @@ def _vertex_partition(g: Graph, start: int, within: int) -> GoodPartition | None
 
 
 def _frame_search(
-    g: Graph, cliques: list[int] | None, start: tuple[int, int], within: int
+    g: Graph, start: tuple[int, int], within: int
 ) -> tuple[GoodPartition | None, int, int]:
     """The frame phase of `find_good_partition`: the first partition that
     a frame refines to, in the canonical order rotated to `start`, with the
-    number of frames tried and of clique pairs pruned."""
-    if cliques is None:
-        cliques = maximal_cliques_in(g, within)
+    number of frames tried and of clique pairs pruned.  The maximal cliques
+    of G are enumerated at the first anchor pair, and only if there is one."""
+    cliques = None
     tried = 0
     pruned = 0
     for x, y in _anchored_pairs(g, start, within):
+        if cliques is None:
+            cliques = maximal_cliques_in(g, within)
         masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
         # the disjoint interiors; each BFS that finds x, y connected adds one
         paths = _disjoint_paths(g, x, y, within)
@@ -584,7 +586,6 @@ def find_good_partition(
     g: Graph,
     stats: dict | None = None,
     *,
-    cliques: list[int] | None = None,
     start: tuple[int, int] = (0, 0),
     within: int | None = None,
 ) -> GoodPartition | None:
@@ -646,18 +647,16 @@ def find_good_partition(
     handed to `refine_frame`) and "frames_pruned" (clique pairs skipped
     without refinement, one per pair, a skipped row counting every pair in
     it); both keys are always set, and the vertex phase adds 0 to each.
-    `cliques`, if given, are the maximal cliques of G as masks in
-    lexicographic order (the solver carries them down the decomposition);
-    otherwise the frame phase enumerates them from G up front.  Each anchor
-    pair derives the cliques of G minus {x, y} from them with
-    `cliques_within`, the two orders of a pair each their own.
+    The frame phase enumerates the maximal cliques of G once, at its first
+    anchor pair, and each anchor pair derives those of G minus {x, y} from
+    them with `cliques_within`.
     """
     if within is None:
         within = g.full_mask
     found = _vertex_partition(g, start[0], within)
     tried = pruned = 0
     if found is None:
-        found, tried, pruned = _frame_search(g, cliques, start, within)
+        found, tried, pruned = _frame_search(g, start, within)
     if stats is not None:
         stats["frames_tried"] = stats.get("frames_tried", 0) + tried
         stats["frames_pruned"] = stats.get("frames_pruned", 0) + pruned

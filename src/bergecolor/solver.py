@@ -5,9 +5,8 @@ merges sibling colorings bottom-up with Kempe swaps, using exactly the
 clique number of colors (which exact coloring must hit, since the inputs
 are perfect).  The decomposition is recorded as a binary tree whose
 internal nodes carry their partition and a witness triad: the triad of
-condition (v) that the partition's own verification found.  The maximal
-cliques are enumerated once, at the root; every other node's list is
-derived from its parent's and carried down with the node.
+condition (v) that the partition's own verification found.  A clique of k
+vertices that the solve already holds proves its k colors optimal.
 
 Every piece is a vertex mask of the one input graph, and the whole
 decomposition runs in the input's labels: no piece becomes a graph of its
@@ -23,11 +22,11 @@ starts from the parent's cutset, the only vertices that can have become
 simplicial.  A peeled vertex is colored last with the lowest color missing
 from its neighborhood at removal: a clique of at most omega - 1 vertices, so
 a color within omega is always free (Gavril 1972, perfect elimination
-orderings).  A leaf's core is empty unless it is bipartite, and then it is
-2-colored by BFS layer parity (see `leaf_color`).  Colorings are lists of
-color-class masks (see `recolor.PartialColoring`): the peel extends the
-coloring the merge has just returned in place, adding each vertex to the
-lowest class that misses its neighborhood.
+orderings).  A leaf's core is empty, or bipartite once true twins are
+merged, and then it is colored from that bipartition (see `leaf_color`).
+Colorings are lists of color-class masks (see `recolor.PartialColoring`):
+the peel extends the coloring the merge has just returned in place, adding
+each vertex to the lowest class that misses its neighborhood.
 """
 
 from __future__ import annotations
@@ -41,14 +40,13 @@ from .graphs import (
     _bipartition,
     _peel,
     bit_list,
-    cliques_within,
+    iter_bits,
     mask_of,
-    maximal_cliques_in,
     omega,
     require_berge,
     require_square_free,
 )
-from .partition import GoodPartition, find_good_partition
+from .partition import GoodPartition, _clique_defect, find_good_partition
 from .recolor import PartialColoring, merge_colorings
 
 
@@ -119,6 +117,7 @@ class ColorResult:
     colors_used: int
     tree: TreeNode
     stats: SolveStats
+    clique: int  # a clique of colors_used vertices, as a mask
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,9 @@ def verify_coloring(
     neighbourhood must miss its own class ("improper-edge", naming the
     lexicographically first adjacent pair (u, v), u < v, inside one class),
     and the non-empty classes must number at most omega(g)
-    ("too-many-colors").  `clique_number`, if given, is omega(g) as the
-    caller has found it from g's maximal cliques; otherwise it is computed
-    here."""
+    ("too-many-colors").  `clique_number`, if given, is the size of a
+    clique of g that the caller has checked, and stands in for omega(g);
+    otherwise omega(g) is computed here."""
     if isinstance(c, PartialColoring):
         classes = c.classes
         full = g.full_mask
@@ -209,8 +208,9 @@ def verify_coloring(
     return ColoringVerdict(True)
 
 
-def leaf_color(g: Graph, core: int) -> PartialColoring:
-    """The coloring of a leaf's core: empty, or its two BFS layer classes.
+def leaf_color(g: Graph, core: int) -> tuple[PartialColoring, int]:
+    """The coloring of a leaf's core, and a clique of as many vertices as
+    it has colors, as a mask: both empty when the core is.
 
     A leaf is a piece of a square-free Berge graph with no good partition.
     Without a triad such a piece is chordal: a hole of length 4 is a
@@ -219,29 +219,61 @@ def leaf_color(g: Graph, core: int) -> PartialColoring:
     (Dirac 1961), so the peel removes a triad-free leaf whole and its core
     is empty.  A leaf may hold triads, though: bipartite graphs of girth at
     least 6 and minimum degree at least 3, such as the Heawood graph, have
-    no good partition and no simplicial vertex.  A bipartite core is
-    2-colored by the parity of its BFS layers, each component searched
-    from its lowest vertex (`graphs._bipartition`).  Raises BergeViolation
-    on any other non-empty `core`, which has neither a simplicial vertex
-    nor a good partition and is not bipartite: no coloring is made up for
-    it.
+    no good partition and no simplicial vertex, and neither have their
+    blow-ups by true twins (adjacent vertices with the same neighbours).
+
+    The core's vertices are grouped into classes by their closed
+    neighbourhood in the core, so true twins share a class; a class is a
+    clique, complete or anticomplete to each other class.  The quotient,
+    one lowest vertex per class, must be bipartite: its sides are the
+    parities of its BFS layers, each component searched from its lowest
+    vertex (`graphs._bipartition`).  k is the most vertices in a class and
+    one adjacent class, the first such pair the witness clique.  A class of
+    w vertices takes colors 1..w on the first side and the top w of 1..k
+    on the other, so two adjacent classes never share a color.  A
+    bipartite core has one vertex per class and is 2-colored by layer
+    parity.  Raises BergeViolation on any other non-empty `core`, which
+    has neither a simplicial vertex nor a good partition and is not such a
+    blow-up: no coloring is made up for it.
     """
-    sides = _bipartition(g, core)
+    masks = g._masks
+    by_nbhd: dict[int, int] = {}
+    for v in iter_bits(core):
+        key = (masks[v] | 1 << v) & core
+        by_nbhd[key] = by_nbhd.get(key, 0) | 1 << v
+    # each class under its lowest vertex, ascending
+    classes = {(m & -m).bit_length() - 1: m for m in by_nbhd.values()}
+    reps = mask_of(classes)
+    sides = _bipartition(g, reps)
     if sides is None:
         raise BergeViolation(
             f"a leaf core of {core.bit_count()} vertices has no simplicial "
-            "vertex and no good partition, and is not bipartite"
+            "vertex and no good partition, and is not bipartite once true "
+            "twins are merged"
         )
-    return PartialColoring.of_classes([m for m in sides if m])
+    clique = 0
+    for v, m in classes.items():
+        for u in iter_bits(masks[v] & reps):
+            if m.bit_count() + classes[u].bit_count() > clique.bit_count():
+                clique = m | classes[u]
+        if m.bit_count() > clique.bit_count():
+            clique = m
+    k = clique.bit_count()
+    colors = [0] * k
+    for v, m in classes.items():
+        first = 0 if sides[0] >> v & 1 else k - m.bit_count()
+        for i, u in enumerate(iter_bits(m)):
+            colors[first + i] |= 1 << u
+    return PartialColoring.of_classes(colors), clique
 
 
 def _color_peeled(
-    coloring: PartialColoring, peeled: list[tuple[int, int]], k: int
+    coloring: PartialColoring, peeled: list[tuple[int, int]], clique: int
 ) -> tuple[PartialColoring, int]:
     """Extend the core's coloring, in place, to the peeled vertices, last
     removed first.  Each one's neighborhood at removal is then a colored
     clique, so the lowest class that misses it is at most its size + 1;
-    the piece's k grows to the largest such clique plus v."""
+    the piece's witness clique becomes it with v wherever that is larger."""
     classes = coloring.classes
     for v, nb in reversed(peeled):
         for i, m in enumerate(classes):
@@ -250,19 +282,17 @@ def _color_peeled(
                 break
         else:
             classes.append(1 << v)
-        k = max(k, nb.bit_count() + 1)
-    return coloring, k
+        clique = nb | 1 << v if nb.bit_count() >= clique.bit_count() else clique
+    return coloring, clique
 
 
 def _solve(
-    g: Graph, cliques: list[int], stats: SolveStats, events: list[dict]
+    g: Graph, stats: SolveStats, events: list[dict]
 ) -> tuple[PartialColoring, int, TreeNode]:
-    """Color g by decomposition and return the coloring, its number of
-    colors and the tree's root.  Every piece is a vertex mask of g, and
-    every vertex, mask and partition is in g's labels; `cliques` are g's
-    maximal cliques (masks, lexicographic order), and each piece derives
-    its own from its parent's.  Counters and swap events go into the run's
-    `stats` and `events`.
+    """Color g by decomposition and return the coloring, a clique of as
+    many vertices as it has colors (a mask) and the tree's root.  Every
+    vertex, mask and partition is in g's labels.  Counters and swap events
+    go into the run's `stats` and `events`.
 
     A piece is peeled, the first scan testing only its seeds (see `_peel`),
     and its core searched and split, or left as a leaf.  The root's seeds
@@ -280,52 +310,50 @@ def _solve(
     children and the second child (the core minus L) before the first.
     That visit order, walked backwards, is the post-order of the tree,
     first child first; the colorings are built and merged in that walk,
-    each node's from its two children's."""
+    each node's from its two children's, and so is its witness clique: the
+    larger child's, the first on a tie, which its peel may still raise."""
     fstats: dict[str, int] = {}
-    # (piece, seeds, start pair, depth, the parent's maximal cliques)
-    pending = [(g.full_mask, g.full_mask, (0, 0), 1, cliques)]
+    # (piece, seeds, start pair, depth)
+    pending = [(g.full_mask, g.full_mask, (0, 0), 1)]
     visited = []
     while pending:
-        keep, seeds, start, depth, cliques = pending.pop()
+        keep, seeds, start, depth = pending.pop()
         stats.node_count += 1
         stats.max_depth = max(stats.max_depth, depth)
         peeled = _peel(g, seeds, keep)
         node = TreeNode(vertices=keep, peeled=tuple(v for v, _ in peeled))
         core = keep & ~mask_of(v for v, _ in peeled)
-        # an empty core, a leaf's, needs no cliques; its search finds no pair
-        cliques = cliques_within(g, cliques, core) if core else []
-        gp = find_good_partition(g, fstats, cliques=cliques, start=start, within=core)
+        gp = find_good_partition(g, fstats, start=start, within=core)
         visited.append((node, core, peeled, gp))
         if gp is None:
             stats.leaf_count += 1
             continue
         cut = gp.k1 | gp.k2 | gp.k3
         # the first child holds L, the second R
-        pending.append((core & ~gp.r, cut, gp.anchor, depth + 1, cliques))
-        pending.append((core & ~gp.l, cut, gp.anchor, depth + 1, cliques))
+        pending.append((core & ~gp.r, cut, gp.anchor, depth + 1))
+        pending.append((core & ~gp.l, cut, gp.anchor, depth + 1))
     stats.frames_tried += fstats.get("frames_tried", 0)
     stats.frames_pruned += fstats.get("frames_pruned", 0)
 
-    # each finished subtree's (coloring, colors, root), the latest on top
+    # each finished subtree's (coloring, witness clique, root), the latest on top
     done: list[tuple[PartialColoring, int, TreeNode]] = []
     for node, core, peeled, gp in reversed(visited):
         if gp is None:
-            coloring = leaf_color(g, core)
-            k = coloring.colors_used()
+            coloring, clique = leaf_color(g, core)
         else:
-            c2, k2, node2 = done.pop()
-            c1, k1, node1 = done.pop()
-            k = max(k1, k2)
+            c2, q2, node2 = done.pop()
+            c1, q1, node1 = done.pop()
+            clique = q1 if q1.bit_count() >= q2.bit_count() else q2
 
             # a swap event names its seed by rank in the core, and the core's size
             def trace(ev: dict) -> None:
                 rank = (core & ((1 << ev["seed"]) - 1)).bit_count()
                 events.append({**ev, "seed": rank, "node_n": core.bit_count()})
 
-            coloring = merge_colorings(g, gp, c1, c2, k, trace=trace)
+            coloring = merge_colorings(g, gp, c1, c2, clique.bit_count(), trace=trace)
             node.partition = gp
             node.children = (node1, node2)
-        done.append((*_color_peeled(coloring, peeled, k), node))
+        done.append((*_color_peeled(coloring, peeled, clique), node))
     return done.pop()
 
 
@@ -350,18 +378,18 @@ def color(
         stats.berge_checked = True
 
     events: list[dict] = []
-    cliques = maximal_cliques_in(g, g.full_mask)
-    coloring, k, tree = _solve(g, cliques, stats, events)
+    coloring, clique, tree = _solve(g, stats, events)
     stats.swaps_applied = len(events)  # every event is one applied swap
 
-    # omega(g) from the root's maximal cliques, never from the solve's own k;
-    # the final check reuses it rather than enumerating the cliques again
-    w = max((q.bit_count() for q in cliques), default=0)
-    if k != w or coloring.colors_used() != w:
+    # a clique of k vertices and a proper k-coloring: k <= omega <= chi <= k
+    k = clique.bit_count()
+    if clique & ~g.full_mask or _clique_defect(g, clique):
+        raise InternalViolation("the solver's witness is not a clique of the graph")
+    if coloring.colors_used() != k:
         raise InternalViolation(
-            f"solver used {coloring.colors_used()} colors, clique number is {w}"
+            f"solver used {coloring.colors_used()} colors, its witness clique has {k}"
         )
-    verdict = verify_coloring(g, coloring, clique_number=w)
+    verdict = verify_coloring(g, coloring, clique_number=k)
     if not verdict:
         raise InternalViolation(f"final coloring invalid: {verdict.reason}")
     if stats.node_count > max(1, 3 * g.n**3):
@@ -374,7 +402,7 @@ def color(
 
     if trace is not None:
         trace.extend(events)
-    return ColorResult(coloring=coloring, colors_used=k, tree=tree, stats=stats)
+    return ColorResult(coloring, k, tree, stats, clique)
 
 
 def _preorder(tree: TreeNode) -> list[tuple[TreeNode, list[int]]]:

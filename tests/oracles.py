@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 from bergecolor import DimacsError, Frame, Graph, refine_frame
 from bergecolor.dimacs import MAX_VERTICES
@@ -793,3 +793,25 @@ def clique_gluing(parts: list[Graph], seed: int) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph(n, sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+
+
+def true_twin_blowup(g: Graph, vertices) -> Graph:
+    """g with each vertex of `vertices` given one true twin: a new vertex,
+    numbered from g.n up in the order given, adjacent to the vertex and to
+    all of its neighbours, twins included.
+
+    Replacing vertices by cliques keeps a graph perfect (Lovász 1972), so
+    a Berge graph stays Berge; and two true twins lie on no chordless cycle
+    of length 4 or more, so no square appears."""
+    copies = {v: [v] for v in range(g.n)}
+    n = g.n
+    for v in vertices:
+        copies[v].append(n)
+        n += 1
+    edges = set()
+    for v in range(g.n):
+        edges |= {(a, b) for a, b in combinations(copies[v], 2)}
+        for u in range(v + 1, g.n):
+            if g.adjacent(u, v):
+                edges |= {tuple(sorted(e)) for e in product(copies[v], copies[u])}
+    return Graph(n, sorted(edges))

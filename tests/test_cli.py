@@ -37,6 +37,7 @@ from bergecolor.cli import build_parser, main
 from bergecolor.graphs import mask_of, maximal_cliques_in
 
 from conftest import NO_PARTITION_GRAPHS, complete, cycle, hexagon_chain, path_graph
+from oracles import true_twin_blowup
 
 
 def col(tmp_path, g, name="g.col"):
@@ -322,6 +323,18 @@ def test_color_heawood_exits_0(tmp_path, capsys):
         assert main(["color", path, "-o", sol, *flags]) == 0
         assert main(["verify", path, "--coloring", sol]) == 0
         assert max(parse_coloring_lines(open(sol).read()).values()) == 2
+    assert "error" not in capsys.readouterr().err
+
+
+def test_color_heawood_with_a_true_twin_exits_0(tmp_path, capsys):
+    # vertex 0 doubled: no simplicial vertex, no good partition and not
+    # bipartite, but its twin classes form the Heawood graph; 3 colors
+    path = col(tmp_path, true_twin_blowup(NO_PARTITION_GRAPHS["heawood"](), [0]))
+    sol = str(tmp_path / "h.sol")
+    for flags in ([], ["--trust-berge"]):
+        assert main(["color", path, "-o", sol, *flags]) == 0
+        assert main(["verify", path, "--coloring", sol]) == 0
+        assert max(parse_coloring_lines(open(sol).read()).values()) == 3
     assert "error" not in capsys.readouterr().err
 
 
@@ -715,7 +728,8 @@ def test_analyze_prism(tmp_path, capsys):
 
 
 def test_analyze_enumerates_maximal_cliques_once(tmp_path, capsys, monkeypatch):
-    # the clique list analyze reports is handed on to the partition search
+    # analyze enumerates the cliques it reports; the partition search does
+    # not, since the prism splits off a single vertex before any frame
     calls = 0
 
     def counted(g, allowed):

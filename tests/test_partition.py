@@ -548,11 +548,10 @@ def test_started_search_is_complete(corpus_graphs):
     graphs.append(NO_PARTITION_GRAPHS["heawood"]())
     found = missed = 0
     for g in graphs:
-        cliques = maximal_cliques_in(g, g.full_mask)
-        want = find_good_partition(g, cliques=cliques) is not None
+        want = find_good_partition(g) is not None
         starts = [*_anchored_pairs(g), (g.n // 2, 0), (1, 2), (g.n, 0)]
         for start in starts:
-            part = find_good_partition(g, cliques=cliques, start=start)
+            part = find_good_partition(g, start=start)
             assert (part is not None) == want
             found += want
             missed += not want

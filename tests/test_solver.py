@@ -10,6 +10,7 @@ from bergecolor import (
     BergeViolation,
     ColoringVerdict,
     Graph,
+    InternalViolation,
     NotBerge,
     NotSquareFree,
     PartialColoring,
@@ -24,7 +25,7 @@ from bergecolor import (
     tree_to_json,
     verify_coloring,
 )
-from bergecolor import solver
+from bergecolor import partition, solver
 from bergecolor.graphs import (
     bit_list,
     contains_square,
@@ -40,6 +41,7 @@ from conftest import (
     path_graph,
 )
 from oracles import (
+    brute_good_partition,
     clique_gluing,
     naive_chromatic_number,
     naive_color_peeled,
@@ -47,6 +49,7 @@ from oracles import (
     naive_peel,
     naive_subgraph,
     naive_verify_coloring,
+    true_twin_blowup,
 )
 from test_output_digest import DEEP_SPINES
 
@@ -200,13 +203,53 @@ def test_leaf_color_two_colors_a_bipartite_core_by_layer_parity():
     heawood = NO_PARTITION_GRAPHS["heawood"]()
     edges = heawood.edges()
     g = Graph(28, edges + [(u + 14, v + 14) for u, v in edges])
-    c = solver.leaf_color(g, g.full_mask)
+    c, clique = solver.leaf_color(g, g.full_mask)
     assert c.colors_used() == 2 and c.color_of(0) == c.color_of(14) == 1
     assert verify_coloring(g, c).ok
+    # the witness is the edge at the lowest core vertex
+    assert clique == 1 << 0 | 1 << 1
     # an odd cycle in the core: no coloring is made up for it
     with pytest.raises(BergeViolation, match="is not bipartite"):
         solver.leaf_color(cycle(5), cycle(5).full_mask)
-    assert solver.leaf_color(g, 0).classes == []
+    c, clique = solver.leaf_color(g, 0)
+    assert c.classes == [] and clique == 0
+
+
+def _twin_blowups():
+    """The 12 blow-ups of the graphs without good partitions: each with
+    vertex 0 given a true twin, and with every vertex given one."""
+    out = {}
+    for name, make in NO_PARTITION_GRAPHS.items():
+        h = make()
+        out[f"{name}+0"] = true_twin_blowup(h, [0])
+        out[f"{name}+all"] = true_twin_blowup(h, range(h.n))
+    return out
+
+
+def test_leaf_color_weights_the_classes_of_true_twins():
+    # Heawood with vertex 0 doubled (vertex 14): the quotient by closed
+    # neighbourhoods is the Heawood graph, class {0, 14} of weight 2 on the
+    # side of 0; k = 3, reached first by {0, 14} and its lowest neighbour 1
+    g = _twin_blowups()["heawood+0"]
+    c, clique = solver.leaf_color(g, g.full_mask)
+    assert clique == 1 << 0 | 1 << 14 | 1 << 1
+    assert verify_coloring(g, c).ok and c.colors_used() == 3 == omega(g)
+    # a class takes 1..w on the first side and the top w of 3 on the other
+    assert (c.color_of(0), c.color_of(14), c.color_of(1), c.color_of(2)) == (1, 2, 3, 1)
+
+
+def test_twin_blowups_of_leaf_cores_color_with_omega_colors():
+    # no simplicial vertex and no good partition, and not bipartite: the
+    # root is a leaf whose core is colored through its twin classes
+    blowups = _twin_blowups()
+    assert brute_good_partition(blowups["heawood+0"]) is None
+    for name, g in blowups.items():
+        assert not contains_square(g), name
+        r = color(g, berge_cap=16)
+        assert r.stats.berge_checked == (g.n <= 16), name
+        assert r.colors_used == omega(g) == (3 if name.endswith("+0") else 4), name
+        assert verify_coloring(g, r.coloring).ok, name
+        assert r.tree.is_leaf() and r.tree.peeled == (), name
 
 
 def _clique_gluings():
@@ -238,12 +281,40 @@ def test_clique_gluings_color_with_omega_colors():
         r = color(g, trust_berge=True)
         assert r.colors_used == omega(g)
         assert verify_coloring(g, r.coloring).ok
+        assert naive_is_clique(g, bit_list(r.clique))
+        assert r.clique.bit_count() == omega(g)
         if g.n <= 11:
             assert r.colors_used == naive_chromatic_number(g)
             small += 1
         framed += r.stats.frames_tried > 0
         searched += r.stats.frames_pruned > 0
     assert small >= 30 and framed >= 5 and searched >= 20
+
+
+def _blowup_gluings():
+    """30 seeded clique gluings of two or three parts, each part a twin
+    blow-up of a graph without good partitions or a random draw."""
+    rng = random.Random(26)
+    pool = list(_twin_blowups().values())
+    out = []
+    for seed in range(30):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            if rng.random() < 0.7:
+                parts.append(rng.choice(pool))
+            else:
+                parts.append(gen_square_free_berge(rng.randint(10, 40), rng.randrange(20)))
+        out.append(clique_gluing(parts, 100 + seed))
+    return out
+
+
+def test_twin_blowup_gluings_color_with_omega_colors():
+    for g in _blowup_gluings():
+        r = color(g, trust_berge=True)
+        assert r.colors_used == omega(g)
+        assert verify_coloring(g, r.coloring).ok
+        assert naive_is_clique(g, bit_list(r.clique))
+        assert r.clique.bit_count() == omega(g)
 
 
 def test_color_clique_is_single_leaf():
@@ -306,21 +377,37 @@ def test_color_checks_for_squares_once(monkeypatch):
 
 
 def test_color_enumerates_maximal_cliques_once(corpus_graphs, monkeypatch):
-    # one Bron-Kerbosch run per solve: the root's clique list is carried
-    # down the tree and also gives the final check its clique number
-    calls = 0
+    # the witness clique certifies omega, so Bron-Kerbosch runs only in a
+    # frame phase, once, after its first anchor pair: never on the corpus,
+    # whose nodes all split off a single vertex or peel to an empty core
+    phases = []  # per frame phase: [anchor pairs reached, enumerations]
+    search, pairs = partition._frame_search, partition._anchored_pairs
+
+    def counted_search(*args):
+        phases.append([0, 0])
+        return search(*args)
+
+    def counted_pairs(*args):
+        for pair in pairs(*args):
+            phases[-1][0] += 1
+            yield pair
 
     def counted(g, allowed):
-        nonlocal calls
-        calls += 1
+        assert phases and phases[-1][0] > 0
+        phases[-1][1] += 1
         return maximal_cliques_in(g, allowed)
 
-    for mod in ("bergecolor.solver", "bergecolor.graphs", "bergecolor.partition"):
+    monkeypatch.setattr(partition, "_frame_search", counted_search)
+    monkeypatch.setattr(partition, "_anchored_pairs", counted_pairs)
+    for mod in ("bergecolor.graphs", "bergecolor.partition"):
         monkeypatch.setattr(f"{mod}.maximal_cliques_in", counted)
     for name, g in corpus_graphs:
-        calls = 0
         color(g)
-        assert calls == 1, name
+    assert phases and all(calls == 0 for _, calls in phases)
+    for make in NO_PARTITION_GRAPHS.values():
+        color(make())
+    assert all(calls == (reached > 0) for reached, calls in phases)
+    assert sum(calls for _, calls in phases) == len(NO_PARTITION_GRAPHS)
 
 
 def test_verify_with_given_clique_number_matches(corpus_graphs):
@@ -449,28 +536,31 @@ def test_trace_events_record_strict_progress():
         assert len(e["pair"]) == 2
 
 
-def test_carried_cliques_are_each_nodes_maximal_cliques(corpus_graphs, monkeypatch):
-    # every node's clique list is derived from its parent's; it must equal a
-    # fresh search on that node's core, as masks and in the same order
-    search = solver.find_good_partition
-    nodes = 0
-
-    def checked(g, stats=None, *, cliques=None, start=(0, 0), within=None):
-        nonlocal nodes
-        assert cliques == maximal_cliques_in(g, within)
-        nodes += 1
-        return search(g, stats, cliques=cliques, start=start, within=within)
-
-    monkeypatch.setattr(solver, "find_good_partition", checked)
-    graphs = [g for _, g in corpus_graphs if g.n <= 30]
-    graphs += [gen_square_free_berge(120, 0), path_graph(60)]
-    assert omega(graphs[-2]) >= 3
-    # peeling leaves few nodes per graph; these draws bring the count back
-    graphs += [gen_square_free_berge(n, s) for n in (40, 50, 60, 70) for s in range(40)]
-    total = 0
+def test_witness_clique_certifies_omega(corpus_graphs):
+    # the solve's own clique has omega(g) vertices and is a clique of g; the
+    # two gluing tests check the same on their families
+    graphs = [g for _, g in corpus_graphs]
+    graphs += [gen_square_free_berge(n, s) for n in (40, 80, 120) for s in range(5)]
+    graphs += [make() for make in NO_PARTITION_GRAPHS.values()]
+    graphs += list(_twin_blowups().values())
     for g in graphs:
-        total += color(g).stats.node_count
-    assert nodes == total > 2000
+        r = color(g, trust_berge=True)
+        assert naive_is_clique(g, bit_list(r.clique))
+        assert r.clique.bit_count() == r.colors_used == omega(g)
+
+
+def test_color_refuses_a_witness_that_is_no_clique(monkeypatch):
+    # C6's witness is an edge; a non-edge of two vertices, or one vertex
+    # against a 2-coloring, fails the final check
+    solve = solver._solve
+    for fake, message in ((1 << 0 | 1 << 2, "not a clique"), (1 << 0, "has 1")):
+        def faked(g, stats, events, fake=fake):
+            coloring, _, tree = solve(g, stats, events)
+            return coloring, fake, tree
+
+        monkeypatch.setattr(solver, "_solve", faked)
+        with pytest.raises(InternalViolation, match=message):
+            color(cycle(6))
 
 
 def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monkeypatch):
@@ -499,13 +589,13 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
         seeded += seeds != keep
         return peeled
 
-    def checked_extend(core, peeled, k):
-        coloring, k2 = extend(core, peeled, k)
+    def checked_extend(core, peeled, clique):
+        coloring, clique2 = extend(core, peeled, clique)
         colors = coloring.colors
         for v, nb in peeled:
-            assert colors[v] <= nb.bit_count() + 1 <= k2
+            assert colors[v] <= nb.bit_count() + 1 <= clique2.bit_count()
             assert colors[v] not in {colors[u] for u in bit_list(nb)}
-        return coloring, k2
+        return coloring, clique2
 
     monkeypatch.setattr(solver, "_peel", checked_peel)
     monkeypatch.setattr(solver, "_color_peeled", checked_extend)
@@ -520,18 +610,19 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
 
 def test_peel_coloring_matches_the_dict_version(corpus_graphs, monkeypatch):
     # at every node, the class-mask peel coloring gives each peeled vertex
-    # the color, and the piece the k, that the lowest color missing from its
-    # neighbourhood's colors gives on a {vertex: color} dict
+    # the color, and the piece's witness clique the size k, that the lowest
+    # color missing from its neighbourhood's colors gives on a
+    # {vertex: color} dict
     extend = solver._color_peeled
     nodes = 0
 
-    def checked(coloring, peeled, k):
+    def checked(coloring, peeled, clique):
         nonlocal nodes
-        want = naive_color_peeled(coloring.colors, peeled, k)
-        out, k2 = extend(coloring, peeled, k)
-        assert (out.colors, k2) == want
+        want = naive_color_peeled(coloring.colors, peeled, clique.bit_count())
+        out, clique2 = extend(coloring, peeled, clique)
+        assert (out.colors, clique2.bit_count()) == want
         nodes += 1
-        return out, k2
+        return out, clique2
 
     monkeypatch.setattr(solver, "_color_peeled", checked)
     total = 0
