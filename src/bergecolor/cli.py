@@ -32,6 +32,7 @@ from .errors import (
     InternalViolation,
     NotBerge,
     NotSquareFree,
+    PartitionParseError,
     SpecError,
 )
 from .generators import (
@@ -195,11 +196,11 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID
     with open(args.partition) as fh:
         try:
-            data = json.load(fh)
-        # malformed JSON, undecodable bytes, or arrays nested too deep
-        except (ValueError, RecursionError) as e:
+            part = GoodPartition.from_json(json.load(fh), g.n)
+        # malformed JSON, undecodable bytes, arrays nested too deep, or
+        # anything but lists of integers under the five keys
+        except (ValueError, RecursionError, PartitionParseError) as e:
             return _fail(f"bad partition file: {e}", EXIT_PARSE)
-    part = GoodPartition.from_json(data, g.n)
     verdict = verify_good_partition(g, part)
     if verdict.ok:
         print("partition valid")

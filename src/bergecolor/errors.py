@@ -9,6 +9,11 @@ class MalformedPartition(BergeColorError):
     """The five sets do not partition the vertex set (overlap or missing vertices)."""
 
 
+class PartitionParseError(MalformedPartition):
+    """A partition's JSON is not an object whose K1, K2, K3, L and R are
+    lists of integers."""
+
+
 class NotSquareFree(BergeColorError):
     """Input contains an induced 4-cycle; the witness cycle is attached.
 

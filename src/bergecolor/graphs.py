@@ -207,20 +207,16 @@ def contains_square(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def _iter_triads(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """Triads of g, ascending."""
+def find_triads(g: Graph) -> list[tuple[int, int, int]]:
+    """All triples of pairwise non-adjacent vertices, ascending."""
     full = g.full_mask
+    out = []
     for x in range(g.n):
         nonx = full & ~g.mask(x) & ~((1 << (x + 1)) - 1)
         for y in iter_bits(nonx):
             zs = nonx & ~g.mask(y) & ~((1 << (y + 1)) - 1)
-            for z in iter_bits(zs):
-                yield (x, y, z)
-
-
-def find_triads(g: Graph) -> list[tuple[int, int, int]]:
-    """All triples of pairwise non-adjacent vertices, ascending."""
-    return list(_iter_triads(g))
+            out.extend((x, y, z) for z in iter_bits(zs))
+    return out
 
 
 def _count_triads(g: Graph) -> int:
@@ -414,11 +410,6 @@ def _bipartition(g: Graph, allowed: int) -> tuple[int, int] | None:
     return sides[0], sides[1]
 
 
-def _is_bipartite(g: Graph, allowed: int) -> bool:
-    """Whether the subgraph induced on `allowed` has no odd cycle."""
-    return _bipartition(g, allowed) is not None
-
-
 def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     """First chordless odd cycle of length >= 5 found by ordered DFS, or None.
 
@@ -445,7 +436,7 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     recursion limit.  Worst case exponential on cores with triangles.
     """
     core = g.full_mask & ~mask_of(v for v, _ in _peel(g, g.full_mask, g.full_mask))
-    if _is_bipartite(g, core):
+    if _bipartition(g, core) is not None:
         return None
     masks = g._masks
     rest = core

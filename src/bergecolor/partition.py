@@ -27,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import InternalViolation, MalformedPartition, NotSquareFree
+from .errors import (
+    InternalViolation,
+    MalformedPartition,
+    NotSquareFree,
+    PartitionParseError,
+)
 from .graphs import (
     Graph,
     bit_list,
@@ -51,10 +56,8 @@ class GoodPartition:
     k3: int
     l: int
     r: int
-    # the anchor pair (x, y) whose frame refined to this partition, x in L
-    # and y in R, and the triad, ascending, that its verification found for
-    # condition (v); both None when the partition was not found by refinement
-    anchor: tuple[int, int] | None = field(default=None, compare=False)
+    # the triad, ascending, that the search's verification found for
+    # condition (v); None when the partition was not found by the search
     triad: tuple[int, int, int] | None = field(default=None, compare=False)
 
     def sets(self) -> tuple[int, int, int, int, int]:
@@ -66,18 +69,20 @@ class GoodPartition:
     @classmethod
     def from_json(cls, obj: dict, n: int) -> "GoodPartition":
         """The partition a JSON object lists, for a graph on vertices
-        0..n-1.  A vertex outside that range is rejected before it is
-        shifted into a mask, so a huge one costs no memory."""
+        0..n-1.  Anything but an object whose five keys hold lists of
+        integers raises PartitionParseError.  A vertex outside the range is
+        rejected, as MalformedPartition, before it is shifted into a mask,
+        so a huge one costs no memory."""
         try:
             fields = [obj[key] for key in _KEYS]
         except (KeyError, TypeError) as exc:
-            raise MalformedPartition(f"partition JSON needs keys K1,K2,K3,L,R: {exc}")
+            raise PartitionParseError(f"partition JSON needs keys K1,K2,K3,L,R: {exc}")
         masks = []
         for name, members in zip(_KEYS, fields):
             if not isinstance(members, list) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in members
             ):
-                raise MalformedPartition(f"{name} must be a list of integers")
+                raise PartitionParseError(f"{name} must be a list of integers")
             for v in members:
                 if not 0 <= v < n:
                     raise MalformedPartition(f"vertex {v} out of range 0..{n - 1}")
@@ -382,10 +387,9 @@ def refine_frame(
     shrink K'1 and K'3, and condition (i) only on a passing partition,
     since L is a whole component of the piece minus the cutset and R the
     rest; so the partition returned is one the whole verifier would pass.
-    It carries the frame's anchor pair and its (v) triad.  Any other
-    failing condition means a bug, not bad input, and raises
-    InternalViolation; so does a frame whose Q1 or Q3 is not a clique, at
-    the first turn.
+    It carries its (v) triad.  Any other failing condition means a bug,
+    not bad input, and raises InternalViolation; so does a frame whose Q1
+    or Q3 is not a clique, at the first turn.
     """
     if within is None:
         within = g.full_mask
@@ -411,9 +415,7 @@ def refine_frame(
         if verdict:
             failed = _condition_i(g, lm, rm)
             if failed is None:
-                return GoodPartition(
-                    k1m, k2m, k3m, lm, rm, anchor=(x, y), triad=verdict.witness
-                )
+                return GoodPartition(k1m, k2m, k3m, lm, rm, triad=verdict.witness)
             verdict = failed
         if verdict.condition == "iii":
             nv = g.mask(verdict.witness[-2])
@@ -437,33 +439,16 @@ def refine_frame(
             raise InternalViolation("refinement exceeded its shrink budget")
 
 
-def _anchored_pairs(
-    g: Graph, start: tuple[int, int] = (0, 0), within: int | None = None
-) -> Iterator[tuple[int, int]]:
+def _anchored_pairs(g: Graph, within: int) -> Iterator[tuple[int, int]]:
     """Ordered pairs (x, y) of distinct non-adjacent vertices of `within`
-    (all of g by default) sharing a triad there, in lexicographic order
-    rotated to begin at the first pair at or after `start`: the pairs from
-    there on, then those before it.  A start past every pair begins at the
-    first.  Each row's candidates y are the bits of one mask, walked lazily."""
-    keep = g.full_mask if within is None else within
+    sharing a triad there, in lexicographic order.  Each row's candidates
+    y are the bits of one mask, walked lazily."""
     masks = g._masks
-    # every pair is at or after a start below (0, 0)
-    x0, y0 = start if start >= (0, 0) else (0, 0)
-    x0bit = 1 << x0
-    tail = -1 << max(y0, 0)  # the columns y >= y0
-    # row x0 comes round twice: from y0 on first, and below y0 last
-    rows = (
-        (keep & x0bit, tail),
-        (keep & -(x0bit << 1), -1),
-        (keep & (x0bit - 1), -1),
-        (keep & x0bit, ~tail),
-    )
-    for xs, cols in rows:
-        for x in iter_bits(xs):
-            far = keep & ~masks[x] & ~(1 << x)
-            for y in iter_bits(far & cols):
-                if far & ~masks[y] & ~(1 << y):
-                    yield (x, y)
+    for x in iter_bits(within):
+        far = within & ~masks[x] & ~(1 << x)
+        for y in iter_bits(far):
+            if far & ~masks[y] & ~(1 << y):
+                yield (x, y)
 
 
 def _disjoint_paths(g: Graph, x: int, y: int, within: int) -> list[int]:
@@ -516,8 +501,7 @@ def _vertex_partition(g: Graph, start: int, within: int) -> GoodPartition | None
     qualifies only when R, K1 and K3 are non-empty and K1 and K3 are
     cliques: then (i), (ii) and (iv) hold by construction, and (iii)
     because x is complete to K1.  The verifier still decides, and finds
-    the triad of (v); the anchor pair is x and the triad's lowest vertex
-    in R."""
+    the triad of (v)."""
     masks = g._masks
     below = within & ((1 << max(start, 0)) - 1)
     for xs in (within & ~below, below):
@@ -538,24 +522,19 @@ def _vertex_partition(g: Graph, start: int, within: int) -> GoodPartition | None
                 continue
             verdict = _verify_masks(g, (k1m, k2m, k3m, xbit, rm), within)
             if verdict:
-                y = min(v for v in verdict.witness if v != x)
-                return GoodPartition(
-                    k1m, k2m, k3m, xbit, rm, anchor=(x, y), triad=verdict.witness
-                )
+                return GoodPartition(k1m, k2m, k3m, xbit, rm, triad=verdict.witness)
     return None
 
 
-def _frame_search(
-    g: Graph, start: tuple[int, int], within: int
-) -> tuple[GoodPartition | None, int, int]:
+def _frame_search(g: Graph, within: int) -> tuple[GoodPartition | None, int, int]:
     """The frame phase of `find_good_partition`: the first partition that
-    a frame refines to, in the canonical order rotated to `start`, with the
-    number of frames tried and of clique pairs pruned.  The maximal cliques
-    of G are enumerated at the first anchor pair, and only if there is one."""
+    a frame refines to, in canonical order, with the number of frames tried
+    and of clique pairs pruned.  The maximal cliques of G are enumerated at
+    the first anchor pair, and only if there is one."""
     cliques = None
     tried = 0
     pruned = 0
-    for x, y in _anchored_pairs(g, start, within):
+    for x, y in _anchored_pairs(g, within):
         if cliques is None:
             cliques = maximal_cliques_in(g, within)
         masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
@@ -586,29 +565,25 @@ def find_good_partition(
     g: Graph,
     stats: dict | None = None,
     *,
-    start: tuple[int, int] = (0, 0),
+    start: int = 0,
     within: int | None = None,
 ) -> GoodPartition | None:
     """A good partition of G, or None when G has none.
 
-    The vertex phase (`_vertex_partition`, from `start[0]`) looks for one
-    with L a single vertex.  Only when it finds none does the frame phase
-    run: the first good partition reachable by refining frames in
-    canonical order, anchor pairs (x, y) ascending, then both cliques of G
+    The vertex phase (`_vertex_partition`) looks for one with L a single
+    vertex, scanning the vertices ascending from `start` and wrapping
+    around; the solver starts each child at the lowest vertex of its
+    parent's L, so it does not fail again on the vertices the parent
+    passed over.  Only when it finds none does the frame phase run: the
+    first good partition reachable by refining frames in canonical order,
+    anchor pairs (x, y) ascending from the first, then both cliques of G
     minus {x, y} in lexicographic order, then the anchor choices C1, C3,
-    none first.  With a `start` pair the anchor pairs are rotated (see
-    `_anchored_pairs`): the scan begins at the first pair at or after
-    `start` and wraps around to the pairs before it, and the result is the
-    first partition in that rotated order.  The solver starts each child
-    where its parent's search succeeded, so it does not fail again on the
-    vertices or pairs the parent passed over.  The partition returned
-    carries its anchor pair and the triad its verification found for
-    condition (v); every partition either phase returns has passed the
-    verifier.
+    none first.  The partition returned carries the triad its verification
+    found for condition (v); every partition either phase returns has
+    passed the verifier.
 
     Complete: if the graph has any good partition, some frame refines to
-    one.  A rotation still visits every anchor pair, so this holds for any
-    `start`.
+    one, whatever the `start`.
     The frame scan skips a clique pair (Q1, Q3) when the union Q1 ∪ Q3
     fails to separate x from y: refinement only shrinks the cutset, so no
     anchor choice of that pair can succeed.  Two prunes find most such
@@ -653,10 +628,10 @@ def find_good_partition(
     """
     if within is None:
         within = g.full_mask
-    found = _vertex_partition(g, start[0], within)
+    found = _vertex_partition(g, start, within)
     tried = pruned = 0
     if found is None:
-        found, tried, pruned = _frame_search(g, start, within)
+        found, tried, pruned = _frame_search(g, within)
     if stats is not None:
         stats["frames_tried"] = stats.get("frames_tried", 0) + tried
         stats["frames_pruned"] = stats.get("frames_pruned", 0) + pruned

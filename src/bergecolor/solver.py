@@ -301,10 +301,10 @@ def _solve(
     between them, so only cut vertices lose a neighbor.
 
     The search's vertex phase begins at the first core vertex at or after
-    a start pair's first vertex, and its frame phase at the first of the
-    core's anchor pairs at or after the pair; each wraps around.  The root
-    starts at (0, 0); a child at its parent's anchor pair, so it resumes
-    where the parent's search succeeded.
+    a start vertex and wraps around.  The root starts at 0; a child at the
+    lowest vertex of its parent's L, so it resumes where the parent's
+    vertex phase succeeded.  The frame phase always scans from the first
+    anchor pair.
 
     The pieces are visited from an explicit stack, each node before its
     children and the second child (the core minus L) before the first.
@@ -313,8 +313,8 @@ def _solve(
     each node's from its two children's, and so is its witness clique: the
     larger child's, the first on a tie, which its peel may still raise."""
     fstats: dict[str, int] = {}
-    # (piece, seeds, start pair, depth)
-    pending = [(g.full_mask, g.full_mask, (0, 0), 1)]
+    # (piece, seeds, start vertex, depth)
+    pending = [(g.full_mask, g.full_mask, 0, 1)]
     visited = []
     while pending:
         keep, seeds, start, depth = pending.pop()
@@ -329,9 +329,10 @@ def _solve(
             stats.leaf_count += 1
             continue
         cut = gp.k1 | gp.k2 | gp.k3
+        start = (gp.l & -gp.l).bit_length() - 1
         # the first child holds L, the second R
-        pending.append((core & ~gp.r, cut, gp.anchor, depth + 1))
-        pending.append((core & ~gp.l, cut, gp.anchor, depth + 1))
+        pending.append((core & ~gp.r, cut, start, depth + 1))
+        pending.append((core & ~gp.l, cut, start, depth + 1))
     stats.frames_tried += fstats.get("frames_tried", 0)
     stats.frames_pruned += fstats.get("frames_pruned", 0)
 

@@ -538,7 +538,7 @@ def naive_maximal_cliques_in(g: Graph, allowed: int) -> list[int]:
     return [sum(1 << v for v in q) for q in _naive_maximal_cliques_avoiding(g, drop)]
 
 
-def _naive_anchor_pairs(g: Graph):
+def naive_anchor_pairs(g: Graph):
     """Ordered pairs (x, y), ascending: non-adjacent, with a third vertex
     non-adjacent to both."""
     for x in range(g.n):
@@ -563,15 +563,11 @@ def _naive_frames_of(q1, q3, x, y):
             yield Frame(q1=m1, q3=m3, x=x, y=y, c1=c1, c3=c3)
 
 
-def enumerate_frames(g: Graph, start: tuple[int, int] = (0, 0)):
+def enumerate_frames(g: Graph):
     """All frames in the canonical order of the good-partition search:
     anchor pairs (x, y) ascending, then both maximal cliques of G minus
-    {x, y} in lexicographic order, then anchor choices, none first.  With a
-    `start` pair, the anchor pairs at or after it come first and those
-    before it follow, each part in ascending order."""
-    pairs = list(_naive_anchor_pairs(g))
-    head = [p for p in pairs if p < start]
-    for x, y in [p for p in pairs if p >= start] + head:
+    {x, y} in lexicographic order, then anchor choices, none first."""
+    for x, y in naive_anchor_pairs(g):
         cliques = _naive_maximal_cliques_avoiding(g, (x, y))
         for q1 in cliques:
             for q3 in cliques:
@@ -590,7 +586,7 @@ def naive_skipped_pairs(g: Graph) -> int:
     frame that refines to a partition.
     """
     skipped = 0
-    for x, y in _naive_anchor_pairs(g):
+    for x, y in naive_anchor_pairs(g):
         cliques = _naive_maximal_cliques_avoiding(g, (x, y))
         for q1 in cliques:
             for q3 in cliques:

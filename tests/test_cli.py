@@ -598,6 +598,23 @@ def test_verify_partition_vertex_out_of_range(tmp_path, capsys):
     assert f"vertex {2**40} out of range 0..5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",  # not an object
+        '{"K1": [1]}',  # K2, K3, L and R missing
+        '{"K1": [1.0], "K2": [], "K3": [3, 4], "L": [0, 5], "R": [2]}',
+    ],
+)
+def test_verify_partition_not_five_integer_lists(tmp_path, capsys, text):
+    # a parse error, as for a coloring file of the same fault
+    path = col(tmp_path, cycle(6))
+    part = tmp_path / "p.json"
+    part.write_text(text)
+    assert main(["verify", path, "--partition", str(part)]) == 2
+    assert "bad partition file" in capsys.readouterr().err
+
+
 def test_verify_partition_bad_json(tmp_path, capsys):
     path = col(tmp_path, cycle(6))
     part = tmp_path / "p.json"

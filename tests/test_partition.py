@@ -36,6 +36,7 @@ from conftest import NO_PARTITION_GRAPHS, complete, complete_minus_star, cycle
 from oracles import (
     brute_good_partition,
     enumerate_frames,
+    naive_anchor_pairs,
     naive_components,
     naive_disjoint_paths,
     naive_good_partition_check,
@@ -392,7 +393,7 @@ def test_find_good_partition_c6_single_vertex_frozen():
     stats = {}
     part = find_good_partition(cycle(6), stats)
     assert part == gp(k1=[1], k2=[], k3=[5], l=[0], r=[2, 3, 4])
-    assert part.anchor == (0, 2) and part.triad == (0, 2, 4)
+    assert part.triad == (0, 2, 4)
     assert stats == {"frames_tried": 0, "frames_pruned": 0}
 
 
@@ -414,10 +415,10 @@ def _prune_cases(corpus_graphs):
     all of theirs."""
     for _, g in corpus_graphs:
         if g.n <= 12:
-            yield g, list(islice(_anchored_pairs(g), 3))
+            yield g, list(islice(_anchored_pairs(g, g.full_mask), 3))
     for n, seed in ((20, 2), (30, 4), (40, 3), (40, 5)):
         g = gen_square_free_berge(n, seed)
-        pairs = list(_anchored_pairs(g))
+        pairs = list(_anchored_pairs(g, g.full_mask))
         yield g, pairs[:: len(pairs) // 8 + 1]
 
 
@@ -458,7 +459,7 @@ def test_disjoint_paths_match_naive(corpus_graphs):
     # returns is the one the search run until a BFS fails returns
     pairs = 0
     for g in _small_graphs(corpus_graphs):
-        for x, y in _anchored_pairs(g):
+        for x, y in _anchored_pairs(g, g.full_mask):
             want = [mask_of(p) for p in naive_disjoint_paths(g, x, y)]
             assert _disjoint_paths(g, x, y, g.full_mask) == want
             pairs += 1
@@ -487,34 +488,19 @@ def test_search_tries_frames_in_canonical_order(corpus_graphs, monkeypatch, fram
             assert refine(g, tried[-1]) == part
 
 
-def test_anchored_pairs_rotate_to_their_start(corpus_graphs):
-    # a start pair rotates the canonical list: the pairs at or after it,
-    # then those before it; a start past every pair rotates nothing
+def test_anchored_pairs_are_lexicographic(corpus_graphs):
+    # the non-adjacent pairs sharing a triad, ascending from the first
     graphs = [cycle(6), cycle(7), _prism(), complete(4), Graph(0), Graph(3)]
     graphs += [g for _, g in corpus_graphs if g.n <= 12]
     for g in graphs:
-        pairs = list(_anchored_pairs(g))
-        n = g.n
-        starts = [(0, 0), (0, 1), (n // 2, 0), (n // 2, n), (n - 1, n), (n, 0)]
-        starts += [(n + 3, 2), *pairs[::5]]
-        for start in starts:
-            i = next((k for k, p in enumerate(pairs) if p >= start), len(pairs))
-            assert list(_anchored_pairs(g, start)) == pairs[i:] + pairs[:i]
+        assert list(_anchored_pairs(g, g.full_mask)) == list(naive_anchor_pairs(g))
 
 
-def _start_pairs(g):
-    """A few start pairs for a search on g: two of its anchor pairs, the
-    last, and one that need not be an anchor pair at all."""
-    pairs = list(_anchored_pairs(g))
-    return [*pairs[1::len(pairs) // 2 + 1], *pairs[-1:], (g.n // 2, 0)]
-
-
-def test_started_search_tries_frames_in_rotated_order(
+def test_started_search_tries_frames_in_canonical_order(
     corpus_graphs, monkeypatch, frame_phase
 ):
-    # with a start pair, the frames handed to refine_frame are, in order, a
-    # subsequence of all frames with the anchor pairs rotated to that start,
-    # ending at the first that refines; the partition carries its anchors
+    # the start vertex moves only the vertex phase: from any start, the
+    # frames handed to refine_frame are those of the search from 0
     tried = []
     refine = partition.refine_frame
 
@@ -527,50 +513,34 @@ def test_started_search_tries_frames_in_rotated_order(
     for _, g in corpus_graphs:
         if g.n > 30:
             continue
-        for start in _start_pairs(g):
+        tried.clear()
+        want = find_good_partition(g)
+        want_tried = tried[:]
+        for start in (1, g.n // 2, g.n - 1):
             tried.clear()
-            part = find_good_partition(g, start=start)
-            frames = enumerate_frames(g, start)
-            assert all(f in frames for f in tried)  # consumes `frames` in order
-            if part is not None:
-                assert refine(g, tried[-1]) == part
-                assert part.anchor == (tried[-1].x, tried[-1].y)
-                searches += 1
+            assert find_good_partition(g, start=start) == want
+            assert tried == want_tried
+            searches += 1
     assert searches > 300
 
 
 def test_started_search_is_complete(corpus_graphs):
-    # a good partition is found from every start pair or from none.  Every
-    # corpus graph has one.  Of the graphs without, the Heawood graph has
-    # triads, so anchor pairs, whatever the start; the others have no triad
+    # a good partition is found from every start vertex or from none, below
+    # 0 and past the last vertex included.  Every corpus graph has one.  Of
+    # the graphs without, the Heawood graph has triads, so anchor pairs,
+    # whatever the start; the others have no triad
     graphs = [g for _, g in corpus_graphs if g.n <= 30]
     graphs += [complete(1), complete(4), complete_minus_star(8, 5), Graph(0)]
     graphs.append(NO_PARTITION_GRAPHS["heawood"]())
     found = missed = 0
     for g in graphs:
         want = find_good_partition(g) is not None
-        starts = [*_anchored_pairs(g), (g.n // 2, 0), (1, 2), (g.n, 0)]
-        for start in starts:
+        for start in range(-2, g.n + 3):
             part = find_good_partition(g, start=start)
             assert (part is not None) == want
             found += want
             missed += not want
-    assert found > 30000 and missed >= 12
-
-
-def test_found_partition_carries_its_anchor_pair(corpus_graphs):
-    # x lies in L and y in R; the pair is non-adjacent and shares a triad
-    for _, g in corpus_graphs:
-        if g.n > 30:
-            continue
-        part = find_good_partition(g)
-        if part is None:
-            continue
-        x, y = part.anchor
-        assert part.l >> x & 1 and part.r >> y & 1
-        assert (x, y) in set(_anchored_pairs(g))
-        # the anchor is no part of the partition's identity
-        assert part == GoodPartition(*part.sets())
+    assert found > 3000 and missed >= 50
 
 
 def _small_graphs(corpus_graphs):
@@ -582,14 +552,14 @@ def _small_graphs(corpus_graphs):
 
 def test_vertex_phase_scans_from_its_start(corpus_graphs):
     # the partition found is the single-vertex partition of the first vertex,
-    # ascending from start[0] and wrapping around, whose partition is good;
+    # ascending from the start and wrapping around, whose partition is good;
     # only when no vertex has one do frames run
     found = framed = 0
     for g in _small_graphs(corpus_graphs):
         good = [x for x in range(g.n) if naive_vertex_partition(g, x)]
         for s in (0, 1, g.n // 3, g.n // 2, g.n - 1, g.n + 2):
             stats = {}
-            part = find_good_partition(g, stats, start=(s, g.n))
+            part = find_good_partition(g, stats, start=s)
             order = [x for x in good if x >= s] + [x for x in good if x < s]
             if not order:
                 assert part is None or stats["frames_tried"] > 0
@@ -602,20 +572,18 @@ def test_vertex_phase_scans_from_its_start(corpus_graphs):
     assert found > 400 and framed > 0
 
 
-def test_single_vertex_partition_carries_its_anchor(corpus_graphs):
-    # x is L's one vertex and y the lowest other vertex of the triad that
-    # the verifier found, which lies in R; (x, y) is an anchor pair
+def test_single_vertex_partition_carries_its_triad(corpus_graphs):
+    # the triad is the one the verifier finds: it holds L's one vertex and
+    # meets R; the partition's identity is its five sets alone
     checked = 0
     for g in _small_graphs(corpus_graphs):
         for s in (0, g.n // 2):
             part = _vertex_partition(g, s, g.full_mask)
             if part is None:
                 continue
-            x, y = part.anchor
-            assert part.l == 1 << x and part.r >> y & 1
-            assert x in part.triad and y == min(set(part.triad) - {x})
+            assert part.l & mask_of(part.triad) and part.r & mask_of(part.triad)
             assert verify_good_partition(g, part).witness == part.triad
-            assert (x, y) in set(_anchored_pairs(g))
+            assert part == GoodPartition(*part.sets())
             checked += 1
     assert checked > 250
 
@@ -637,7 +605,6 @@ def test_vertex_phase_within_a_mask_is_the_phase_on_its_subgraph(corpus_graphs):
                     continue
                 moved = [mask_of(order[v] for v in bit_list(m)) for m in want.sets()]
                 assert part.sets() == tuple(moved)
-                assert part.anchor == tuple(order[v] for v in want.anchor)
                 assert part.triad == tuple(order[v] for v in want.triad)
                 found += 1
     assert found > 500
@@ -714,8 +681,8 @@ def test_learned_paths_avoid_their_cuts(corpus_graphs, monkeypatch, frame_phase)
 
     monkeypatch.setattr(partition, "_separate", checked)
     larger = [g for _, g in corpus_graphs if g.n > 30]
-    # omega-2 draws that learn paths at many nodes; since each child resumes
-    # its parent's anchor scan, the other graphs learn fewer
+    # omega-2 draws that learn paths at many nodes; the other graphs learn
+    # fewer
     larger += [gen_square_free_berge(50, 2), gen_square_free_berge(60, 7)]
     for g in larger + _small_graphs(corpus_graphs):
         color(g, trust_berge=True)
@@ -730,7 +697,7 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
     rng = random.Random(9)
     skipped_by_learned = 0
     for g in _small_graphs(corpus_graphs):
-        pairs = list(_anchored_pairs(g))
+        pairs = list(_anchored_pairs(g, g.full_mask))
         for x, y in pairs[:: len(pairs) // 5 + 1]:
             paths = _disjoint_paths(g, x, y, g.full_mask)
             disjoint = paths[:]
@@ -767,36 +734,27 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
     assert skipped_by_learned > 150
 
 
-def _start_in_subgraph(order, start):
-    """The start pair, given in g's labels, as the search on the subgraph
-    with vertices `order` (ascending) takes it: the first of its pairs at
-    or after `start` in g's labels is the first at or after this one."""
-    x0 = bisect_left(order, start[0])
-    on_row = x0 < len(order) and order[x0] == start[0]
-    return x0, bisect_left(order, start[1]) if on_row else 0
-
-
 def test_search_within_a_mask_is_the_search_on_its_subgraph(corpus_graphs):
     # the subgraph induced on a random vertex mask is square-free Berge
-    # again; searched as a mask of g, from starts given in g's labels, it
-    # answers as the search on the subgraph built apart, moved to g's labels
+    # again; searched as a mask of g, from start vertices given in g's
+    # labels, it answers as the search on the subgraph built apart, from
+    # the first of its vertices at or after the start, moved to g's labels
     rng = random.Random(12)
     searches = found = 0
     for g in _small_graphs(corpus_graphs):
         for _ in range(3):
             keep = mask_of(v for v in range(g.n) if rng.random() < 0.85)
             sub, order = naive_subgraph(g, bit_list(keep))
-            pairs = list(_anchored_pairs(g, within=keep))
-            assert pairs == [(order[x], order[y]) for x, y in _anchored_pairs(sub)]
-            for start in [(0, 0), *pairs[:: len(pairs) // 3 + 1], (g.n // 2, 1)]:
-                sub_start = _start_in_subgraph(order, start)
-                want_pairs = _anchored_pairs(sub, sub_start)
-                assert list(_anchored_pairs(g, start, keep)) == [
-                    (order[x], order[y]) for x, y in want_pairs
-                ]
+            pairs = list(_anchored_pairs(g, keep))
+            assert pairs == [
+                (order[x], order[y]) for x, y in _anchored_pairs(sub, sub.full_mask)
+            ]
+            for start in (0, g.n // 3, g.n // 2 + 1, g.n):
                 stats, want_stats = {}, {}
                 part = find_good_partition(g, stats, start=start, within=keep)
-                want = find_good_partition(sub, want_stats, start=sub_start)
+                want = find_good_partition(
+                    sub, want_stats, start=bisect_left(order, start)
+                )
                 assert stats == want_stats
                 searches += 1
                 if want is None:
@@ -804,7 +762,7 @@ def test_search_within_a_mask_is_the_search_on_its_subgraph(corpus_graphs):
                     continue
                 moved = [mask_of(order[v] for v in bit_list(s)) for s in want.sets()]
                 assert part.sets() == tuple(moved)
-                assert part.anchor == tuple(order[v] for v in want.anchor)
+                assert part.triad == tuple(order[v] for v in want.triad)
                 found += 1
     assert searches > 500 and found > 400
 

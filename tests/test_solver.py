@@ -1,6 +1,7 @@
 """Tests for the decomposition solver: the full pipeline, the leaf check,
 tree invariants, and serialization of the decomposition record."""
 
+import hashlib
 import json
 import random
 
@@ -273,12 +274,39 @@ def _clique_gluings():
     return out
 
 
+# SHA-256 pins of the two gluing families' output (see `_frame_record`):
+# the only digests that cover nodes running the frame phase.  Pinned with
+# every frame phase scanning its anchor pairs from the first, and each
+# child resuming its vertex scan at the lowest vertex of its parent's L.
+GLUINGS_EXPECTED = (
+    "f10ed0f126a4be7ea9536c3a1eaab0164a94fbf8bab6b633763fe40d1127ef88"
+)
+BLOWUP_GLUINGS_EXPECTED = (
+    "10e57212fa45215744c4805e86c3781ec50e5cfe1f5c8052966a1d8a2a5a7173"
+)
+
+
+def _frame_record(h, r, events: list) -> None:
+    """Add one solve to the digest `h`: its sorted coloring, tree, swap
+    trace, and frames tried and pruned."""
+    record = [
+        sorted(r.coloring.colors.items()),
+        tree_to_json(r.tree),
+        events,
+        [r.stats.frames_tried, r.stats.frames_pruned],
+    ]
+    h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+
+
 def test_clique_gluings_color_with_omega_colors():
     # square-free Berge by construction, so the Berge check is skipped; the
     # gluings with a bipartite girth-6 part keep the frame phase at work
     small = framed = searched = 0
+    h = hashlib.sha256()
     for g in _clique_gluings():
-        r = color(g, trust_berge=True)
+        events: list = []
+        r = color(g, trust_berge=True, trace=events)
+        _frame_record(h, r, events)
         assert r.colors_used == omega(g)
         assert verify_coloring(g, r.coloring).ok
         assert naive_is_clique(g, bit_list(r.clique))
@@ -289,6 +317,7 @@ def test_clique_gluings_color_with_omega_colors():
         framed += r.stats.frames_tried > 0
         searched += r.stats.frames_pruned > 0
     assert small >= 30 and framed >= 5 and searched >= 20
+    assert h.hexdigest() == GLUINGS_EXPECTED
 
 
 def _blowup_gluings():
@@ -309,12 +338,16 @@ def _blowup_gluings():
 
 
 def test_twin_blowup_gluings_color_with_omega_colors():
+    h = hashlib.sha256()
     for g in _blowup_gluings():
-        r = color(g, trust_berge=True)
+        events: list = []
+        r = color(g, trust_berge=True, trace=events)
+        _frame_record(h, r, events)
         assert r.colors_used == omega(g)
         assert verify_coloring(g, r.coloring).ok
         assert naive_is_clique(g, bit_list(r.clique))
         assert r.clique.bit_count() == omega(g)
+    assert h.hexdigest() == BLOWUP_GLUINGS_EXPECTED
 
 
 def test_color_clique_is_single_leaf():
