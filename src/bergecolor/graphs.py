@@ -348,13 +348,14 @@ class BergeVerdict(NamedTuple):
     witness: tuple[str, tuple[int, ...]] | None  # ("odd-hole"|"odd-antihole", cycle)
 
 
-def _peel(g: Graph, seeds: int, keep: int) -> list[tuple[int, int]]:
+def _peel(g: Graph, seeds: int, keep: int) -> tuple[int, list[tuple[int, int]]]:
     """Remove simplicial vertices of the subgraph induced on `keep` by
     ascending scans over the remaining vertices, each scan removing every
     vertex whose remaining neighborhood is a clique, until a scan removes
-    nothing.  Returns each removed vertex with that neighborhood as a mask,
-    in removal order.  The solver peels each decomposition piece with it, as
-    a mask of the input graph, and `_find_odd_hole` the whole graph.
+    nothing.  Returns the vertices left, the core, as a mask, and each
+    removed vertex with that neighborhood as a mask, in removal order.  The
+    solver peels each decomposition piece with it, as a mask of the input
+    graph, and `_find_odd_hole` the whole graph.
 
     A vertex whose remaining neighborhood has not changed since it failed
     the test would fail again, so a scan tests only the vertices that lost a
@@ -387,7 +388,7 @@ def _peel(g: Graph, seeds: int, keep: int) -> list[tuple[int, int]]:
                 todo |= nb & ~(low - 1)
                 later |= nb & (low - 1)
         todo = later
-    return peeled
+    return rest, peeled
 
 
 def _bipartition(g: Graph, allowed: int) -> tuple[int, int] | None:
@@ -435,7 +436,7 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     The DFS keeps an explicit stack, so a long hole stays clear of the
     recursion limit.  Worst case exponential on cores with triangles.
     """
-    core = g.full_mask & ~mask_of(v for v, _ in _peel(g, g.full_mask, g.full_mask))
+    core, _ = _peel(g, g.full_mask, g.full_mask)
     if _bipartition(g, core) is not None:
         return None
     masks = g._masks
@@ -468,7 +469,7 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
                 if closers:
                     return tuple(path) + ((closers & -closers).bit_length() - 1,)
             stack.append((nw & above & ~pathmask & ~forbid & ~ns, forbid | nw, pathmask))
-        rest = above & ~mask_of(v for v, _ in _peel(g, ns, above))
+        rest, _ = _peel(g, ns, above)
     return None
 
 

@@ -503,7 +503,8 @@ def _vertex_partition(g: Graph, start: int, within: int) -> GoodPartition | None
     because x is complete to K1.  The verifier still decides, and finds
     the triad of (v)."""
     masks = g._masks
-    below = within & ((1 << max(start, 0)) - 1)
+    # any start at or past n scans from vertex 0; clamped, its mask has n bits
+    below = within & ((1 << min(max(start, 0), g.n)) - 1)
     for xs in (within & ~below, below):
         for x in iter_bits(xs):
             xbit = 1 << x

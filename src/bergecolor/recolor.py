@@ -9,6 +9,15 @@ so the loop below terminates with a proper coloring of all of G.  Running out
 of reducing swaps is therefore a proof that the input was not square-free
 Berge, reported as BergeViolation.
 
+The search tries one swap per bad vertex u and side: u's own pair
+{c1(u), c2(u)} on u's component.  No other swap reduces.  A swap on side s
+exchanges colors i and j on the {i, j}-component C of its seed, and C must
+avoid K1 ∪ K2.  Only the vertices of C change color, so only K3 ∩ C can
+change whether it is bad, and the bad set shrinks only if some bad u in C
+becomes good, which needs {i, j} = {c1(u), c2(u)}.  Then C is u's own
+component for that pair: the swap is u's candidate on side s, with the same
+component and the same result.
+
 A coloring is one vertex mask per color, so the merge is set algebra on at
 most k masks: a two-colored component is a search inside the union of two
 classes, a swap moves it between them, aligning permutes the class list and
@@ -166,14 +175,14 @@ def coloring_from_json(obj: dict) -> dict[int, int]:
     return colors
 
 
-def align_colorings(c1: PartialColoring, c2: PartialColoring, anchor) -> PartialColoring:
-    """Permute c2's palette so it matches c1 on `anchor` (a clique colored by
-    both).  The forced part of the permutation is extended color by color,
-    ascending, each mapping to the smallest free target, so the result is
-    deterministic."""
+def align_colorings(c1: PartialColoring, c2: PartialColoring, anchor: int) -> PartialColoring:
+    """Permute c2's palette so it matches c1 on `anchor`, a vertex mask of a
+    clique colored by both.  The forced part of the permutation is extended
+    color by color, ascending, each mapping to the smallest free target, so
+    the result is deterministic."""
     mapping: dict[int, int] = {}
     taken: set[int] = set()
-    for v in sorted(anchor):
+    for v in iter_bits(anchor):
         s, t = c2.color_of(v), c1.color_of(v)
         if not s or not t:
             raise ValueError(f"anchor vertex {v} is not colored by both sides")
@@ -213,7 +222,8 @@ def apply_swap(
     i, j = pair
     moved = component & (c.members(i) | c.members(j))
     if moved != component:
-        v = bit_list(component & ~moved)[0]
+        stray = component & ~moved
+        v = (stray & -stray).bit_length() - 1
         raise ValueError(f"vertex {v} carries color {c.color_of(v)}, not in {pair}")
     classes = c.classes + [0] * (max(i, j) - len(c.classes))
     if i != j:
@@ -230,7 +240,6 @@ class SwapCandidate:
     pair: tuple[int, int]
     component: int  # the seed's two-colored component, as a mask
     coloring: PartialColoring  # the side's coloring after the swap
-    cls: str = "general"  # "free" when found in the free-vertex phase
 
 
 def _disagreement(c1: PartialColoring, c2: PartialColoring, within: int) -> int:
@@ -276,56 +285,32 @@ def find_reducing_swap(
     p: GoodPartition,
     c1: PartialColoring,
     c2: PartialColoring,
-    bad: list[int],
+    bad: int,
 ) -> SwapCandidate | None:
-    """First color swap, in a fixed search order, that strictly shrinks the
-    bad set while leaving every K1 ∪ K2 color untouched.
+    """First color swap that strictly shrinks the bad set `bad`, a vertex
+    mask of K3, while leaving every K1 ∪ K2 color untouched.
 
-    Order: free candidates first (each bad vertex ascending, its own color
-    pair, side 1 then 2), then every (side, seed in K3, color pair containing
-    the seed's color) lexicographically.  Candidates whose two-colored
-    component touches K1 ∪ K2 are discarded outright; the rest are simulated
-    and accepted only on strict improvement.  The candidate returned carries
-    the component and the swapped coloring of its simulation.  Returns None
-    when nothing reduces, which for a genuine square-free Berge input cannot
-    happen.
+    Order: each bad vertex u ascending, its own color pair, side 1 then 2.
+    A candidate whose two-colored component touches K1 ∪ K2 is discarded
+    outright; the rest are simulated and accepted only on strict
+    improvement.  No other swap reduces (see the module docstring).  The
+    candidate returned carries the component and the swapped coloring of
+    its simulation.  Returns None when nothing reduces, which for a genuine
+    square-free Berge input cannot happen.
     """
     k12m = p.k1 | p.k2
-    base = len(bad)
-    sides = ((1, c1), (2, c2))
-
-    def simulate(
-        side: int, ch: PartialColoring, seed: int, pair: tuple[int, int], cls: str = "general"
-    ) -> SwapCandidate | None:
-        comp = bichromatic_component(g, ch, seed, pair)
-        if comp & k12m:
-            return None
-        swapped = apply_swap(ch, comp, pair)
-        a, b = (swapped, c2) if side == 1 else (c1, swapped)
-        if _disagreement(a, b, p.k3).bit_count() >= base:
-            return None
-        return SwapCandidate(side, seed, pair, comp, swapped, cls)
-
-    for u in bad:
+    base = bad.bit_count()
+    for u in iter_bits(bad):
         a, b = c1.color_of(u), c2.color_of(u)
         pair = (min(a, b), max(a, b))
-        for side, ch in sides:
-            cand = simulate(side, ch, u, pair, "free")
-            if cand is not None:
-                return cand
-
-    palette = max(c1.max_color(), c2.max_color())
-    seeds = bit_list(p.k3)
-    for side, ch in sides:
-        for seed in seeds:
-            sc = ch.color_of(seed)
-            for i in range(1, palette + 1):
-                for j in range(i + 1, palette + 1):
-                    if sc != i and sc != j:
-                        continue
-                    cand = simulate(side, ch, seed, (i, j))
-                    if cand is not None:
-                        return cand
+        for side, ch in ((1, c1), (2, c2)):
+            comp = bichromatic_component(g, ch, u, pair)
+            if comp & k12m:
+                continue
+            swapped = apply_swap(ch, comp, pair)
+            x, y = (swapped, c2) if side == 1 else (c1, swapped)
+            if _disagreement(x, y, p.k3).bit_count() < base:
+                return SwapCandidate(side, u, pair, comp, swapped)
     return None
 
 
@@ -344,8 +329,11 @@ def merge_colorings(
     on the union of its five sets (all of g, or one decomposition piece),
     and c1/c2 proper colorings of their sides with at most k colors; the
     merge checks what its own steps change, not that.  `trace`, if given,
-    is called with one dict per applied swap.  Raises BergeViolation when
-    the swap search is exhausted with bad vertices left.
+    is called with one dict per applied swap, in which `seed` is the swapped
+    vertex's rank (from 0) among G's vertices, ascending, and `node_n` is
+    G's vertex count; when G is all of g, the rank is the vertex itself.
+    Raises BergeViolation when the swap search is exhausted with bad
+    vertices left.
     """
     vall = p.k1 | p.k2 | p.k3 | p.l | p.r
     if c1.vertices() != vall & ~p.r:
@@ -356,16 +344,16 @@ def merge_colorings(
         raise ValueError(f"input colorings exceed {k} colors")
 
     k12m = p.k1 | p.k2
-    cur1, cur2 = c1, align_colorings(c1, c2, bit_list(k12m))
+    cur1, cur2 = c1, align_colorings(c1, c2, k12m)
 
     while True:
-        bad = bit_list(_disagreement(cur1, cur2, p.k3))
+        bad = _disagreement(cur1, cur2, p.k3)
         if not bad:
             break
         cand = find_reducing_swap(g, p, cur1, cur2, bad)
         if cand is None:
             raise BergeViolation(
-                f"no swap reduces the bad set {bad}; "
+                f"no swap reduces the bad set {bit_list(bad)}; "
                 "the input cannot be square-free Berge"
             )
         if cand.side == 1:
@@ -378,19 +366,21 @@ def merge_colorings(
             raise InternalViolation("swap produced an improper side coloring")
         if _disagreement(cur1, cur2, k12m):
             raise InternalViolation("swap disturbed the K1 ∪ K2 agreement")
-        new_bad = _disagreement(cur1, cur2, p.k3).bit_count()
-        if new_bad >= len(bad):
+        before, after = bad.bit_count(), _disagreement(cur1, cur2, p.k3).bit_count()
+        if after >= before:
             raise InternalViolation("accepted swap did not reduce the bad set")
         if trace is not None:
             trace(
                 {
                     "event": "swap",
                     "side": cand.side,
-                    "seed": cand.seed,
+                    "seed": (vall & ((1 << cand.seed) - 1)).bit_count(),
                     "pair": list(cand.pair),
-                    "class": cand.cls,
-                    "bad_before": len(bad),
-                    "bad_after": new_bad,
+                    # kept in the trace format; every swap is a bad vertex's own
+                    "class": "free",
+                    "bad_before": before,
+                    "bad_after": after,
+                    "node_n": vall.bit_count(),
                 }
             )
 

@@ -291,8 +291,9 @@ def _solve(
 ) -> tuple[PartialColoring, int, TreeNode]:
     """Color g by decomposition and return the coloring, a clique of as
     many vertices as it has colors (a mask) and the tree's root.  Every
-    vertex, mask and partition is in g's labels.  Counters and swap events
-    go into the run's `stats` and `events`.
+    vertex, mask and partition is in g's labels.  Counters go into the
+    run's `stats`, and each merge appends its swap events to `events`,
+    naming a seed by its rank in the node's core (see `merge_colorings`).
 
     A piece is peeled, the first scan testing only its seeds (see `_peel`),
     and its core searched and split, or left as a leaf.  The root's seeds
@@ -320,9 +321,8 @@ def _solve(
         keep, seeds, start, depth = pending.pop()
         stats.node_count += 1
         stats.max_depth = max(stats.max_depth, depth)
-        peeled = _peel(g, seeds, keep)
+        core, peeled = _peel(g, seeds, keep)
         node = TreeNode(vertices=keep, peeled=tuple(v for v, _ in peeled))
-        core = keep & ~mask_of(v for v, _ in peeled)
         gp = find_good_partition(g, fstats, start=start, within=core)
         visited.append((node, core, peeled, gp))
         if gp is None:
@@ -345,13 +345,9 @@ def _solve(
             c2, q2, node2 = done.pop()
             c1, q1, node1 = done.pop()
             clique = q1 if q1.bit_count() >= q2.bit_count() else q2
-
-            # a swap event names its seed by rank in the core, and the core's size
-            def trace(ev: dict) -> None:
-                rank = (core & ((1 << ev["seed"]) - 1)).bit_count()
-                events.append({**ev, "seed": rank, "node_n": core.bit_count()})
-
-            coloring = merge_colorings(g, gp, c1, c2, clique.bit_count(), trace=trace)
+            coloring = merge_colorings(
+                g, gp, c1, c2, clique.bit_count(), trace=events.append
+            )
             node.partition = gp
             node.children = (node1, node2)
         done.append((*_color_peeled(coloring, peeled, clique), node))

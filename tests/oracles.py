@@ -90,6 +90,39 @@ def naive_color_peeled(
     return colors, k
 
 
+def naive_reducing_swap(
+    g: Graph, k12: set[int], k3: set[int], c1: dict[int, int], c2: dict[int, int]
+) -> tuple | None:
+    """The first swap that leaves K1 ∪ K2 alone and makes fewer vertices of
+    K3 take different colors in `c1` and `c2`, as (side, seed, pair,
+    component, the side's colors after the swap), or None.  Candidates in
+    two phases: each bad vertex ascending with its own color pair, side 1
+    then 2; then every (side, seed in K3, color pair i < j holding the
+    seed's color), ascending.  Each is simulated on a copy of its side."""
+    bad = [v for v in sorted(k3) if c1[v] != c2[v]]
+    cands = []
+    for u in bad:
+        pair = tuple(sorted((c1[u], c2[u])))
+        cands += [(1, u, pair), (2, u, pair)]
+    palette = max([*c1.values(), *c2.values()], default=0)
+    for side, colors in ((1, c1), (2, c2)):
+        for seed in sorted(k3):
+            for i, j in combinations(range(1, palette + 1), 2):
+                if colors[seed] in (i, j):
+                    cands.append((side, seed, (i, j)))
+    for side, seed, (i, j) in cands:
+        colors = c1 if side == 1 else c2
+        two = {v for v, col in colors.items() if col in (i, j)}
+        comp = next(comp for comp in naive_components(g, two) if seed in comp)
+        if comp & k12:
+            continue
+        swapped = {v: (i + j - col if v in comp else col) for v, col in colors.items()}
+        a, b = (swapped, c2) if side == 1 else (c1, swapped)
+        if sum(a[v] != b[v] for v in k3) < len(bad):
+            return side, seed, (i, j), frozenset(comp), swapped
+    return None
+
+
 def naive_parse_col(text: str) -> Graph:
     """DIMACS .col text parsed one line at a time, every check made on the
     line it applies to; raises DimacsError at the first bad line."""

@@ -381,7 +381,9 @@ def test_peel_of_a_kept_set_matches_naive_peel(g, rnd):
     keep = mask_of(v for v in range(g.n) if rnd.random() < 0.7)
     piece, order = naive_subgraph(g, bit_list(keep))
     want = [(order[v], {order[u] for u in nb}) for v, nb in naive_peel(piece)]
-    assert [(v, set(bit_list(nb))) for v, nb in _peel(g, keep, keep)] == want
+    core, peeled = _peel(g, keep, keep)
+    assert [(v, set(bit_list(nb))) for v, nb in peeled] == want
+    assert core == keep & ~mask_of(v for v, _ in want)
 
 
 @given(graphs(max_n=8))

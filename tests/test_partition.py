@@ -543,6 +543,21 @@ def test_started_search_is_complete(corpus_graphs):
     assert found > 3000 and missed >= 50
 
 
+def test_a_start_far_past_the_last_vertex_costs_no_memory():
+    # a start at or past n scans from vertex 0; 1 << 10**8 alone is an int
+    # of 12 MB
+    g = cycle(6)
+    want = find_good_partition(g)
+    tracemalloc.start()
+    try:
+        part = find_good_partition(g, start=10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part == want is not None
+    assert peak < 1 << 20
+
+
 def _small_graphs(corpus_graphs):
     """The corpus graphs with n <= 30 and four omega-2 draws."""
     graphs = [g for _, g in corpus_graphs if g.n <= 30]

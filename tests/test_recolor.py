@@ -28,7 +28,7 @@ from bergecolor.graphs import bit_list, mask_of
 from bergecolor.recolor import find_reducing_swap
 
 from conftest import cycle
-from oracles import is_proper_on
+from oracles import is_proper_on, naive_reducing_swap
 from test_output_digest import DEEP_SPINES
 
 
@@ -134,7 +134,7 @@ def test_is_proper_on_matches_an_edge_scan():
 def test_align_forces_anchor_colors():
     c1 = pc({0: 1, 1: 2})
     c2 = pc({0: 2, 1: 3, 2: 1})
-    out = align_colorings(c1, c2, [0, 1])
+    out = align_colorings(c1, c2, mask_of([0, 1]))
     assert out.colors[0] == 1 and out.colors[1] == 2
     # the map is a bijection on colors, so 2's color stays distinct
     assert out.colors[2] not in (1, 2)
@@ -145,9 +145,9 @@ def test_align_rejects_inconsistency():
     c1 = pc({0: 1, 1: 2})
     c2 = pc({0: 1, 1: 1})
     with pytest.raises(ValueError):
-        align_colorings(c1, c2, [0, 1])
+        align_colorings(c1, c2, mask_of([0, 1]))
     with pytest.raises(ValueError):
-        align_colorings(pc({0: 1}), pc({}), [0])
+        align_colorings(pc({0: 1}), pc({}), mask_of([0]))
 
 
 @given(colored_graphs(), colored_graphs())
@@ -161,7 +161,7 @@ def test_align_is_proper_color_permutation(a, b):
         {t for _, t in forced}
     ) != len(forced):
         return  # non-bijective anchors are rejected; covered elsewhere
-    out = align_colorings(c1, c2, anchor)
+    out = align_colorings(c1, c2, mask_of(anchor))
     # a color permutation keeps properness and distinctness
     assert is_proper_on(g2, out)
     old = [c2.colors[v] for v in sorted(c2.colors)]
@@ -280,13 +280,45 @@ def test_find_reducing_swap_classes():
     g = bc.gen_prism(bc.PrismSpec((2, 2, 2)))
     part = bc.find_good_partition(g)
     c1, c2, k = _split_color(g, part)
-    c2a = align_colorings(c1, c2, bit_list(part.k1 | part.k2))
-    bad = [u for u in bit_list(part.k3) if c1.colors[u] != c2a.colors[u]]
+    c2a = align_colorings(c1, c2, part.k1 | part.k2)
+    bad = mask_of(u for u in bit_list(part.k3) if c1.colors[u] != c2a.colors[u])
     if bad:
         cand = find_reducing_swap(g, part, c1, c2a, bad)
         assert cand is not None
-        assert cand.side in (1, 2) and cand.cls in ("free", "general")
+        # every candidate is a bad vertex with its own color pair
+        u = cand.seed
+        assert cand.side in (1, 2) and bad >> u & 1
+        assert cand.pair == tuple(sorted((c1.color_of(u), c2a.color_of(u))))
         assert cand.pair[0] < cand.pair[1]
+
+
+def test_find_reducing_swap_is_the_first_of_every_swap():
+    # on random states, proper or not, the search over each bad vertex's own
+    # pair returns what the search over every (side, seed in K3, color pair)
+    # returns after it: the first swap that reduces, or None
+    rng = random.Random(28)
+    found = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(4, 13)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        where = [rng.randrange(5) for _ in range(n)]
+        sets = [mask_of(v for v in range(n) if where[v] == i) for i in range(5)]
+        part = GoodPartition(*sets)
+        k = rng.randint(2, 5)
+        c1 = {v: rng.randint(1, k) for v in range(n) if where[v] != 4}
+        c2 = {v: rng.randint(1, k) for v in range(n) if where[v] != 3}
+        k3 = set(bit_list(part.k3))
+        bad = mask_of(v for v in k3 if c1[v] != c2[v])
+        cand = find_reducing_swap(g, part, pc(c1), pc(c2), bad)
+        want = naive_reducing_swap(g, set(bit_list(part.k1 | part.k2)), k3, c1, c2)
+        got = cand and (
+            cand.side, cand.seed, cand.pair, frozenset(bit_list(cand.component)),
+            cand.coloring.colors,
+        )
+        assert got == want
+        found[want is not None] += 1
+    assert found[True] > 300 and found[False] > 300
 
 
 def test_merge_inside_a_piece_is_the_merge_on_its_subgraph(frame_phase):
@@ -313,7 +345,8 @@ def test_merge_inside_a_piece_is_the_merge_on_its_subgraph(frame_phase):
     merged = merge_colorings(g, big, up(c1), up(c2), k, trace=events.append)
     assert want_events  # the merge swaps
     assert merged.colors == up(want).colors
-    assert events == [{**ev, "seed": odd[ev["seed"]]} for ev in want_events]
+    # a seed is a rank in the partition's vertices, the same in both labellings
+    assert events == want_events
 
 
 # --- the merge's local checks against whole-coloring checks -----------------
@@ -445,7 +478,7 @@ def test_merge_raises_on_a_cut_vertex_recolored_on_one_side(monkeypatch):
 
     def aligned(a, b, anchor):
         out = align(a, b, anchor)
-        return _moved(out, anchor[0], out.max_color() + 1)
+        return _moved(out, (anchor & -anchor).bit_length() - 1, out.max_color() + 1)
 
     monkeypatch.setattr(recolor, "align_colorings", aligned)
     assert part.k1 | part.k2

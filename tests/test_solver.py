@@ -564,7 +564,7 @@ def test_trace_events_record_strict_progress():
         }
         assert e["event"] == "swap"
         assert e["side"] in (1, 2)
-        assert e["class"] in ("free", "general")
+        assert e["class"] == "free"
         assert e["bad_after"] < e["bad_before"]
         assert len(e["pair"]) == 2
 
@@ -608,7 +608,7 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
 
     def checked_peel(g, seeds, keep):
         nonlocal peeled_total, seeded
-        peeled = peel(g, seeds, keep)
+        core, peeled = peel(g, seeds, keep)
         piece, order = naive_subgraph(g, bit_list(keep))
         expected = [(order[v], {order[u] for u in nb}) for v, nb in naive_peel(piece)]
         assert [(v, set(bit_list(nb))) for v, nb in peeled] == expected
@@ -616,11 +616,12 @@ def test_peel_removes_simplicial_vertices_until_none_is_left(corpus_graphs, monk
         for v, nb in peeled:
             assert naive_is_clique(g, bit_list(nb))
             rest.discard(v)
+        assert core == mask_of(rest)
         for u in rest:
             assert not naive_is_clique(g, [w for w in rest if g.adjacent(u, w)])
         peeled_total += len(peeled)
         seeded += seeds != keep
-        return peeled
+        return core, peeled
 
     def checked_extend(core, peeled, clique):
         coloring, clique2 = extend(core, peeled, clique)
