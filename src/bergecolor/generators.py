@@ -8,6 +8,11 @@ departures with GeneratorWarning rather than failing, because some legal
 parameter choices, such as unit prism rungs, genuinely produce squares.
 `gen_square_free_berge` runs the same checks once per candidate, as a
 filter.
+Prisms, hyperprisms, line graphs and C4-free bipartite graphs are built
+as neighbourhood masks (`Graph._of_masks`), with no edge list.  The random
+ends of a C4-free bipartite graph are drawn from `getrandbits` by the
+rejection loop that `Random.randrange` runs, so each seed gives the graph
+and leaves the generator state that randrange would.
 A graph over `dimacs.MAX_VERTICES` vertices, which `read_col` could not read
 back, is refused with SpecError from its vertex count, before anything is
 built: by `PrismSpec`, `HyperprismSpec`, `gen_lk4_subdivision` and
@@ -124,25 +129,34 @@ def gen_hyperprism(spec: HyperprismSpec) -> Graph:
 def _strips_graph(strips: tuple[tuple[int, ...], ...]) -> Graph:
     """The hyperprism of `strips`, labeled as in gen_hyperprism, built but
     not validated: gen_prism and gen_hyperprism validate what they return,
-    and gen_square_free_berge filters its candidates itself."""
-    rungs = [
-        (strip_idx, length)
-        for strip_idx, strip in enumerate(strips)
-        for length in strip
-    ]
-    nrungs = len(rungs)
-    edges = []
-    for i in range(nrungs):
-        for j in range(i + 1, nrungs):
-            if rungs[i][0] != rungs[j][0]:
-                edges.append((i, j))  # starts of different strips
-                edges.append((nrungs + i, nrungs + j))  # ends likewise
-    nxt = 2 * nrungs
-    for i, (_, length) in enumerate(rungs):
-        chain = [i] + list(range(nxt, nxt + length - 1)) + [nrungs + i]
-        nxt += length - 1
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(nxt, edges)
+    and gen_square_free_berge filters its candidates itself.
+
+    Built as neighbourhood masks, with no edge list: a start sees the
+    starts of the other strips and an end their ends, and a rung's interior
+    vertices are numbered consecutively, so interior w sees w - 1 and w + 1
+    except where the rung meets its start or its end."""
+    nrungs = sum(map(len, strips))
+    starts = (1 << nrungs) - 1
+    masks = [0] * (2 * nrungs)
+    i = 0  # the rung's index, which is its start
+    for strip in strips:
+        other = starts & ~(((1 << len(strip)) - 1) << i)
+        for length in strip:
+            end, w = nrungs + i, len(masks)  # w: the first interior, if any
+            if length == 1:
+                masks[i] = other | 1 << end
+                masks[end] = other << nrungs | 1 << i
+            else:
+                last = w + length - 2
+                masks[i] = other | 1 << w
+                masks[end] = other << nrungs | 1 << last
+                masks.extend(5 << (x - 1) for x in range(w, last + 1))
+                # the first interior sees the start, not w - 1; the last
+                # sees the end, not last + 1
+                masks[w] ^= 1 << (w - 1) | 1 << i
+                masks[last] ^= 1 << (last + 1) | 1 << end
+            i += 1
+    return Graph._of_masks(masks)
 
 
 def line_graph(h: Graph) -> Graph:
@@ -205,27 +219,45 @@ def _grow_c4free_bipartite(
     rng: random.Random, left: int, right: int, target_edges: int
 ) -> Graph:
     """Random bipartite graph with no 4-cycle, grown edge by edge; gives up
-    on an edge that would close a square and moves on."""
+    on an edge that would close a square and moves on.
+
+    Each edge draws an end u below `left`, then an end v below `right`
+    (shifted past the left side), by rejection on `rng.getrandbits`: for a
+    bound k, k.bit_length() bits, drawn again until the value is below k.
+    That is the loop `Random.randrange(k)` runs for an int k >= 1, bit
+    count included, so the stream is consumed draw for draw as by
+    randrange, with one call per draw in place of three frames.  A side
+    below 1 vertex raises ValueError, as randrange does, before any edge
+    is drawn: with k = 0 the loop would never end."""
+    if target_edges > 0 and min(left, right) < 1:
+        raise ValueError(f"empty range for an end: left {left}, right {right}")
     masks = [0] * (left + right)
     m = 0
-    budget = 6 * target_edges + 20
-    randrange = rng.randrange
-    while m < target_edges and budget > 0:
-        budget -= 1
-        u = randrange(left)
-        v = left + randrange(right)
+    getrandbits = rng.getrandbits
+    lbits, rbits = left.bit_length(), right.bit_length()
+    for _ in range(6 * target_edges + 20):
+        if m >= target_edges:
+            break
+        u = getrandbits(lbits)
+        while u >= left:
+            u = getrandbits(lbits)
+        v = getrandbits(rbits)
+        while v >= right:
+            v = getrandbits(rbits)
+        v += left
         nu = masks[u]
-        if (nu >> v) & 1:
-            continue
-        # a neighbour of v that shares a neighbour with u closes a 4-cycle
-        nv = masks[v]
-        while nv:
-            low = nv & -nv
-            if masks[low.bit_length() - 1] & nu:
-                break
-            nv ^= low
-        if nv:
-            continue
+        if nu:  # else uv is new and closes no 4-cycle
+            if (nu >> v) & 1:
+                continue
+            # a neighbour of v that shares a neighbour with u closes a 4-cycle
+            nv = masks[v]
+            while nv:
+                low = nv & -nv
+                if masks[low.bit_length() - 1] & nu:
+                    break
+                nv ^= low
+            if nv:
+                continue
         masks[u] = nu | (1 << v)
         masks[v] |= 1 << u
         m += 1

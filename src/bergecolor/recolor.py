@@ -346,10 +346,8 @@ def merge_colorings(
     k12m = p.k1 | p.k2
     cur1, cur2 = c1, align_colorings(c1, c2, k12m)
 
-    while True:
-        bad = _disagreement(cur1, cur2, p.k3)
-        if not bad:
-            break
+    bad = _disagreement(cur1, cur2, p.k3)
+    while bad:
         cand = find_reducing_swap(g, p, cur1, cur2, bad)
         if cand is None:
             raise BergeViolation(
@@ -366,7 +364,8 @@ def merge_colorings(
             raise InternalViolation("swap produced an improper side coloring")
         if _disagreement(cur1, cur2, k12m):
             raise InternalViolation("swap disturbed the K1 ∪ K2 agreement")
-        before, after = bad.bit_count(), _disagreement(cur1, cur2, p.k3).bit_count()
+        before, bad = bad.bit_count(), _disagreement(cur1, cur2, p.k3)
+        after = bad.bit_count()
         if after >= before:
             raise InternalViolation("accepted swap did not reduce the bad set")
         if trace is not None:

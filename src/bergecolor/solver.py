@@ -236,6 +236,8 @@ def leaf_color(g: Graph, core: int) -> tuple[PartialColoring, int]:
     has neither a simplicial vertex nor a good partition and is not such a
     blow-up: no coloring is made up for it.
     """
+    if not core:
+        return PartialColoring.of_classes([]), 0
     masks = g._masks
     by_nbhd: dict[int, int] = {}
     for v in iter_bits(core):

@@ -403,6 +403,46 @@ def naive_line_graph(h: Graph) -> Graph:
     return Graph(len(he), edges)
 
 
+def naive_strips_graph(strips) -> Graph:
+    """The hyperprism of `strips` through an edge list, labeled as
+    gen_hyperprism documents: starts, then ends, then each rung's interior
+    in rung order."""
+    rungs = [(s, length) for s, strip in enumerate(strips) for length in strip]
+    nrungs = len(rungs)
+    edges = []
+    for i, j in combinations(range(nrungs), 2):
+        if rungs[i][0] != rungs[j][0]:
+            edges += [(i, j), (nrungs + i, nrungs + j)]
+    nxt = 2 * nrungs
+    for i, (_, length) in enumerate(rungs):
+        chain = [i, *range(nxt, nxt + length - 1), nrungs + i]
+        nxt += length - 1
+        edges.extend(zip(chain, chain[1:]))
+    return Graph(nxt, edges)
+
+
+def naive_grow_c4free_bipartite(
+    rng: random.Random, left: int, right: int, target_edges: int
+) -> Graph:
+    """The C4-free bipartite growth with each end drawn by `rng.randrange`:
+    the draw order that every seeded random graph is pinned to."""
+    masks = [0] * (left + right)
+    m = 0
+    budget = 6 * target_edges + 20
+    while m < target_edges and budget > 0:
+        budget -= 1
+        u = rng.randrange(left)
+        v = left + rng.randrange(right)
+        if (masks[u] >> v) & 1:
+            continue
+        if any(masks[w] & masks[u] for w in iter_bits(masks[v])):
+            continue  # u and a neighbour of v share a neighbour: a square
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        m += 1
+    return Graph(left + right, [(u, v) for u in range(left) for v in iter_bits(masks[u])])
+
+
 def _chordless_k1_k3_paths_ok(g: Graph, k1, k3, l) -> bool:
     """Condition on connections between the two clique ends: every chordless
     path from k1 to k3, inner vertices in l, edges between k1 and k3 ignored,

@@ -34,7 +34,12 @@ from conftest import (
     complete,
     cycle,
 )
-from oracles import contains_induced_prism, naive_line_graph
+from oracles import (
+    contains_induced_prism,
+    naive_grow_c4free_bipartite,
+    naive_line_graph,
+    naive_strips_graph,
+)
 
 
 # ------------------------------------------------------------ spec validation
@@ -205,6 +210,19 @@ def test_hyperprism_structure(strips):
     assert nxt == g.n
 
 
+def test_strips_graph_matches_the_edge_list_reference():
+    specs = [tuple((x,) for x in ls) for ls in EVEN_PRISMS + ODD_PRISMS]
+    specs += HYPERPRISMS
+    rng = random.Random(11)
+    for _ in range(500):
+        specs.append(tuple(
+            tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 4))
+        ))
+    for strips in specs:
+        assert generators._strips_graph(strips) == naive_strips_graph(strips), strips
+
+
 # --------------------------------------------------------------- line graphs
 
 
@@ -304,6 +322,41 @@ def test_random_draws_are_pinned():
         g = gen_square_free_berge(n, s)
         h.update(f"{n} {s} {g.edges()}\n".encode())
     assert h.hexdigest() == _DRAWS_SHA256
+
+
+def test_c4free_growth_draws_as_randrange_does():
+    # every end drawn as randrange draws it: the same graph, and the stream
+    # left where randrange leaves it; bit counts change at powers of two
+    special = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]
+    rng = random.Random(2024)
+    triples = [(a, b, rng.randint(0, a + b)) for a in special for b in special]
+    while len(triples) < 2000:
+        a, b = rng.randint(1, 70), rng.randint(1, 70)
+        triples.append((a, b, rng.randint(0, 2 * (a + b))))
+    for i, (left, right, target) in enumerate(triples):
+        r1, r2 = random.Random(i), random.Random(i)
+        got = generators._grow_c4free_bipartite(r1, left, right, target)
+        want = naive_grow_c4free_bipartite(r2, left, right, target)
+        assert got == want, (left, right, target)
+        assert r1.getstate() == r2.getstate(), (left, right, target)
+
+
+class _BoundedRandom(random.Random):
+    """A Random that fails after 1,000 getrandbits calls, so that a draw
+    that could never end fails instead of hanging."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        assert self.calls <= 1000, "the draw does not end"
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("left, right", [(0, 5), (5, 0), (0, 0), (-1, 3)])
+def test_c4free_growth_refuses_an_empty_side(left, right):
+    with pytest.raises(ValueError):
+        generators._grow_c4free_bipartite(_BoundedRandom(0), left, right, 3)
 
 
 def test_random_seeds_differ():
