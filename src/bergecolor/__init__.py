@@ -1,10 +1,14 @@
 """Exact coloring of square-free Berge graphs.
 
-The solver decomposes along good partitions (clique cutsets split into three
-pieces straddling two anticomplete sides) until no piece has one, colors the
-pieces bottom-up in one loop over the decomposition tree, and reconciles
-each pair of sibling colorings with bichromatic swaps, so the whole graph
-ends up with exactly omega colors.
+The solver splits the graph along good partitions (K1, K2, K3, L, R): a
+cutset K1 ∪ K2 ∪ K3, with K1 ∪ K2 and K2 ∪ K3 cliques, whose removal leaves
+L and R with no edges between them (see `partition`).  Each piece first
+peels its simplicial vertices, those whose neighborhood is a clique, and
+is split until no piece has a good partition.  The pieces are colored
+bottom-up in one loop over the decomposition tree: sibling colorings are
+merged with Kempe swaps (see `recolor`), and each peeled vertex takes the
+lowest color missing from its neighborhood, so the whole graph ends up
+with exactly omega colors (see `solver`).
 """
 
 from .dimacs import format_col, parse_col, read_col, write_col

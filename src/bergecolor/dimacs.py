@@ -132,15 +132,21 @@ def atomic_write(path: str, text: str, encoding: str = "utf-8") -> None:
     a temp file with a unique name in the same directory, then renamed into
     place.  The temp file is created with mode 0o666, so the umask sets the
     file's mode as it would for `open(path, "w")`; on any failure it is
-    removed."""
+    removed.  An OSError that names a file names `path`, not the temp file,
+    which the caller never asked for."""
     data = text.encode(encoding)
     d = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        if e.filename is None:
+            raise
+        raise OSError(e.errno, e.strerror, path) from None

@@ -179,15 +179,16 @@ def contains_square(g: Graph) -> tuple[int, int, int, int] | None:
     above a) then closes a square with the lowest vertex of D ∩ N(c).
 
     b and d are both neighbours of a above it, so a vertex with fewer than
-    two of them is skipped, and b stops below a's highest neighbour, which
-    has no d above it.  Only (a, b) pairs with no square are skipped, so the
-    first square found is the same."""
+    two of them is skipped, counted on `na >> a` (na lacks a itself), and b
+    stops below a's highest neighbour, which has no d above it.  Only
+    (a, b) pairs with no square are skipped, so the first square found is
+    the same."""
     masks = g._masks
     for a, na in enumerate(masks):
+        if (na >> a).bit_count() < 2:
+            continue
         above_a = -(2 << a)
         bs = na & above_a
-        if not bs & (bs - 1):
-            continue
         bs ^= 1 << (na.bit_length() - 1)
         while bs:
             bbit = bs & -bs
@@ -362,33 +363,72 @@ def _peel(g: Graph, seeds: int, keep: int) -> tuple[int, list[tuple[int, int]]]:
     neighbor since their last test: removing v queues its neighbors above v
     for this scan and those below v for the next.  The first scan tests only
     `seeds`; the caller vouches that no other kept vertex is simplicial in
-    g[keep] (seeds equal to keep vouch for nothing)."""
+    g[keep] (seeds equal to keep vouch for nothing).
+
+    When seeds and keep are the whole graph (the solver's root and
+    `_find_odd_hole`), every vertex is pending in the first scan, and a
+    removal queues for that scan only vertices above the one removed, which
+    are pending already.  So that scan is the same scan run as v = 0, 1,
+    ..., n - 1 in plain order, with no vertex taken off a mask of n bits;
+    what it queues below v goes to the next scan as before, and what it
+    queues above is dropped at its end.  Later scans take the lowest bit
+    of `todo`, in the same loop.
+
+    A vertex with at most one remaining neighbor is simplicial without a
+    test, and that neighbor is queued by comparing masks.  Otherwise the
+    test starts at the lowest neighbor, where almost every failing test
+    stops."""
     masks = g._masks
+    n = g.n
     rest = keep
-    todo = seeds & keep
     peeled = []
-    while todo:
-        later = 0
-        while todo:
+    plain = seeds == keep == g.full_mask
+    todo = 0 if plain else seeds & keep
+    later = 0
+    v = -1
+    while True:
+        if plain:
+            v += 1
+            if v == n:
+                plain = False
+                todo, later = later, 0
+                continue
+            low = 1 << v
+        elif todo:
             low = todo & -todo
             todo ^= low
             v = low.bit_length() - 1
-            nb = masks[v] & rest
-            # nb is a clique when each member u misses only itself in it;
-            # the scan stops at the first miss, leaving `left` non-zero
-            left = nb
+        elif later:
+            todo, later = later, 0
+            continue
+        else:
+            return rest, peeled
+        nb = masks[v] & rest
+        if nb & (nb - 1):
+            # nb is a clique when each member u but its highest misses only
+            # itself in it (a missing edge has an end below the highest);
+            # the lowest is tested first, and the scan stops at the first
+            # miss, leaving `left` non-zero
+            u = nb & -nb
+            if nb & ~masks[u.bit_length() - 1] != u:
+                continue
+            left = nb ^ u
+            left ^= 1 << (left.bit_length() - 1)
             while left:
                 u = left & -left
                 if nb & ~masks[u.bit_length() - 1] != u:
                     break
                 left ^= u
-            if not left:
-                rest ^= low
-                peeled.append((v, nb))
-                todo |= nb & ~(low - 1)
-                later |= nb & (low - 1)
-        todo = later
-    return rest, peeled
+            if left:
+                continue
+            todo |= nb & ~(low - 1)
+            later |= nb & (low - 1)
+        elif nb > low:
+            todo |= nb
+        else:
+            later |= nb
+        rest ^= low
+        peeled.append((v, nb))
 
 
 def _bipartition(g: Graph, allowed: int) -> tuple[int, int] | None:

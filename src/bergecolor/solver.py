@@ -275,16 +275,21 @@ def _color_peeled(
     """Extend the core's coloring, in place, to the peeled vertices, last
     removed first.  Each one's neighborhood at removal is then a colored
     clique, so the lowest class that misses it is at most its size + 1;
-    the piece's witness clique becomes it with v wherever that is larger."""
+    the piece's witness clique becomes it with v wherever that is larger,
+    and a tie keeps the witness."""
     classes = coloring.classes
+    size = clique.bit_count()
     for v, nb in reversed(peeled):
+        bit = 1 << v
         for i, m in enumerate(classes):
             if not m & nb:
-                classes[i] = m | 1 << v
+                classes[i] = m | bit
                 break
         else:
-            classes.append(1 << v)
-        clique = nb | 1 << v if nb.bit_count() >= clique.bit_count() else clique
+            classes.append(bit)
+        k = nb.bit_count()
+        if k >= size:
+            clique, size = nb | bit, k + 1
     return coloring, clique
 
 

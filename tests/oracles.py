@@ -90,6 +90,27 @@ def naive_color_peeled(
     return colors, k
 
 
+def reference_color_peeled(
+    classes: list[int], peeled: list[tuple[int, int]], clique: int
+) -> tuple[list[int], int]:
+    """The solver's class-mask peel coloring in its plainest form, on a copy
+    of `classes`: each peeled vertex, last removed first, joins the lowest
+    class that misses its neighbourhood, and the witness becomes the vertex
+    with that neighbourhood when the neighbourhood has at least as many
+    vertices as the witness, that is when this clique is larger; one of the
+    same size keeps the witness."""
+    classes = list(classes)
+    for v, nb in reversed(peeled):
+        for i, m in enumerate(classes):
+            if not m & nb:
+                classes[i] = m | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+        clique = nb | 1 << v if nb.bit_count() >= clique.bit_count() else clique
+    return classes, clique
+
+
 def naive_reducing_swap(
     g: Graph, k12: set[int], k3: set[int], c1: dict[int, int], c2: dict[int, int]
 ) -> tuple | None:

@@ -163,6 +163,29 @@ def test_color_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_color_output_in_a_missing_directory_names_the_output(tmp_path, capsys):
+    # the error names the file asked for, not the temp file it was written to
+    path = col(tmp_path, cycle(6))
+    out_f = str(tmp_path / "nodir" / "x.sol")
+    assert main(["color", path, "-o", out_f]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{out_f}'\n"
+    assert sorted(os.listdir(tmp_path)) == ["g.col"]
+
+
+def test_color_output_onto_a_directory_names_the_output(tmp_path, capsys):
+    # the rename onto a directory fails; its error names the directory alone,
+    # and the temp file is removed
+    path = col(tmp_path, cycle(6))
+    out_d = tmp_path / "adir"
+    out_d.mkdir()
+    assert main(["color", path, "-o", str(out_d)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: '{out_d}'\n"
+    assert sorted(os.listdir(tmp_path)) == ["adir", "g.col"]
+    assert os.listdir(out_d) == []
+
+
 def test_color_berge_cap_below_n_reports_unchecked(tmp_path):
     path = col(tmp_path, cycle(6))
     rep_f = str(tmp_path / "r.json")

@@ -9,8 +9,10 @@ from bergecolor import (
     Graph,
     NotBerge,
     NotSquareFree,
+    PrismSpec,
     contains_square,
     find_triads,
+    gen_prism,
     gen_square_free_berge,
     is_berge,
     maximal_cliques,
@@ -377,13 +379,62 @@ def test_odd_hole_witness_on_larger_draws(seed):
 @settings(max_examples=300, deadline=None)
 def test_peel_of_a_kept_set_matches_naive_peel(g, rnd):
     # seeds equal to keep vouch for nothing: the peel of g[keep], in g's
-    # labels, is the full ascending scans of the induced subgraph
-    keep = mask_of(v for v in range(g.n) if rnd.random() < 0.7)
+    # labels, is the full ascending scans of the induced subgraph.  One
+    # draw in four keeps the whole graph, whose first scan runs in plain
+    # vertex order
+    if rnd.randrange(4) == 0:
+        keep = g.full_mask
+    else:
+        keep = mask_of(v for v in range(g.n) if rnd.random() < 0.7)
     piece, order = naive_subgraph(g, bit_list(keep))
     want = [(order[v], {order[u] for u in nb}) for v, nb in naive_peel(piece)]
     core, peeled = _peel(g, keep, keep)
     assert [(v, set(bit_list(nb))) for v, nb in peeled] == want
     assert core == keep & ~mask_of(v for v, _ in want)
+
+
+def _peel_sweep_graphs():
+    """Paths, trees and prisms with trees hung on them, n up to 60, each
+    relabelled at random: the peel strips whole paths and branches one
+    vertex at a time, so a removal's single neighbour lies above or below it
+    as the labels fall."""
+    rng = random.Random(2024)
+    for i in range(240):
+        kind = i % 3
+        if kind == 0:
+            n = rng.randint(1, 60)
+            edges = [(v, v + 1) for v in range(n - 1)]
+        elif kind == 1:
+            n = rng.randint(1, 60)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+        else:
+            parity = rng.randint(0, 1)
+            rungs = tuple(parity + 2 * rng.randint(1, 4) for _ in range(3))
+            prism = gen_prism(PrismSpec(rungs))
+            n = rng.randint(prism.n, 60)
+            edges = prism.edges() + [(rng.randrange(v), v) for v in range(prism.n, n)]
+        label = list(range(n))
+        rng.shuffle(label)
+        yield Graph(n, [(label[u], label[v]) for u, v in edges]), rng
+
+
+def test_peel_sweep_matches_naive_peel():
+    # each graph peeled whole, its first scan in plain vertex order, and on
+    # a kept set, against the full ascending scans; the one-neighbour removals
+    # must queue their neighbour both above and below themselves
+    above = below = 0
+    for g, rng in _peel_sweep_graphs():
+        for keep in (g.full_mask, mask_of(v for v in range(g.n) if rng.random() < 0.8)):
+            piece, order = naive_subgraph(g, bit_list(keep))
+            want = [(order[v], {order[u] for u in nb}) for v, nb in naive_peel(piece)]
+            core, peeled = _peel(g, keep, keep)
+            assert [(v, set(bit_list(nb))) for v, nb in peeled] == want
+            assert core == keep & ~mask_of(v for v, _ in want)
+            for v, nb in peeled:
+                if nb.bit_count() == 1:
+                    above += nb > 1 << v
+                    below += nb < 1 << v
+    assert above > 1000 and below > 1000
 
 
 @given(graphs(max_n=8))

@@ -50,6 +50,7 @@ from oracles import (
     naive_peel,
     naive_subgraph,
     naive_verify_coloring,
+    reference_color_peeled,
     true_twin_blowup,
 )
 from test_output_digest import DEEP_SPINES
@@ -646,15 +647,24 @@ def test_peel_coloring_matches_the_dict_version(corpus_graphs, monkeypatch):
     # at every node, the class-mask peel coloring gives each peeled vertex
     # the color, and the piece's witness clique the size k, that the lowest
     # color missing from its neighbourhood's colors gives on a
-    # {vertex: color} dict
+    # {vertex: color} dict.  The witness mask itself, which ColorResult.clique
+    # returns, is the reference loop's: a peeled vertex's clique replaces the
+    # witness only when larger, and enough nodes meet one of the same size
+    # that replacing it on a tie fails
     extend = solver._color_peeled
-    nodes = 0
+    nodes = ties = 0
 
     def checked(coloring, peeled, clique):
-        nonlocal nodes
+        nonlocal nodes, ties
         want = naive_color_peeled(coloring.colors, peeled, clique.bit_count())
+        classes, witness = reference_color_peeled(coloring.classes, peeled, clique)
+        size = clique.bit_count()
+        for _, nb in reversed(peeled):
+            ties += nb.bit_count() + 1 == size
+            size = max(size, nb.bit_count() + 1)
         out, clique2 = extend(coloring, peeled, clique)
         assert (out.colors, clique2.bit_count()) == want
+        assert (out.classes, clique2) == (classes, witness)
         nodes += 1
         return out, clique2
 
@@ -663,6 +673,7 @@ def test_peel_coloring_matches_the_dict_version(corpus_graphs, monkeypatch):
     for _, g in corpus_graphs:
         total += color(g, trust_berge=True).stats.node_count
     assert nodes == total > 1000
+    assert ties > 100
 
 
 def test_each_node_searches_once_and_each_leaf_is_checked_empty(corpus_graphs, monkeypatch):
