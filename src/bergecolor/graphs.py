@@ -451,6 +451,28 @@ def _bipartition(g: Graph, allowed: int) -> tuple[int, int] | None:
     return sides[0], sides[1]
 
 
+def _twin_bipartition(
+    g: Graph, core: int
+) -> tuple[dict[int, int], tuple[int, int]] | None:
+    """The true-twin classes of the subgraph induced on `core`, each under
+    its lowest vertex, ascending, and the two sides of their quotient; or
+    None when that quotient has an odd cycle.  Vertices share a class when
+    their closed neighbourhoods in the core are equal, so a class is a
+    clique, complete or anticomplete to each other class.  The quotient is
+    induced on one lowest vertex per class, and its sides are those of
+    `_bipartition`.  An empty core gives no class and two empty sides."""
+    if not core:
+        return {}, (0, 0)
+    masks = g._masks
+    by_nbhd: dict[int, int] = {}
+    for v in iter_bits(core):
+        key = (masks[v] | 1 << v) & core
+        by_nbhd[key] = by_nbhd.get(key, 0) | 1 << v
+    classes = {(m & -m).bit_length() - 1: m for m in by_nbhd.values()}
+    sides = _bipartition(g, mask_of(classes))
+    return None if sides is None else (classes, sides)
+
+
 def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     """First chordless odd cycle of length >= 5 found by ordered DFS, or None.
 

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _twin_bipartition,
     bit_list,
     cliques_within,
     component_mask,
@@ -451,36 +452,6 @@ def _anchored_pairs(g: Graph, within: int) -> Iterator[tuple[int, int]]:
                 yield (x, y)
 
 
-def _disjoint_paths(g: Graph, x: int, y: int, within: int) -> list[int]:
-    """Internally disjoint x-y paths in the subgraph induced on `within`,
-    as the interiors, masks, that separation tests learn: each test cuts
-    the interiors found so far and, while x and y stay connected, learns a
-    shortest x-y path avoiding them, until the cut separates x from y.  x
-    and y must be distinct and non-adjacent, so no interior is empty.
-    Every x-y path leaves x and enters y through a neighbour, so once the
-    interiors cover all of x's or all of y's neighbours the search stops
-    without a BFS."""
-    paths: list[int] = []
-    used = 0
-    nx, ny = g._masks[x] & within, g._masks[y] & within
-    while nx & ~used and ny & ~used:
-        if _separate(g, used, x, y, paths, within) is not None:
-            break
-        used |= paths[-1]
-    return paths
-
-
-def _path_hits(interiors: list[int], masks: list[int]) -> tuple[list[int], int]:
-    """For each vertex set in `masks`, the bitmask of the path interiors in
-    `interiors` (masks) that it meets; and the bitmask of all of them.  One
-    pass over the sets per interior sets that interior's bit."""
-    hits = [0] * len(masks)
-    for j, pm in enumerate(interiors):
-        bit = 1 << j
-        hits = [h | bit if m & pm else h for h, m in zip(hits, masks)]
-    return hits, (1 << len(interiors)) - 1
-
-
 def _frame_choices(q1m: int, q3m: int) -> Iterator[tuple[int | None, int | None]]:
     """The anchor choices (C1, C3) of a clique pair: none first, then each
     vertex of its side, ascending."""
@@ -539,18 +510,11 @@ def _frame_search(g: Graph, within: int) -> tuple[GoodPartition | None, int, int
         if cliques is None:
             cliques = maximal_cliques_in(g, within)
         masks = cliques_within(g, cliques, within & ~(1 << x) & ~(1 << y))
-        # the disjoint interiors; each BFS that finds x, y connected adds one
-        paths = _disjoint_paths(g, x, y, within)
-        hits, every = _path_hits(paths, masks)
-        kinds = set(hits)
-        # rows of Q1 with such a mask hold a pair that hits every path
-        open_kinds = {a for a in kinds if any(a | b == every for b in kinds)}
-        for q1m, h1 in zip(masks, hits):
-            if h1 not in open_kinds:
-                pruned += len(masks)
-                continue
-            for q3m, h3 in zip(masks, hits):
-                if h1 | h3 != every or _separate(g, q1m | q3m, x, y, paths, within) is None:
+        # x-y path interiors; each BFS that finds x, y connected adds one
+        paths: list[int] = []
+        for q1m in masks:
+            for q3m in masks:
+                if _separate(g, q1m | q3m, x, y, paths, within) is None:
                     pruned += 1
                     continue
                 for c1, c3 in _frame_choices(q1m, q3m):
@@ -568,6 +532,7 @@ def find_good_partition(
     *,
     start: int = 0,
     within: int | None = None,
+    skip_leaf_cores: bool = False,
 ) -> GoodPartition | None:
     """A good partition of G, or None when G has none.
 
@@ -587,30 +552,26 @@ def find_good_partition(
     one, whatever the `start`.
     The frame scan skips a clique pair (Q1, Q3) when the union Q1 ∪ Q3
     fails to separate x from y: refinement only shrinks the cutset, so no
-    anchor choice of that pair can succeed.  Two prunes find most such
-    unions without a BFS, a list of learned paths spares most of the BFS
-    runs that are left, and the result is the partition the unpruned scan
-    returns:
+    anchor choice of that pair can succeed.  Each anchor pair keeps one
+    list of learned x-y path interiors.  Every separation BFS that finds x
+    and y connected, for a union or inside `refine_frame`, adds the
+    interior of a shortest x-y path of G minus its cutset.  A later union
+    or refinement cutset that misses a listed interior leaves that path
+    whole, so it is answered "connected" without a BFS.  Learned paths
+    answer repeated unions: one that left x and y connected misses the
+    path its first test learned, and only a union that separates x from
+    y, and whose frames all fail, runs its BFS again.  This skips BFS runs
+    only: which pairs are skipped and which frames are tried, and so both
+    counters, do not depend on the list.
 
-    * Path prune.  A set that separates x from y meets the interior of every
-      x-y path, so it meets each of the internally disjoint x-y paths found
-      by `_disjoint_paths`.  Each clique gets a bitmask of the paths its
-      vertices hit; a pair whose two masks together miss a path leaves that
-      path in G - (Q1 ∪ Q3) and is skipped unseen.  Only pairs that hit
-      every path run the separation test.
-    * Row skip.  When no clique's mask covers the paths Q1 misses, every
-      pair in Q1's row fails the path prune, so the row is skipped whole.
-    * Learned paths.  Each anchor pair keeps one list of x-y path
-      interiors, the disjoint ones first.  Every separation BFS that finds x
-      and y connected, for a union or inside `refine_frame`, adds the
-      interior of a shortest x-y path of G minus its cutset.  A later union
-      or refinement cutset that misses a listed interior leaves that path
-      whole, so it is answered "connected" without a BFS (Menger's argument
-      again).  Learned paths answer repeated unions: one that left x and y
-      connected misses the path its first test learned, and only a union
-      that separates x from y, and whose frames all fail, runs its BFS
-      again.  This skips BFS runs only; which pairs are skipped and which
-      frames are tried, and so both counters, stay as they were.
+    `skip_leaf_cores`, if set, ends the search after a vertex phase that
+    finds nothing, with no frame phase, when G is a core that
+    `solver.leaf_color` colors: one whose true-twin quotient is bipartite
+    (`graphs._twin_bipartition`), the empty core included.  Such a G may
+    still have a good partition, so the search is then no longer
+    complete; the solver sets it, since a leaf coloring of such a core is
+    optimal and costs less than a frame phase, which on these cores
+    nearly always fails.  By default the search is complete.
 
     `within`, a vertex mask, restricts the search to the subgraph G induced
     on it; by default G is all of g.  Vertices, anchor pairs, cliques,
@@ -620,9 +581,9 @@ def find_good_partition(
     decomposition node this way, as a mask of the input graph.
 
     `stats`, if given, accumulates counters under keys "frames_tried" (frames
-    handed to `refine_frame`) and "frames_pruned" (clique pairs skipped
-    without refinement, one per pair, a skipped row counting every pair in
-    it); both keys are always set, and the vertex phase adds 0 to each.
+    handed to `refine_frame`) and "frames_pruned" (clique pairs whose union
+    fails to separate x from y); both keys are always set, and a search
+    with no frame phase adds 0 to each.
     The frame phase enumerates the maximal cliques of G once, at its first
     anchor pair, and each anchor pair derives those of G minus {x, y} from
     them with `cliques_within`.
@@ -631,7 +592,7 @@ def find_good_partition(
         within = g.full_mask
     found = _vertex_partition(g, start, within)
     tried = pruned = 0
-    if found is None:
+    if found is None and not (skip_leaf_cores and _twin_bipartition(g, within)):
         found, tried, pruned = _frame_search(g, within)
     if stats is not None:
         stats["frames_tried"] = stats.get("frames_tried", 0) + tried

@@ -24,6 +24,8 @@ from its neighborhood at removal: a clique of at most omega - 1 vertices, so
 a color within omega is always free (Gavril 1972, perfect elimination
 orderings).  A leaf's core is empty, or bipartite once true twins are
 merged, and then it is colored from that bipartition (see `leaf_color`).
+Such a core is a leaf as soon as no single vertex splits off: its search
+runs no frame phase.
 Colorings are lists of color-class masks (see `recolor.PartialColoring`):
 the peel extends the coloring the merge has just returned in place, adding
 each vertex to the lowest class that misses its neighborhood.
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 from .errors import BergeViolation, InternalViolation
 from .graphs import (
     Graph,
-    _bipartition,
     _peel,
+    _twin_bipartition,
     bit_list,
     iter_bits,
     mask_of,
@@ -227,32 +229,28 @@ def leaf_color(g: Graph, core: int) -> tuple[PartialColoring, int]:
     clique, complete or anticomplete to each other class.  The quotient,
     one lowest vertex per class, must be bipartite: its sides are the
     parities of its BFS layers, each component searched from its lowest
-    vertex (`graphs._bipartition`).  k is the most vertices in a class and
-    one adjacent class, the first such pair the witness clique.  A class of
-    w vertices takes colors 1..w on the first side and the top w of 1..k
-    on the other, so two adjacent classes never share a color.  A
-    bipartite core has one vertex per class and is 2-colored by layer
-    parity.  Raises BergeViolation on any other non-empty `core`, which
+    vertex (`graphs._twin_bipartition`, which the solver's search asks
+    too, to skip the frame phase on such a core).  k is the most vertices
+    in a class and one adjacent class, the first such pair the witness
+    clique.  A class of w vertices takes colors 1..w on the first side and
+    the top w of 1..k on the other, so two adjacent classes never share a
+    color.  A bipartite core has one vertex per class and is 2-colored by
+    layer parity.  Raises BergeViolation on any other non-empty `core`, which
     has neither a simplicial vertex nor a good partition and is not such a
     blow-up: no coloring is made up for it.
     """
     if not core:
         return PartialColoring.of_classes([]), 0
-    masks = g._masks
-    by_nbhd: dict[int, int] = {}
-    for v in iter_bits(core):
-        key = (masks[v] | 1 << v) & core
-        by_nbhd[key] = by_nbhd.get(key, 0) | 1 << v
-    # each class under its lowest vertex, ascending
-    classes = {(m & -m).bit_length() - 1: m for m in by_nbhd.values()}
-    reps = mask_of(classes)
-    sides = _bipartition(g, reps)
-    if sides is None:
+    quotient = _twin_bipartition(g, core)
+    if quotient is None:
         raise BergeViolation(
             f"a leaf core of {core.bit_count()} vertices has no simplicial "
             "vertex and no good partition, and is not bipartite once true "
             "twins are merged"
         )
+    classes, sides = quotient
+    masks = g._masks
+    reps = mask_of(classes)
     clique = 0
     for v, m in classes.items():
         for u in iter_bits(masks[v] & reps):
@@ -311,8 +309,9 @@ def _solve(
     The search's vertex phase begins at the first core vertex at or after
     a start vertex and wraps around.  The root starts at 0; a child at the
     lowest vertex of its parent's L, so it resumes where the parent's
-    vertex phase succeeded.  The frame phase always scans from the first
-    anchor pair.
+    vertex phase succeeded.  A core that `leaf_color` colors runs no frame
+    phase (`skip_leaf_cores`) and becomes a leaf; any other core's frame
+    phase scans from the first anchor pair.
 
     The pieces are visited from an explicit stack, each node before its
     children and the second child (the core minus L) before the first.
@@ -330,7 +329,9 @@ def _solve(
         stats.max_depth = max(stats.max_depth, depth)
         core, peeled = _peel(g, seeds, keep)
         node = TreeNode(vertices=keep, peeled=tuple(v for v, _ in peeled))
-        gp = find_good_partition(g, fstats, start=start, within=core)
+        gp = find_good_partition(
+            g, fstats, start=start, within=core, skip_leaf_cores=True
+        )
         visited.append((node, core, peeled, gp))
         if gp is None:
             stats.leaf_count += 1

@@ -176,8 +176,13 @@ def corpus_graphs(corpus):
 
 @pytest.fixture
 def frame_phase(monkeypatch):
-    """Switch off the vertex phase of `find_good_partition`, so that every
-    search, the solver's included, runs the frame phase alone: tests of
-    frame order, pruning and merge swaps need it, since a single-vertex
-    good partition would otherwise be found first at most nodes."""
+    """Switch off the vertex phase of `find_good_partition` and the
+    solver's leaf skip, so that every search, the solver's included, runs
+    the frame phase alone: tests of frame order, pruning and merge swaps
+    need it, since a single-vertex good partition would otherwise be found
+    first at most nodes, and the solver's search would skip the frame
+    phase on every core that `leaf_color` colors.  The skip is switched
+    off by patching the leaf test as the search sees it; `leaf_color`
+    still uses the real one."""
     monkeypatch.setattr(partition, "_vertex_partition", lambda *args: None)
+    monkeypatch.setattr(partition, "_twin_bipartition", lambda *args: None)

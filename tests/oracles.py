@@ -719,19 +719,6 @@ def naive_shortest_interior(g: Graph, x: int, y: int, allowed) -> tuple[int, ...
     return tuple(interior)
 
 
-def naive_disjoint_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
-    """Internally disjoint x-y paths, greedily: a shortest x-y path
-    (`naive_shortest_interior`), then a shortest one avoiding the interiors
-    found so far, until the next search finds no path.  Each path is its
-    interior, from the x end."""
-    paths = []
-    allowed = set(range(g.n))
-    while (interior := naive_shortest_interior(g, x, y, allowed)) is not None:
-        paths.append(interior)
-        allowed -= set(interior)
-    return paths
-
-
 def naive_vertex_partition(g: Graph, x: int):
     """The single-vertex partition of x, (K1, K2, K3, {x}, R) as sets, when
     it is a good partition of g, else None: N is x's neighbourhood and R

@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from bisect import bisect_left
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +25,6 @@ from bergecolor import partition
 from bergecolor.graphs import bit_list, component_mask, mask_of, maximal_cliques_in
 from bergecolor.partition import (
     _anchored_pairs,
-    _disjoint_paths,
-    _path_hits,
     _separate,
     _vertex_partition,
 )
@@ -38,7 +35,6 @@ from oracles import (
     enumerate_frames,
     naive_anchor_pairs,
     naive_components,
-    naive_disjoint_paths,
     naive_good_partition_check,
     naive_shortest_interior,
     naive_skipped_pairs,
@@ -409,63 +405,6 @@ def test_find_good_partition_none_on_cliques():
     assert find_good_partition(complete_minus_star(8, 5)) is None
 
 
-def _prune_cases(corpus_graphs):
-    """(graph, anchor pairs): every small corpus graph with its first three
-    anchor pairs, and omega-2 draws up to n = 40 with eight pairs spread over
-    all of theirs."""
-    for _, g in corpus_graphs:
-        if g.n <= 12:
-            yield g, list(islice(_anchored_pairs(g, g.full_mask), 3))
-    for n, seed in ((20, 2), (30, 4), (40, 3), (40, 5)):
-        g = gen_square_free_berge(n, seed)
-        pairs = list(_anchored_pairs(g, g.full_mask))
-        yield g, pairs[:: len(pairs) // 8 + 1]
-
-
-def test_path_prune_is_sound(corpus_graphs):
-    checked = skipped = 0
-    for g, pairs in _prune_cases(corpus_graphs):
-        for x, y in pairs:
-            paths = _disjoint_paths(g, x, y, g.full_mask)
-            used = 0
-            for interior in paths:
-                _assert_x_y_path(g, x, y, interior)
-                assert not used & interior
-                used |= interior
-            # the greedy search stops only once the paths cut y off from x
-            rest = set(range(g.n)) - set(bit_list(used))
-            assert not any({x, y} <= c for c in naive_components(g, rest))
-
-            cliques = maximal_cliques_in(g, g.full_mask & ~(1 << x) & ~(1 << y))
-            hits, every = _path_hits(paths, cliques)
-            assert every == (1 << len(paths)) - 1
-            path_sets = [set(bit_list(p)) for p in paths]
-            for q1, h1 in zip(cliques, hits):
-                for q3, h3 in zip(cliques, hits):
-                    union = set(bit_list(q1 | q3))
-                    checked += 1
-                    # the mask test says whether the union meets every path
-                    assert (h1 | h3 == every) == all(union & p for p in path_sets)
-                    if h1 | h3 == every:
-                        continue  # the search runs the separation BFS
-                    skipped += 1
-                    rest = set(range(g.n)) - union
-                    assert any({x, y} <= c for c in naive_components(g, rest))
-    assert skipped > 10000 and checked > skipped
-
-
-def test_disjoint_paths_match_naive(corpus_graphs):
-    # the search stops once x's or y's neighbours are used up; the list it
-    # returns is the one the search run until a BFS fails returns
-    pairs = 0
-    for g in _small_graphs(corpus_graphs):
-        for x, y in _anchored_pairs(g, g.full_mask):
-            want = [mask_of(p) for p in naive_disjoint_paths(g, x, y)]
-            assert _disjoint_paths(g, x, y, g.full_mask) == want
-            pairs += 1
-    assert pairs > 35000
-
-
 def test_search_tries_frames_in_canonical_order(corpus_graphs, monkeypatch, frame_phase):
     # the frames handed to refine_frame are, in order, a subsequence of all
     # frames in canonical order, ending at the first that refines
@@ -708,14 +647,16 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
     # random cuts, each shrinking by one to three vertices at a time until
     # empty, as refinement shrinks its cutset; every split agrees with a
     # naive component search with no path list, while paths are learned,
-    # and once they are
+    # and once they are.  The list starts with the path learned on the
+    # empty cut, a shortest x-y path of g
     rng = random.Random(9)
     skipped_by_learned = 0
     for g in _small_graphs(corpus_graphs):
         pairs = list(_anchored_pairs(g, g.full_mask))
         for x, y in pairs[:: len(pairs) // 5 + 1]:
-            paths = _disjoint_paths(g, x, y, g.full_mask)
-            disjoint = paths[:]
+            paths = []
+            _separate(g, 0, x, y, paths, g.full_mask)
+            first = paths[:]
             inside = [v for v in range(g.n) if v not in (x, y)]
             cuts = []
             for _ in range(2):
@@ -738,8 +679,8 @@ def test_separate_with_learned_paths_matches_components(corpus_graphs):
                     else:
                         assert seen == want[0]
                     # answered by a learned path alone
-                    if all(cut & pm for pm in disjoint) and any(
-                        not cut & pm for pm in paths[len(disjoint):]
+                    if all(cut & pm for pm in first) and any(
+                        not cut & pm for pm in paths[len(first):]
                     ):
                         skipped_by_learned += 1
                     n_before = len(paths)

@@ -4,6 +4,7 @@ tree invariants, and serialization of the decomposition record."""
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from bergecolor import (
     gen_square_free_berge,
     line_graph,
     omega,
+    read_col,
     tree_to_dot,
     tree_to_json,
     verify_coloring,
@@ -196,7 +198,8 @@ def test_graphs_without_good_partitions_color_with_two_colors():
         assert r.colors_used == 2, name
         assert verify_coloring(g, r.coloring).ok, name
         assert r.tree.is_leaf() and r.tree.peeled == (), name
-        assert r.stats.frames_tried == 0 and r.stats.frames_pruned > 0, name
+        # a core that leaf_color colors runs no frame phase
+        assert r.stats.frames_tried == 0 and r.stats.frames_pruned == 0, name
 
 
 def test_leaf_color_two_colors_a_bipartite_core_by_layer_parity():
@@ -254,6 +257,49 @@ def test_twin_blowups_of_leaf_cores_color_with_omega_colors():
         assert r.tree.is_leaf() and r.tree.peeled == (), name
 
 
+def test_default_search_runs_the_frame_phase_on_leaf_cores(monkeypatch):
+    # only the solver skips the frame phase on a core that leaf_color
+    # colors; the default search stays complete and runs it, here to the
+    # end, since none of these graphs has a good partition
+    calls = []
+    search = partition._frame_search
+
+    def counted(g, within):
+        calls.append(within)
+        return search(g, within)
+
+    monkeypatch.setattr(partition, "_frame_search", counted)
+    graphs = {name: make() for name, make in NO_PARTITION_GRAPHS.items()}
+    graphs.update(_twin_blowups())
+    assert len(graphs) == 18
+    for name, g in graphs.items():
+        stats = {}
+        assert partition.find_good_partition(g, stats) is None, name
+        assert calls == [g.full_mask], name
+        assert stats["frames_tried"] == 0 and stats["frames_pruned"] > 0, name
+        calls.clear()
+        stats = {}
+        assert partition.find_good_partition(g, stats, skip_leaf_cores=True) is None
+        assert calls == [] and stats == {"frames_tried": 0, "frames_pruned": 0}, name
+
+
+def _frame_cores(monkeypatch) -> list[int]:
+    """Record the core of every frame phase that runs, each checked to be
+    one that `leaf_color` rejects: the solver runs no frame phase on a core
+    that a leaf coloring covers."""
+    cores = []
+    search = partition._frame_search
+
+    def checked(g, within):
+        with pytest.raises(BergeViolation):
+            solver.leaf_color(g, within)
+        cores.append(within)
+        return search(g, within)
+
+    monkeypatch.setattr(partition, "_frame_search", checked)
+    return cores
+
+
 def _clique_gluings():
     """80 seeded clique gluings of two or three parts: 40 of small random
     draws, most with n <= 11, and 40 of the graphs without good partitions,
@@ -277,13 +323,14 @@ def _clique_gluings():
 
 # SHA-256 pins of the two gluing families' output (see `_frame_record`):
 # the only digests that cover nodes running the frame phase.  Pinned with
-# every frame phase scanning its anchor pairs from the first, and each
-# child resuming its vertex scan at the lowest vertex of its parent's L.
+# every frame phase scanning its anchor pairs from the first, each child
+# resuming its vertex scan at the lowest vertex of its parent's L, and a
+# core that leaf_color colors left a leaf with no frame phase.
 GLUINGS_EXPECTED = (
-    "f10ed0f126a4be7ea9536c3a1eaab0164a94fbf8bab6b633763fe40d1127ef88"
+    "f6baf58b61ea5ee02991cf178c761e3c47c35a923abf6cc4ca307710ae958070"
 )
 BLOWUP_GLUINGS_EXPECTED = (
-    "10e57212fa45215744c4805e86c3781ec50e5cfe1f5c8052966a1d8a2a5a7173"
+    "88c4006223c93bbe0ef53c6e998b1b3270451b43ce6b7ea00e856893ba51878b"
 )
 
 
@@ -299,10 +346,12 @@ def _frame_record(h, r, events: list) -> None:
     h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
 
 
-def test_clique_gluings_color_with_omega_colors():
+def test_clique_gluings_color_with_omega_colors(monkeypatch):
     # square-free Berge by construction, so the Berge check is skipped; the
-    # gluings with a bipartite girth-6 part keep the frame phase at work
-    small = framed = searched = 0
+    # gluings with a bipartite girth-6 part leave non-empty leaf cores, and
+    # none of them runs a frame phase
+    small = leaf_cores = 0
+    frame_cores = _frame_cores(monkeypatch)
     h = hashlib.sha256()
     for g in _clique_gluings():
         events: list = []
@@ -315,9 +364,13 @@ def test_clique_gluings_color_with_omega_colors():
         if g.n <= 11:
             assert r.colors_used == naive_chromatic_number(g)
             small += 1
-        framed += r.stats.frames_tried > 0
-        searched += r.stats.frames_pruned > 0
-    assert small >= 30 and framed >= 5 and searched >= 20
+        leaf_cores += sum(
+            1
+            for node in r.tree.iter_nodes()
+            if node.is_leaf() and node.vertices & ~mask_of(node.peeled)
+        )
+    assert small >= 30 and leaf_cores >= 20
+    assert frame_cores == []
     assert h.hexdigest() == GLUINGS_EXPECTED
 
 
@@ -338,7 +391,9 @@ def _blowup_gluings():
     return out
 
 
-def test_twin_blowup_gluings_color_with_omega_colors():
+def test_twin_blowup_gluings_color_with_omega_colors(monkeypatch):
+    # the frame phase runs here, on cores that leaf_color rejects
+    frame_cores = _frame_cores(monkeypatch)
     h = hashlib.sha256()
     for g in _blowup_gluings():
         events: list = []
@@ -348,7 +403,17 @@ def test_twin_blowup_gluings_color_with_omega_colors():
         assert verify_coloring(g, r.coloring).ok
         assert naive_is_clique(g, bit_list(r.clique))
         assert r.clique.bit_count() == omega(g)
+    assert len(frame_cores) == 13
     assert h.hexdigest() == BLOWUP_GLUINGS_EXPECTED
+
+
+def test_saved_blowup_gluing_is_the_first_of_its_family():
+    # CI's frame phase smoke colors this file with the console script
+    saved = read_col(str(Path(__file__).parent / "data" / "blowup_gluing_0.col"))
+    g = _blowup_gluings()[0]
+    assert (saved.n, saved.edges()) == (g.n, g.edges())
+    r = color(saved)
+    assert (r.colors_used, r.stats.frames_tried, r.stats.frames_pruned) == (3, 2, 2226)
 
 
 def test_color_clique_is_single_leaf():
@@ -412,8 +477,10 @@ def test_color_checks_for_squares_once(monkeypatch):
 
 def test_color_enumerates_maximal_cliques_once(corpus_graphs, monkeypatch):
     # the witness clique certifies omega, so Bron-Kerbosch runs only in a
-    # frame phase, once, after its first anchor pair: never on the corpus,
-    # whose nodes all split off a single vertex or peel to an empty core
+    # frame phase, once, after its first anchor pair.  No frame phase runs
+    # on the corpus, whose nodes all split off a single vertex or peel to
+    # an empty core, nor on the graphs without good partitions, whose
+    # cores leaf_color colors; the blow-up gluings still run 13
     phases = []  # per frame phase: [anchor pairs reached, enumerations]
     search, pairs = partition._frame_search, partition._anchored_pairs
 
@@ -437,11 +504,13 @@ def test_color_enumerates_maximal_cliques_once(corpus_graphs, monkeypatch):
         monkeypatch.setattr(f"{mod}.maximal_cliques_in", counted)
     for name, g in corpus_graphs:
         color(g)
-    assert phases and all(calls == 0 for _, calls in phases)
     for make in NO_PARTITION_GRAPHS.values():
         color(make())
-    assert all(calls == (reached > 0) for reached, calls in phases)
-    assert sum(calls for _, calls in phases) == len(NO_PARTITION_GRAPHS)
+    assert phases == []
+    for g in _blowup_gluings():
+        color(g, trust_berge=True)
+    assert phases and all(calls == (reached > 0) for reached, calls in phases)
+    assert sum(calls for _, calls in phases) == 13
 
 
 def test_verify_with_given_clique_number_matches(corpus_graphs):
