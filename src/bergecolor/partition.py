@@ -223,21 +223,11 @@ def _verify_masks(
 ) -> PartitionVerdict:
     """`verify_good_partition` for the five sets given as masks that
     partition `within`, checked as a partition of the subgraph induced on
-    it; the triad of condition (v) is sought inside `within`.  It is the
-    lowest x of L, then the lowest y of R with a z, then the lowest z, and
-    a passing verdict carries it, ascending, as its witness."""
+    it: conditions (i) to (v) in order, the first that fails named with its
+    witness.  The triad of condition (v) is sought inside `within`.  It is
+    the lowest x of L, then the lowest y of R with a z, then the lowest z,
+    and a passing verdict carries it, ascending, as its witness."""
     k1m, k2m, k3m, lm, rm = masks
-    verdict = _condition_i(g, lm, rm)
-    if verdict is None:
-        verdict = _condition_ii(g, k1m, k2m, k3m)
-    if verdict is None:
-        verdict = _conditions_iii_to_v(g, k1m, k3m, lm, rm, within)
-    return verdict
-
-
-def _condition_i(g: Graph, lm: int, rm: int) -> PartitionVerdict | None:
-    """The failing verdict of condition (i), or None when it holds: L and R
-    are nonempty, with no edge between them."""
     if lm == 0:
         return PartitionVerdict(False, "i", ("L empty",))
     if rm == 0:
@@ -246,24 +236,12 @@ def _condition_i(g: Graph, lm: int, rm: int) -> PartitionVerdict | None:
         hit = g.mask(v) & rm
         if hit:
             return PartitionVerdict(False, "i", (v, (hit & -hit).bit_length() - 1))
-    return None
 
-
-def _condition_ii(g: Graph, k1m: int, k2m: int, k3m: int) -> PartitionVerdict | None:
-    """The failing verdict of condition (ii), or None when it holds: K1 ∪ K2
-    and K2 ∪ K3 are cliques."""
     for m in (k1m | k2m, k2m | k3m):
         defect = _clique_defect(g, m)
         if defect:
             return PartitionVerdict(False, "ii", defect)
-    return None
 
-
-def _conditions_iii_to_v(
-    g: Graph, k1m: int, k3m: int, lm: int, rm: int, within: int
-) -> PartitionVerdict:
-    """`_verify_masks` once (i) and (ii) hold: the verdict of (iii), (iv)
-    and (v), in that order."""
     path = _violating_path(g, k1m, k3m, lm)
     if path is not None:
         return PartitionVerdict(False, "iii", path)
@@ -374,9 +352,10 @@ def refine_frame(
     Step 1 cuts each side of the frame down to its anchored tail and drops
     sides with no anchor.  Then each turn of one loop separates, verifies,
     and returns or repairs.  The connectivity split kills the frame the
-    moment x and y fall into one component; otherwise the five sets go to
-    the verifier's checks of conditions (iii)-(v).  A passing verdict is
-    returned, and a failing one is repaired by what it names: a condition
+    moment x and y fall into one component; otherwise L is x's component of
+    the piece minus the cutset, R the rest, and the five sets go to the
+    verifier, `_verify_masks`.  A passing verdict is returned, with its (v)
+    triad, and a failing one is repaired by what it names: a condition
     (iii) path shrinks K'1 around its last interior vertex, and a condition
     (iv) vertex, an L-vertex seeing both sides, shrinks K'3 away from its
     neighborhood.  With K'1 or K'3 empty neither condition can fail.  Every
@@ -384,13 +363,9 @@ def refine_frame(
     `paths`, if given, is the search's list of x-y path interiors (see
     `_separate`): a cutset that misses one of them kills the frame without
     a BFS, and each BFS that finds x and y connected adds one.
-    Condition (ii) is checked on the first turn only, since repairs only
-    shrink K'1 and K'3, and condition (i) only on a passing partition,
-    since L is a whole component of the piece minus the cutset and R the
-    rest; so the partition returned is one the whole verifier would pass.
-    It carries its (v) triad.  Any other failing condition means a bug,
-    not bad input, and raises InternalViolation; so does a frame whose Q1
-    or Q3 is not a clique, at the first turn.
+    Any other failing condition means a bug, not bad input, and raises
+    InternalViolation: (i) holds by the split, and (ii) holds for a frame
+    whose Q1 and Q3 are cliques, since repairs only shrink K'1 and K'3.
     """
     if within is None:
         within = g.full_mask
@@ -410,14 +385,9 @@ def refine_frame(
         if sep is None:
             return None
         lm, rm = sep
-        verdict = _condition_ii(g, k1m, k2m, k3m) if repairs == 0 else None
-        if verdict is None:
-            verdict = _conditions_iii_to_v(g, k1m, k3m, lm, rm, within)
+        verdict = _verify_masks(g, (k1m, k2m, k3m, lm, rm), within)
         if verdict:
-            failed = _condition_i(g, lm, rm)
-            if failed is None:
-                return GoodPartition(k1m, k2m, k3m, lm, rm, triad=verdict.witness)
-            verdict = failed
+            return GoodPartition(k1m, k2m, k3m, lm, rm, triad=verdict.witness)
         if verdict.condition == "iii":
             nv = g.mask(verdict.witness[-2])
             new_k1 = k1m & nv if (nv >> c1v) & 1 else k1m & ~nv
@@ -468,11 +438,12 @@ def _vertex_partition(g: Graph, start: int, within: int) -> GoodPartition | None
 
     N is x's neighbourhood in G and R the rest of G minus x; K2 is the
     members of N adjacent to every other member, K1 the component of
-    N - K2 that holds its lowest vertex, and K3 the rest of N - K2.  x
-    qualifies only when R, K1 and K3 are non-empty and K1 and K3 are
-    cliques: then (i), (ii) and (iv) hold by construction, and (iii)
-    because x is complete to K1.  The verifier still decides, and finds
-    the triad of (v)."""
+    N - K2 that holds its lowest vertex, and K3 the rest of N - K2.  x is
+    passed over when R or K3 is empty; otherwise the five sets go to the
+    verifier, `_verify_masks`, which decides and finds the triad of (v).
+    (i) and (iv) hold by construction, and (iii) because x is complete to
+    K1.  Since K2 is complete to the rest of N, (ii) holds exactly when K1
+    and K3 are cliques."""
     masks = g._masks
     # any start at or past n scans from vertex 0; clamped, its mask has n bits
     below = within & ((1 << min(max(start, 0), g.n)) - 1)
@@ -490,7 +461,7 @@ def _vertex_partition(g: Graph, start: int, within: int) -> GoodPartition | None
             rest = nx & ~k2m
             k1m = component_mask(g, rest & -rest, rest)
             k3m = rest & ~k1m
-            if not k3m or _clique_defect(g, k1m) or _clique_defect(g, k3m):
+            if not k3m:
                 continue
             verdict = _verify_masks(g, (k1m, k2m, k3m, xbit, rm), within)
             if verdict:

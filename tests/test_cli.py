@@ -476,6 +476,17 @@ def test_verify_valid_coloring(tmp_path, capsys):
     assert "coloring valid: 2 colors" in capsys.readouterr().out
 
 
+def test_verify_coloring_skips_blank_and_comment_lines(tmp_path, capsys):
+    path = col(tmp_path, cycle(6))
+    sol = tmp_path / "c6.sol"
+    sol.write_text(
+        "c a 2-coloring of C6\n\nv 1 1\nv 2 2\n   \nv 3 1\n"
+        "c second half\nv 4 2\nv 5 1\nv 6 2\n\n"
+    )
+    assert main(["verify", path, "--coloring", str(sol)]) == 0
+    assert "coloring valid: 2 colors" in capsys.readouterr().out
+
+
 def test_verify_coloring_conflict(tmp_path, capsys):
     path = col(tmp_path, cycle(6))
     sol = tmp_path / "c6.sol"

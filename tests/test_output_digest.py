@@ -27,24 +27,45 @@ STAT_FIELDS = (
 EXPECTED = "8f685a33c7c31233f9d13139829f7b6e733a20693ec26bc27874c92e08a25837"
 
 
-def corpus_digest(corpus) -> str:
+def corpus_digest(corpus, totals: dict | None = None) -> str:
+    """The digest of the corpus's solves; `totals`, if given, accumulates
+    each STAT_FIELDS counter over them."""
     h = hashlib.sha256()
     for name, make in corpus:
         events: list = []
         r = color(make(), trace=events)
+        counters = [getattr(r.stats, f) for f in STAT_FIELDS]
         record = [
             name,
             sorted(r.coloring.colors.items()),
             tree_to_json(r.tree),
             events,
-            [getattr(r.stats, f) for f in STAT_FIELDS],
+            counters,
         ]
         h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        if totals is not None:
+            for f, value in zip(STAT_FIELDS, counters):
+                totals[f] = totals.get(f, 0) + value
     return h.hexdigest()
 
 
 def test_output_digest_on_acceptance_corpus(corpus):
     assert corpus_digest(corpus) == EXPECTED
+
+
+# The corpus with the vertex phase and the solver's leaf skip switched off
+# (the `frame_phase` fixture): every node's partition is one that
+# `refine_frame` returns, so this pins the frame phase's output, which the
+# default search reaches on few nodes.
+FRAME_PHASE_EXPECTED = (
+    "1b39ad8dd031faf2dee45d8bc74edf846eb35c35ec40a54d4cb92ce1c2249c43"
+)
+
+
+def test_output_digest_on_acceptance_corpus_with_frames_alone(corpus, frame_phase):
+    totals: dict = {}
+    assert corpus_digest(corpus, totals) == FRAME_PHASE_EXPECTED
+    assert (totals["frames_tried"], totals["frames_pruned"]) == (2649, 44664)
 
 
 # omega-2 draws on which the frame search alone skips tens of thousands of

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -201,6 +202,15 @@ def test_refine_frame_empty_anchor_drops_side():
 # N(7) = {1, 4}.  Each guard test feeds the loop a witness that the real
 # condition tests never give.
 _HAND_WORKED = Frame(q1=mask_of((1, 2)), q3=mask_of((6,)), x=0, y=3, c1=1, c3=6)
+
+
+@pytest.mark.parametrize("anchors", [{"c1": 6}, {"c3": 1}, {"c1": 4}])
+def test_refine_frame_anchor_outside_its_side_is_rejected(anchors):
+    # each anchor must lie in its own side: C1 in Q1 \ Q3, C3 in Q3 \ Q1
+    frame = dataclasses.replace(_HAND_WORKED, **anchors)
+    (bad,) = anchors.values()
+    with pytest.raises(ValueError, match=f"anchor {bad} is not in its frame side"):
+        refine_frame(_prism(), frame)
 
 
 def test_refine_frame_iii_repair_that_keeps_k1_is_internal(monkeypatch):

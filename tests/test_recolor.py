@@ -251,6 +251,8 @@ def test_merge_rejects_wrong_domains():
     c1, c2, k = _split_color(g, part)
     with pytest.raises(ValueError):
         merge_colorings(g, part, c2, c1, k)
+    with pytest.raises(ValueError, match="c2 must color exactly G minus L"):
+        merge_colorings(g, part, c1, c1, k)
     with pytest.raises(ValueError):
         merge_colorings(g, part, c1, c2, k - 1)
 
