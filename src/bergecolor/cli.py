@@ -10,6 +10,11 @@ Subcommands: color, verify, gen, analyze.  Exit codes are stable:
        merge or a leaf left unpeeled shows it, and no hole is named)
     5  internal invariant violation (always a bug, never user error)
 
+`main` alone turns an error into its exit code and its `error:` line.
+`color --report` is written once, last, after the coloring, `--trace` and
+`--tree`, whatever the outcome: a failed output write reports status
+`error`, and `wall_time_s` covers the writes.
+
 All file output is written atomically (temp file + rename), with the mode
 the umask gives a new file, as `open(path, "w")` would.
 """
@@ -86,6 +91,7 @@ def _fail(msg: str, code: int) -> int:
 def cmd_color(args) -> int:
     t0 = time.perf_counter()
     g = read_col(args.graph)
+    skipped = args.trust_berge or g.n > args.berge_cap
     report = {
         "schema": REPORT_SCHEMA,
         "command": "color",
@@ -93,6 +99,10 @@ def cmd_color(args) -> int:
         "checks": {"square_free": False, "berge": None},
         "status": "error",
     }
+    # color() checks for squares, then runs the Berge check unless it is
+    # skipped, both before the solve: any other error, a failed write among
+    # them, comes after both passed
+    passed = {"square_free": True, "berge": None if skipped else True}
     trace: list | None = [] if args.trace else None
     try:
         result = color(
@@ -101,23 +111,47 @@ def cmd_color(args) -> int:
             trust_berge=args.trust_berge,
             trace=trace,
         )
+        lines = coloring_to_lines(result.coloring)
+        if args.output:
+            atomic_write(args.output, lines)
+        else:
+            sys.stdout.write(lines)
+        if args.trace:
+            atomic_write(
+                args.trace,
+                "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace),
+            )
+        if args.tree:
+            if args.tree.endswith(".dot"):
+                atomic_write(args.tree, tree_to_dot(result.tree))
+            else:
+                # one compact node per line: json's C encoder runs only
+                # without indent, and the file stays diffable node by node
+                doc = tree_to_json(result.tree)
+                nodes = ",\n".join(
+                    json.dumps(node, sort_keys=True) for node in doc["nodes"]
+                )
+                atomic_write(
+                    args.tree,
+                    f'{{"nodes": [\n{nodes}\n], "schema": {json.dumps(doc["schema"])}}}\n',
+                )
+        report["checks"] = passed
+        report["status"] = "success"
+        report["omega"] = report["colors_used"] = result.colors_used
+        report["stats"] = asdict(result.stats)
+        del report["stats"]["berge_checked"]  # reported under "checks"
     except NotSquareFree as e:
         report["status"] = "not-square-free"
         report["witness"] = list(e.witness) if e.witness else None
-        _finish_report(args, report, t0)
-        return _fail(str(e), EXIT_NOT_SQUARE_FREE)
+        raise
     except NotBerge as e:
-        report["checks"]["square_free"] = True
-        report["checks"]["berge"] = False
+        report["checks"] = {"square_free": True, "berge": False}
         report["status"] = "not-berge"
         report["witness"] = [e.witness[0], list(e.witness[1])] if e.witness else None
-        _finish_report(args, report, t0)
-        return _fail(str(e), EXIT_NOT_BERGE)
-    except BergeColorError as e:
-        # color() checks for squares first, so every other error comes later
-        report["checks"]["square_free"] = True
+        raise
+    except (BergeColorError, OSError) as e:
+        report["checks"] = passed
         report["error"] = str(e)
-        skipped = args.trust_berge or g.n > args.berge_cap
         # a square-free Berge input always has a reducing swap, and each of
         # its leaves is emptied by the peel or bipartite once true twins are
         # merged (see leaf_color), so with the Berge check skipped this
@@ -126,58 +160,20 @@ def cmd_color(args) -> int:
             report["checks"]["berge"] = False
             report["status"] = "not-berge"
             report["witness"] = None
-            _finish_report(args, report, t0)
-            return _fail(
+            raise NotBerge(
                 f"input is not Berge ({e}); the Berge check was skipped, "
-                "so no odd hole or antihole was named",
-                EXIT_NOT_BERGE,
-            )
-        # the Berge check, when it runs, comes before the solve
-        report["checks"]["berge"] = None if skipped else True
-        _finish_report(args, report, t0)
-        raise e from None  # main maps it to its exit code
-
-    report["checks"]["square_free"] = True
-    report["checks"]["berge"] = True if result.stats.berge_checked else None
-    report["status"] = "success"
-    report["omega"] = result.colors_used
-    report["colors_used"] = result.colors_used
-    report["stats"] = asdict(result.stats)
-    del report["stats"]["berge_checked"]  # reported under "checks"
-    _finish_report(args, report, t0)
-
-    lines = coloring_to_lines(result.coloring)
-    if args.output:
-        atomic_write(args.output, lines)
-    else:
-        sys.stdout.write(lines)
-    if args.trace:
-        atomic_write(
-            args.trace, "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace)
-        )
-    if args.tree:
-        if args.tree.endswith(".dot"):
-            atomic_write(args.tree, tree_to_dot(result.tree))
-        else:
-            # one compact node per line: json's C encoder runs only without
-            # indent, and the file stays diffable node by node
-            doc = tree_to_json(result.tree)
-            nodes = ",\n".join(json.dumps(node, sort_keys=True) for node in doc["nodes"])
-            atomic_write(
-                args.tree,
-                f'{{"nodes": [\n{nodes}\n], "schema": {json.dumps(doc["schema"])}}}\n',
-            )
+                "so no odd hole or antihole was named"
+            ) from None
+        raise  # main maps it to its exit code
+    finally:
+        report["wall_time_s"] = round(time.perf_counter() - t0, 6)
+        if args.report:
+            atomic_write(args.report, _json_text(report))
     print(
         f"colored {g.n} vertices with {result.colors_used} colors",
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-def _finish_report(args, report: dict, t0: float) -> None:
-    report["wall_time_s"] = round(time.perf_counter() - t0, 6)
-    if args.report:
-        atomic_write(args.report, _json_text(report))
 
 
 def cmd_verify(args) -> int:
@@ -240,14 +236,12 @@ def cmd_gen(args) -> int:
         lengths = _int_params(params)
         g = gen_lk4_subdivision(lengths)
         meta = sidecar_metadata("lk4", {"lengths": list(lengths)}, g)
-    elif args.construction == "random":
+    else:  # random; argparse admits only the four constructions
         if len(params) != 1:
             raise SpecError("random takes one parameter: the vertex count")
         (n,) = _int_params(params)
         g = gen_square_free_berge(n, args.seed)
         meta = sidecar_metadata("random", {"n": n, "seed": args.seed}, g)
-    else:
-        raise SpecError(f"unknown construction {args.construction!r}")
     write_col(g, args.output, comment=f"bergecolor gen {args.construction}")
     atomic_write(args.output + ".json", _json_text(meta))
     print(f"wrote {args.output} ({g.n} vertices, {g.m} edges)", file=sys.stderr)

@@ -4,8 +4,8 @@
 Vertices are 0..n-1.  Neighborhoods and vertex sets are Python ints used as
 bitsets: one int holds a set of any size, and a set operation is one pass in C
 over its machine words.  No size limit is built in; the benchmark's instances
-reach n = 400 and CI's deep-chain step colors n = 4,002.  Scans go by ascending id,
-which keeps every operation deterministic.
+reach n = 400 and CI's peel-scale step colors n = 50,000.  Scans go by ascending
+id, which keeps every operation deterministic.
 
 The package passes vertex sets as masks: `maximal_cliques_in` lists the
 maximal cliques as masks, vertex by lowest vertex, and `cliques_within`

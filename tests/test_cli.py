@@ -337,6 +337,24 @@ def test_color_error_writes_report(tmp_path, capsys):
     assert rep["checks"]["square_free"] is True
 
 
+@pytest.mark.parametrize("flag", ["-o", "--trace", "--tree"])
+def test_color_failed_output_write_reports_error(tmp_path, capsys, flag):
+    # the report is written last, so a failed output write shows in it
+    path = col(tmp_path, cycle(6))
+    bad = str(tmp_path / "nodir" / "out")
+    rep_f = str(tmp_path / "r.json")
+    argv = ["color", path, "--report", rep_f, flag, bad]
+    if flag != "-o":
+        argv += ["-o", str(tmp_path / "c6.sol")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    rep = json.load(open(rep_f))
+    assert rep["status"] == "error"
+    assert bad in rep["error"]
+    assert err == f"error: {rep['error']}\n"
+    assert rep["checks"] == {"square_free": True, "berge": True}
+
+
 def test_color_heawood_exits_0(tmp_path, capsys):
     # the Heawood graph has no simplicial vertex and no good partition; its
     # leaf core is bipartite and 2-colored, with the Berge check run or not
