@@ -114,13 +114,10 @@ class Graph:
         return Graph(len(keep), edges), keep
 
     def complement(self) -> "Graph":
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not self.adjacent(u, v)
-        ]
-        return Graph(self.n, edges)
+        full = self.full_mask
+        return Graph._of_masks(
+            [full & ~m & ~(1 << v) for v, m in enumerate(self._masks)]
+        )
 
     def __eq__(self, other) -> bool:
         return (

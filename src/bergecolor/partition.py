@@ -143,41 +143,24 @@ def _clique_defect(g: Graph, m: int) -> tuple[int, int] | None:
     return None
 
 
-def _neighbourhood(g: Graph, s: int) -> int:
-    """The vertices with a neighbour in the mask `s`."""
-    masks = g._masks
-    out = 0
-    for v in iter_bits(s):
-        out |= masks[v]
-    return out
-
-
-def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | None:
+def _violating_path(
+    g: Graph, k1m: int, k3m: int, l2: int, nk1: int, nk3: int
+) -> tuple[int, ...] | None:
     """Shortest chordless path breaking condition (iii), or None.
 
     Returns (u, p1, ..., pt, v) with u in K3, v in K1, interior in L, no
     interior vertex complete to K1, chordless once K1-K3 edges are ignored.
-    Search: restrict L to L'' (drop K1-complete vertices), and run one BFS
-    by layers in L'' from all of {has a K3-neighbor}, stopping at the first
-    layer that meets {has a K1-neighbor}.  The interior ends at the lowest
-    vertex there and is walked back through the layers (`_walk_back`); any
-    shortest L''-path plus its endpoint attachments is automatically
-    chordless.
-
-    L'' and the two end sets come from three masks over the cut, not from a
-    look at each vertex of L: the union of K1's neighbourhoods, their
-    intersection (the vertices complete to K1) and the union of K3's.
+    `l2` is L'', the L-vertices not complete to K1, and `nk1`, `nk3` are
+    the neighbourhoods of K1 and K3: the verifier reads all three in one
+    pass over the cut.  Search: one BFS by layers in L'' from L'' ∩ N(K3),
+    stopping at the first layer that meets N(K1).  The interior ends at the
+    lowest vertex there and is walked back through the layers
+    (`_walk_back`); any shortest L''-path plus its endpoint attachments is
+    automatically chordless.  An empty K1 or K3 needs no guard: every
+    L-vertex is complete to an empty K1, so L'' is empty, and an empty K3
+    leaves N(K3) empty.
     """
-    if k1m == 0 or k3m == 0:
-        return None
-    masks = g._masks
-    nk1 = 0
-    complete = -1
-    for a in iter_bits(k1m):
-        nk1 |= masks[a]
-        complete &= masks[a]
-    l2 = lm & ~complete
-    start = l2 & _neighbourhood(g, k3m)
+    start = l2 & nk3
     bad = l2 & nk1
     if start == 0 or bad == 0:
         return None
@@ -190,23 +173,17 @@ def _violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ...] | 
     on_path = hit | _walk_back(g, layers[:-1], hit.bit_length() - 1)
     interior = [(layer & on_path).bit_length() - 1 for layer in layers]
 
-    first_k3 = masks[interior[0]] & k3m
-    last_k1 = masks[interior[-1]] & k1m
+    first_k3 = g._masks[interior[0]] & k3m
+    last_k1 = g._masks[interior[-1]] & k1m
     u = (first_k3 & -first_k3).bit_length() - 1
     v = (last_k1 & -last_k1).bit_length() - 1
     return (u, *interior, v)
 
 
-def _both_sides_vertex(g: Graph, k1m: int, k3m: int, lm: int) -> int | None:
-    """Condition (iv) witness: lowest L-vertex with neighbors in K1 and K3,
-    but only when a K1-K3 edge exists (otherwise (iv) holds vacuously)."""
-    nk1 = _neighbourhood(g, k1m)
-    if not nk1 & k3m:
-        return None
-    both = lm & nk1 & _neighbourhood(g, k3m)
-    if not both:
-        return None
-    return (both & -both).bit_length() - 1
+def _both_sides(k3m: int, lm: int, nk1: int, nk3: int) -> int:
+    """Condition (iv) witnesses, as a mask: the L-vertices in N(K1) and
+    N(K3) when a K1-K3 edge exists, none otherwise."""
+    return lm & nk1 & nk3 if nk1 & k3m else 0
 
 
 def verify_good_partition(g: Graph, p: GoodPartition) -> PartitionVerdict:
@@ -224,9 +201,14 @@ def _verify_masks(
     """`verify_good_partition` for the five sets given as masks that
     partition `within`, checked as a partition of the subgraph induced on
     it: conditions (i) to (v) in order, the first that fails named with its
-    witness.  The triad of condition (v) is sought inside `within`.  It is
-    the lowest x of L, then the lowest y of R with a z, then the lowest z,
-    and a passing verdict carries it, ascending, as its witness."""
+    witness.  Conditions (iii) and (iv) share one pass over the cut: a
+    loop over K1 gives N(K1) and the vertices complete to K1, one over K3
+    gives N(K3).  (iii) searches L less the K1-complete vertices
+    (`_violating_path`), and (iv)'s witness is the lowest vertex of
+    L ∩ N(K1) ∩ N(K3), sought only when N(K1) meets K3 (`_both_sides`).
+    The triad of condition (v) is sought inside `within`.  It is the lowest
+    x of L, then the lowest y of R with a z, then the lowest z, and a
+    passing verdict carries it, ascending, as its witness."""
     k1m, k2m, k3m, lm, rm = masks
     if lm == 0:
         return PartitionVerdict(False, "i", ("L empty",))
@@ -242,13 +224,20 @@ def _verify_masks(
         if defect:
             return PartitionVerdict(False, "ii", defect)
 
-    path = _violating_path(g, k1m, k3m, lm)
+    adj = g._masks
+    nk1 = nk3 = 0
+    complete = -1
+    for a in iter_bits(k1m):
+        nk1 |= adj[a]
+        complete &= adj[a]
+    for b in iter_bits(k3m):
+        nk3 |= adj[b]
+    path = _violating_path(g, k1m, k3m, lm & ~complete, nk1, nk3)
     if path is not None:
         return PartitionVerdict(False, "iii", path)
-
-    u = _both_sides_vertex(g, k1m, k3m, lm)
-    if u is not None:
-        return PartitionVerdict(False, "iv", (u,))
+    both = _both_sides(k3m, lm, nk1, nk3)
+    if both:
+        return PartitionVerdict(False, "iv", ((both & -both).bit_length() - 1,))
 
     for x in iter_bits(lm):
         nx = g.mask(x)

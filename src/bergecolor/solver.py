@@ -142,8 +142,8 @@ def verify_coloring(
 
     `c` is a coloring or an untrusted `{vertex: color}` mapping, such as
     `parse_coloring_lines` returns.  A mapping's entries are checked as
-    values first, in this order: every vertex an int in 0..n-1
-    ("unknown-vertex"), every vertex of g colored ("uncolored-vertex"),
+    values first, in this order: every vertex an int in 0..n-1, not a
+    bool ("unknown-vertex"), every vertex of g colored ("uncolored-vertex"),
     every color a positive int ("bad-color-value"); so a huge vertex or
     color costs no memory.  Only then is it grouped into class masks, one
     per color used.  A coloring's classes are checked for a vertex outside
@@ -174,7 +174,7 @@ def verify_coloring(
                 return ColoringVerdict(False, reason, ((bad & -bad).bit_length() - 1,))
     else:
         for v in c:
-            if not (isinstance(v, int) and 0 <= v < g.n):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
                 return ColoringVerdict(False, "unknown-vertex", (v,))
         if len(c) < g.n:
             v = next(v for v in range(g.n) if v not in c)

@@ -590,7 +590,7 @@ def naive_violating_path(g: Graph, k1m: int, k3m: int, lm: int) -> tuple[int, ..
 
 
 def naive_both_sides_vertex(g: Graph, k1m: int, k3m: int, lm: int) -> int | None:
-    """Condition (iv) witness as `partition._both_sides_vertex` finds it, by
+    """Condition (iv) witness as `partition._verify_masks` finds it, by
     a scan over K1 for a K1-K3 edge and one over L for the lowest vertex
     with neighbors in K1 and K3."""
     edge = False

@@ -831,6 +831,16 @@ def test_analyze_square(tmp_path, capsys):
     assert rep["good_partition"] is None
 
 
+def test_analyze_odd_hole(tmp_path, capsys):
+    # C7 is square-free but not Berge; the report names its odd hole
+    path = col(tmp_path, cycle(7))
+    assert main(["analyze", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["square_free"] is True
+    assert rep["berge"] is False
+    assert rep["berge_witness"] == ["odd-hole", [0, 1, 2, 3, 4, 5, 6]]
+
+
 def test_analyze_beyond_berge_cap(tmp_path, capsys):
     path = col(tmp_path, cycle(6))
     assert main(["analyze", path, "--berge-cap", "3"]) == 0

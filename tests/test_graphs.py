@@ -219,6 +219,19 @@ def test_complement_is_involution():
     assert g.complement().m == 7 * 6 // 2 - 7
 
 
+def test_complement_matches_the_pairwise_complement():
+    # every pair of distinct vertices is an edge of exactly one of g and
+    # its complement; n = 0 and 1 included
+    rng = random.Random(5)
+    for n in [0, 1, *(rng.randint(2, 40) for _ in range(60))]:
+        p = rng.random()
+        every = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, [e for e in every if rng.random() < p])
+        pairs = [(u, v) for u, v in every if not g.adjacent(u, v)]
+        assert g.complement() == Graph(n, pairs)
+        assert g.complement().m == len(pairs)
+
+
 def test_contains_square_examples():
     assert contains_square(cycle(4)) == (0, 1, 2, 3)
     assert contains_square(cycle(5)) is None

@@ -14,6 +14,7 @@ from bergecolor import (
     InternalViolation,
     MalformedPartition,
     NotSquareFree,
+    PartitionVerdict,
     color,
     find_good_partition,
     find_triads,
@@ -213,16 +214,22 @@ def test_refine_frame_anchor_outside_its_side_is_rejected(anchors):
         refine_frame(_prism(), frame)
 
 
+def _verdict(condition, witness):
+    """A stand-in for `_verify_masks` that names the same failure on every
+    candidate."""
+    return lambda g, masks, within: PartitionVerdict(False, condition, witness)
+
+
 def test_refine_frame_iii_repair_that_keeps_k1_is_internal(monkeypatch):
     # a path whose last interior vertex 0 sees all of K'1 leaves K'1 whole
-    monkeypatch.setattr(partition, "_violating_path", lambda g, k1, k3, lm: (6, 0, 1))
+    monkeypatch.setattr(partition, "_verify_masks", _verdict("iii", (6, 0, 1)))
     with pytest.raises(InternalViolation, match=r"condition \(iii\) repair did not shrink K'1"):
         refine_frame(_prism(), _HAND_WORKED)
 
 
 def test_refine_frame_iv_repair_that_keeps_k3_is_internal(monkeypatch):
     # vertex 7 has no neighbour in K'3, so removing N(7) keeps K'3 whole
-    monkeypatch.setattr(partition, "_both_sides_vertex", lambda g, k1, k3, lm: 7)
+    monkeypatch.setattr(partition, "_verify_masks", _verdict("iv", (7,)))
     with pytest.raises(InternalViolation, match=r"condition \(iv\) repair did not shrink K'3"):
         refine_frame(_prism(), _HAND_WORKED)
 
@@ -243,7 +250,7 @@ def test_refine_frame_repair_past_its_budget_is_internal(monkeypatch):
     monkeypatch.setattr(
         partition, "_truncated_side", lambda *args: _Uncounted(truncated(*args))
     )
-    monkeypatch.setattr(partition, "_violating_path", lambda g, k1, k3, lm: (6, 7, 1))
+    monkeypatch.setattr(partition, "_verify_masks", _verdict("iii", (6, 7, 1)))
     with pytest.raises(InternalViolation, match="refinement exceeded its shrink budget"):
         refine_frame(_prism(), _HAND_WORKED)
 
@@ -278,15 +285,15 @@ _IV_REPAIRS = [
 @pytest.mark.parametrize("draw, frame, vertex, sets", _IV_REPAIRS)
 def test_refine_frame_repairs_condition_iv(monkeypatch, draw, frame, vertex, sets):
     witnesses = []
-    both_sides = partition._both_sides_vertex
+    verify = partition._verify_masks
 
     def spy(*args):
-        u = both_sides(*args)
-        if u is not None:
-            witnesses.append(u)
-        return u
+        verdict = verify(*args)
+        if verdict.condition == "iv":
+            witnesses.extend(verdict.witness)
+        return verdict
 
-    monkeypatch.setattr(partition, "_both_sides_vertex", spy)
+    monkeypatch.setattr(partition, "_verify_masks", spy)
     g = gen_square_free_berge(*draw)
     part = refine_frame(g, frame)
     assert witnesses == [vertex]
@@ -336,10 +343,20 @@ def _random_cuts(g, rng, cliques):
     return out
 
 
+def _cut_masks(g, k1, k3):
+    """N(K1), the vertices complete to K1, and N(K3), by a test of each
+    vertex of g."""
+    nk1 = mask_of(v for v in range(g.n) if g.mask(v) & k1)
+    complete = mask_of(v for v in range(g.n) if g.mask(v) & k1 == k1)
+    nk3 = mask_of(v for v in range(g.n) if g.mask(v) & k3)
+    return nk1, complete, nk3
+
+
 def test_cut_masks_match_the_per_vertex_scans(corpus_graphs):
     # conditions (iii) and (iv) are tested from the cut's neighbourhoods;
     # the witnesses are those of the scans over every vertex of L, on
-    # corpus graphs and on random graphs, most of them not Berge
+    # corpus graphs and on random graphs, most of them not Berge.  Cuts
+    # with an empty K1 or K3 take the same masks; no guard handles them.
     rng = random.Random(17)
     graphs = [g for _, g in corpus_graphs if g.n <= 40]
     for _ in range(300):
@@ -347,17 +364,21 @@ def test_cut_masks_match_the_per_vertex_scans(corpus_graphs):
         p = rng.random()
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         graphs.append(Graph(n, edges))
-    paths = long = both = 0
+    paths = long = both = empty = 0
     for g in graphs:
         for k1, k3, lm in _random_cuts(g, rng, maximal_cliques_in(g, g.full_mask)):
-            path = partition._violating_path(g, k1, k3, lm)
+            empty += lm != 0 and (k1 == 0 or k3 == 0)
+            nk1, complete, nk3 = _cut_masks(g, k1, k3)
+            path = partition._violating_path(g, k1, k3, lm & ~complete, nk1, nk3)
             assert path == naive_violating_path(g, k1, k3, lm)
-            u = partition._both_sides_vertex(g, k1, k3, lm)
+            sides = partition._both_sides(k3, lm, nk1, nk3)
+            u = (sides & -sides).bit_length() - 1 if sides else None
             assert u == naive_both_sides_vertex(g, k1, k3, lm)
             paths += path is not None
             long += path is not None and len(path) > 3
             both += u is not None
     assert paths > 1000 and long > 300 and both > 1000
+    assert empty > 1000
 
 
 # --- enumeration and search --------------------------------------------------

@@ -83,6 +83,10 @@ def test_verify_unknown_vertex():
     assert v.reason == "unknown-vertex"
     assert v.witness == (6,)
     assert verify_coloring(cycle(6), PartialColoring(colors)) == v
+    # True == 1 and False == 0, but a bool is no vertex, as it is no color
+    v = verify_coloring(Graph(2, [(0, 1)]), {True: 1, False: 2})
+    assert v.reason == "unknown-vertex"
+    assert v.witness == (True,)
 
 
 @pytest.mark.parametrize("badval", [0, -2, True])
@@ -218,6 +222,17 @@ def test_leaf_color_two_colors_a_bipartite_core_by_layer_parity():
         solver.leaf_color(cycle(5), cycle(5).full_mask)
     c, clique = solver.leaf_color(g, 0)
     assert c.classes == [] and clique == 0
+
+
+def test_leaf_color_class_with_no_adjacent_class():
+    # the Heawood graph and a disjoint triangle 14-15-16: the triangle is
+    # one class of true twins and sees no other class, so it alone is
+    # the largest clique of the core
+    edges = NO_PARTITION_GRAPHS["heawood"]().edges()
+    g = Graph(17, edges + [(14, 15), (14, 16), (15, 16)])
+    c, clique = solver.leaf_color(g, g.full_mask)
+    assert c.colors_used() == 3 and verify_coloring(g, c).ok
+    assert clique == mask_of((14, 15, 16))
 
 
 def _twin_blowups():
